@@ -1,27 +1,25 @@
-// Batch entry points: the typed command layer that bypasses the
-// string-valued native-call protocol end to end.
+// The typed command layer. A BatchOp is one D2X command with its inputs
+// as plain values, and execOp is the one executor every command runs
+// through: the Table 2 natives lift a debugger call's arguments into a
+// BatchOp (see nativeCommand), and ExecBatch runs N of them at once.
 //
-// The single-command path exists because an unmodified debugger can only
-// reach D2X-R through `call`/`eval` — every query pays macro
-// substitution, expression parsing, and a native-call frame before any
-// D2X work happens, and returns its answer as a command string the
-// debugger re-parses. That is the right interface for a human at a REPL
-// and the wrong one for a debug service pushing thousands of commands
-// per second: per-message protocol overhead, not evaluation, dominates
-// once the debugger and debuggee are decoupled (Hanson, "A
-// Machine-Independent Debugger—Revisited"). The fix is coarser-grained
-// operations. ExecBatch runs N sub-commands under one session pin into
-// one render buffer; XBTBatch resolves a whole stack of rips in one
-// fused-index walk; ResolveBreakSet installs a whole breakpoint set in
-// one pass over the shared tables. Results are byte-identical to the
-// equivalent single-command sequence — CI proves it differentially over
-// every example build and a progen corpus slice.
+// The natives exist because an unmodified debugger can only reach D2X-R
+// through `call`/`eval` — every query pays macro substitution,
+// expression parsing, and a native-call frame before any D2X work
+// happens, and returns its answer as a command string the debugger
+// re-parses. That is the right interface for a human at a REPL and the
+// wrong one for a debug service pushing thousands of commands per
+// second: per-message protocol overhead, not evaluation, dominates once
+// the debugger and debuggee are decoupled (Hanson, "A
+// Machine-Independent Debugger—Revisited"). ExecBatch is the
+// coarser-grained operation: N sub-commands under one session pin into
+// one render buffer. Results are byte-identical to the equivalent
+// single-command sequence — CI proves it differentially over every
+// example build and a progen corpus slice.
 package d2xr
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"d2x/internal/d2x/session"
 	"d2x/internal/minic"
@@ -40,15 +38,9 @@ const (
 	BatchXDel
 )
 
-// batchKindNames maps a kind to its command name for metrics and errors.
-var batchKindNames = [...]string{
-	BatchXBT: "xbt", BatchXFrame: "xframe", BatchXList: "xlist",
-	BatchXVars: "xvars", BatchXBreak: "xbreak", BatchXDel: "xdel",
-}
-
 func (k BatchKind) String() string {
-	if int(k) < len(batchKindNames) {
-		return batchKindNames[k]
+	if int(k) < len(cmdObs) {
+		return cmdObs[k].name
 	}
 	return fmt.Sprintf("BatchKind(%d)", int(k))
 }
@@ -89,12 +81,11 @@ func (res *BatchResults) Output(i int) []byte { return res.Buf[res.Ops[i].Lo:res
 // ExecBatch executes a batch of D2X commands under a single session
 // pin: one Checkout/Checkin pair instead of N, one render buffer
 // instead of N pooled round trips, and no VM native-call frames at all.
-// Sub-commands execute in order with the exact per-command session
-// bookkeeping of the single path (rip tracking, frame-selection reset,
-// active-command marking), so a batch leaves the session in the same
-// state the equivalent command sequence would, and each sub-command's
-// output bytes match the single path's. A failing sub-command records
-// its error in its BatchOpResult and contributes no output; later
+// Sub-commands execute in order through execOp, the executor the native
+// entry points use, so a batch leaves the session in the same state the
+// equivalent command sequence would, and each sub-command's output
+// bytes match the single path's. A failing sub-command records its
+// error in its BatchOpResult and contributes no output; later
 // sub-commands still run.
 //
 //d2x:hotpath
@@ -106,19 +97,12 @@ func (r *Runtime) ExecBatch(vm *minic.VM, ops []BatchOp, res *BatchResults) {
 	res.Ops = res.Ops[:0]
 	for _, op := range ops {
 		lo := len(res.Buf)
-		b, script, err := r.execBatchOp(st, vm, op, res.Buf)
+		b, script, err := r.execOp(st, vm, op, res.Buf)
 		if err != nil {
 			b = b[:lo]
 		}
 		res.Buf = b
 		res.Ops = append(res.Ops, BatchOpResult{Lo: lo, Hi: len(res.Buf), Script: script, Err: err})
-		if int(op.Kind) < len(batchKindNames) {
-			m := cmdObs[batchKindNames[op.Kind]]
-			m.calls.Inc(uint64(st.ID))
-			if err != nil {
-				m.errs.Inc(uint64(st.ID))
-			}
-		}
 	}
 	batchObs.calls.Inc(uint64(st.ID))
 	batchOps.Add(uint64(st.ID), int64(len(ops)))
@@ -132,12 +116,20 @@ func (r *Runtime) ExecBatch(vm *minic.VM, ops []BatchOp, res *BatchResults) {
 	obs.Emit(ev)
 }
 
-// execBatchOp runs one sub-command with the session bookkeeping the
-// single-command wrapper performs, dispatching to the same append cores
-// the native entry points use.
+// execOp runs one D2X command on a checked-out session state, appending
+// its output to b: the single executor behind the native entry points
+// and ExecBatch. It performs the per-command session bookkeeping —
+// resetting the selected extended frame when execution moved, and, for
+// the commands that receive $rsp, marking the command active so nested
+// rtv-handler calls can locate the paused frame — dispatches to the
+// command's append core, and counts the call and any error. On error
+// the append cores return b unchanged.
 //
 //d2x:hotpath
-func (r *Runtime) execBatchOp(st *session.State, vm *minic.VM, op BatchOp, b []byte) ([]byte, string, error) {
+func (r *Runtime) execOp(st *session.State, vm *minic.VM, op BatchOp, b []byte) ([]byte, string, error) {
+	if int(op.Kind) >= len(cmdObs) {
+		return b, "", fmt.Errorf("d2x: unknown batch op kind %d", op.Kind)
+	}
 	if op.Kind != BatchXDel {
 		if !st.HaveRIP || op.RIP != st.LastRIP {
 			st.SelXFrame = 0
@@ -165,167 +157,19 @@ func (r *Runtime) execBatchOp(st *session.State, vm *minic.VM, op BatchOp, b []b
 	case BatchXBreak:
 		b, script, err = r.appendXBreak(st, vm, op.RIP, op.Arg, b)
 	case BatchXDel:
-		b, script, err = r.appendXDel(st, op.Arg, b)
-	default:
-		err = fmt.Errorf("d2x: unknown batch op kind %d", op.Kind)
+		b, script, err = appendXDel(st, op.Arg, b)
+	}
+	m := &cmdObs[op.Kind]
+	m.calls.Inc(uint64(st.ID))
+	if err != nil {
+		m.errs.Inc(uint64(st.ID))
 	}
 	return b, script, err
 }
 
-// XBTBatch renders the extended stacks for a whole set of rips — e.g.
-// every native frame of a paused stack — in one call: one session pin,
-// one fused-index load hoisted out of the loop, one render buffer. The
-// appended bytes are identical to running xbt once per rip in order,
-// and the session's rip bookkeeping advances the same way. The first
-// unresolvable rip aborts the batch with b truncated to its input
-// length, matching the single path's no-output-on-error contract.
-//
-//d2x:hotpath
-func (r *Runtime) XBTBatch(vm *minic.VM, rips []int64, b []byte) ([]byte, error) {
-	if r.info == nil {
-		return b, fmt.Errorf("d2x: no debug info attached")
-	}
-	st := r.svc.Checkout(vm)
-	defer r.svc.Checkin(vm, st)
-	fu, err := r.svc.Fused(vm, r.info)
-	if err != nil {
-		return b, err
-	}
-	start := obs.NowNanos()
-	lo := len(b)
-	for _, rip := range rips {
-		if !st.HaveRIP || rip != st.LastRIP {
-			st.SelXFrame = 0
-		}
-		st.LastRIP = rip
-		st.HaveRIP = true
-		genLine, rec, ok := fu.Resolve(rip)
-		if !ok {
-			stage1Miss.Inc()
-			return b[:lo], fmt.Errorf("d2x: no line info for rip %#x", rip)
-		}
-		if rec == nil {
-			stage2Miss.Inc()
-		}
-		if rec == nil || len(rec.Stack) == 0 {
-			b = appendNoContext(b, "context", genLine)
-			continue
-		}
-		for i, loc := range rec.Stack {
-			b = appendXFrame(b, i, loc)
-			b = append(b, '\n')
-		}
-	}
-	cmdObs["xbt"].calls.Add(uint64(st.ID), int64(len(rips)))
-	batchObs.calls.Inc(uint64(st.ID))
-	batchOps.Add(uint64(st.ID), int64(len(rips)))
-	if start != 0 {
-		batchObs.lat.ObserveNS(obs.NowNanos() - start)
-	}
-	return b, nil
-}
-
-// BreakSet is the reusable result of ResolveBreakSet. Output holds the
-// concatenated human-readable output (what the single commands would
-// print), IDs the assigned breakpoint ID per spec (0 for a spec whose
-// location has no generated code — nothing was installed for it), and
-// Script the break commands over the deduped union of every spec's
-// generated lines, so overlapping specs do not stack duplicate
-// debugger breakpoints the way repeated single xbreaks would.
-type BreakSet struct {
-	Output []byte
-	Script string
-	IDs    []int
-
-	plans []*session.BreakPlan // per-spec plans, reused across calls
-}
-
-// ResolveBreakSet resolves and installs a whole set of DSL breakpoints
-// in one pass: one session pin, one shared-tables fetch, and the
-// per-spec lexer/macro/script work amortized through the session's plan
-// cache. Resolution is atomic — every spec must parse and resolve
-// before any breakpoint is installed, so a typo in spec 7 does not
-// leave specs 1–6 half-applied.
-//
-//d2x:hotpath
-func (r *Runtime) ResolveBreakSet(vm *minic.VM, rip int64, specs []string, bs *BreakSet) error {
-	st := r.svc.Checkout(vm)
-	defer r.svc.Checkin(vm, st)
-	tables, err := r.tablesFor(vm)
-	if err != nil {
-		return err
-	}
-	start := obs.NowNanos()
-	bs.Output = bs.Output[:0]
-	bs.IDs = bs.IDs[:0]
-	bs.Script = ""
-	bs.plans = bs.plans[:0]
-	for _, spec := range specs {
-		spec = strings.TrimSpace(spec)
-		if spec == "" {
-			return fmt.Errorf("d2x: empty breakpoint spec in set")
-		}
-		plan, err := r.breakPlanFor(st, vm, tables, rip, spec)
-		if err != nil {
-			return err
-		}
-		bs.plans = append(bs.plans, plan)
-	}
-	for _, plan := range bs.plans {
-		if len(plan.GenLines) == 0 {
-			bs.Output = append(bs.Output, "No generated code for "...)
-			bs.Output = append(bs.Output, plan.File...)
-			bs.Output = append(bs.Output, ':')
-			bs.Output = strconv.AppendInt(bs.Output, int64(plan.Line), 10)
-			bs.Output = append(bs.Output, '\n')
-			bs.IDs = append(bs.IDs, 0)
-			continue
-		}
-		bp := st.GetBP()
-		bp.ID, bp.File, bp.Line = st.NextID, plan.File, plan.Line
-		bp.GenLines = append(bp.GenLines[:0], plan.GenLines...)
-		bp.Plan = plan
-		st.NextID++
-		st.XBPs = append(st.XBPs, bp)
-		bs.Output = append(bs.Output, "Inserting "...)
-		bs.Output = strconv.AppendInt(bs.Output, int64(len(plan.GenLines)), 10)
-		bs.Output = append(bs.Output, " breakpoints with ID: #"...)
-		bs.Output = strconv.AppendInt(bs.Output, int64(bp.ID), 10)
-		bs.Output = append(bs.Output, '\n')
-		bs.IDs = append(bs.IDs, bp.ID)
-	}
-	// One break script over the union: collect every plan's lines into
-	// the session scratch (free again now that resolution is done),
-	// dedupe, and reuse the interned single-plan script when the set is
-	// one location — the common case allocates nothing here.
-	switch {
-	case len(bs.plans) == 1:
-		bs.Script = bs.plans[0].BreakScript
-	default:
-		st.ScratchLines = st.ScratchLines[:0]
-		for _, plan := range bs.plans {
-			st.ScratchLines = append(st.ScratchLines, plan.GenLines...)
-		}
-		union := dedupeSortedLines(st.ScratchLines)
-		if len(union) > 0 {
-			rb := getRender()
-			rb.b = appendBreakCmds(rb.b[:0], "break ", r.genFileName(), union)
-			bs.Script = string(rb.b)
-			putRender(rb)
-		}
-	}
-	cmdObs["xbreak"].calls.Add(uint64(st.ID), int64(len(specs)))
-	batchObs.calls.Inc(uint64(st.ID))
-	batchOps.Add(uint64(st.ID), int64(len(specs)))
-	if start != 0 {
-		batchObs.lat.ObserveNS(obs.NowNanos() - start)
-	}
-	return nil
-}
-
 // SessionPin holds one session's state checked out across a whole
 // multi-command batch. Checkout/Checkin nest, so the per-command pins
-// the command wrappers take simply stack on top of this one; while the
+// the native entry points take simply stack on top of this one; while the
 // pin is held, Invalidate defers the session's Reset and Release keeps
 // the state object alive — the batch is atomic with respect to both.
 type SessionPin struct {

@@ -37,7 +37,6 @@ import (
 	"d2x/internal/minic"
 	"d2x/internal/minic/effects"
 	"d2x/internal/obs"
-	"d2x/internal/srcloc"
 )
 
 // FileResolver reads DSL source files for xlist. The default reads from
@@ -70,20 +69,44 @@ type NativeSpec struct {
 	Sig  minic.Signature
 }
 
+// commandNative is one Table 2 entry point: its spec, the command it
+// runs, and the argument slots that carry $rip, $rsp and the command's
+// string operand, -1 where the native takes none (xdel's only argument
+// is a breakpoint spec, not a rip).
+type commandNative struct {
+	NativeSpec
+	kind          BatchKind
+	rip, rsp, arg int
+}
+
+// commandNatives is the Table 2 command interface, declared once:
+// CommandNatives publishes it and Register links it.
+var commandNatives = [...]commandNative{
+	{NativeSpec{NativeXBT, nativeSig(minic.VoidType, minic.IntType, minic.IntType)}, BatchXBT, 0, 1, -1},
+	{NativeSpec{NativeXFrame, nativeSig(minic.VoidType, minic.IntType, minic.IntType, minic.StringType)}, BatchXFrame, 0, 1, 2},
+	{NativeSpec{NativeXList, nativeSig(minic.VoidType, minic.IntType, minic.IntType)}, BatchXList, 0, 1, -1},
+	{NativeSpec{NativeXVars, nativeSig(minic.VoidType, minic.IntType, minic.IntType, minic.StringType)}, BatchXVars, 0, 1, 2},
+	{NativeSpec{NativeXBreak, nativeSig(minic.StringType, minic.IntType, minic.StringType)}, BatchXBreak, 0, -1, 1},
+	{NativeSpec{NativeXDel, nativeSig(minic.StringType, minic.StringType)}, BatchXDel, -1, -1, 0},
+}
+
+// findStackVarNative is the runtime API rtv_handlers call (§4.1); it is
+// linked alongside the commands but is not one.
+var findStackVarNative = NativeSpec{NativeFindStackVar, nativeSig(minic.AnyType, minic.StringType)}
+
+func nativeSig(result *minic.Type, params ...*minic.Type) minic.Signature {
+	return minic.Signature{Params: params, Result: result}
+}
+
 // CommandNatives returns the complete D2X-R native interface (Table 2).
 // Register installs exactly these; verification tools cross-check a
 // linked program against them.
 func CommandNatives() []NativeSpec {
-	intT, strT, voidT := minic.IntType, minic.StringType, minic.VoidType
-	return []NativeSpec{
-		{NativeXBT, minic.Signature{Params: []*minic.Type{intT, intT}, Result: voidT}},
-		{NativeXFrame, minic.Signature{Params: []*minic.Type{intT, intT, strT}, Result: voidT}},
-		{NativeXList, minic.Signature{Params: []*minic.Type{intT, intT}, Result: voidT}},
-		{NativeXVars, minic.Signature{Params: []*minic.Type{intT, intT, strT}, Result: voidT}},
-		{NativeXBreak, minic.Signature{Params: []*minic.Type{intT, strT}, Result: strT}},
-		{NativeXDel, minic.Signature{Params: []*minic.Type{strT}, Result: strT}},
-		{NativeFindStackVar, minic.Signature{Params: []*minic.Type{strT}, Result: minic.AnyType}},
+	specs := make([]NativeSpec, 0, len(commandNatives)+1)
+	for _, c := range commandNatives {
+		specs = append(specs, c.NativeSpec)
 	}
+	return append(specs, findStackVarNative)
 }
 
 // cmdMetrics is one D2X command's observability handle set: call and
@@ -95,13 +118,15 @@ func CommandNatives() []NativeSpec {
 // the registry sharding just decoupled. The session ID is the affinity
 // hint; sums stay exact.
 type cmdMetrics struct {
+	name  string
 	calls *obs.ShardedCounter
 	errs  *obs.ShardedCounter
 	lat   *obs.Histogram
 }
 
-func newCmdMetrics(name string) *cmdMetrics {
-	return &cmdMetrics{
+func newCmdMetrics(name string) cmdMetrics {
+	return cmdMetrics{
+		name:  name,
 		calls: obs.GetShardedCounter("d2xr.cmd." + name + ".calls"),
 		errs:  obs.GetShardedCounter("d2xr.cmd." + name + ".errors"),
 		lat:   obs.GetHistogram("d2xr.cmd." + name),
@@ -112,24 +137,25 @@ func newCmdMetrics(name string) *cmdMetrics {
 // two mapping stages of Figure 4, rtv-handler guard telemetry, and the
 // xlist source-file cache.
 var (
-	cmdObs = map[string]*cmdMetrics{
-		"xbt": newCmdMetrics("xbt"), "xframe": newCmdMetrics("xframe"),
-		"xlist": newCmdMetrics("xlist"), "xvars": newCmdMetrics("xvars"),
-		"xbreak": newCmdMetrics("xbreak"), "xdel": newCmdMetrics("xdel"),
+	// cmdObs holds each command's handles, indexed by its BatchKind.
+	// execOp counts every call and error, whichever entry point ran it,
+	// so per-command totals are protocol-independent; the latency
+	// histogram times the native entry points, one command per call.
+	cmdObs = [...]cmdMetrics{
+		BatchXBT: newCmdMetrics("xbt"), BatchXFrame: newCmdMetrics("xframe"),
+		BatchXList: newCmdMetrics("xlist"), BatchXVars: newCmdMetrics("xvars"),
+		BatchXBreak: newCmdMetrics("xbreak"), BatchXDel: newCmdMetrics("xdel"),
 	}
-	// batchObs covers ExecBatch itself (one call, N sub-ops); the sub-ops
-	// also count under their own command's calls/errors, so per-command
-	// totals are protocol-independent.
+	// batchObs covers ExecBatch itself: one call and one latency sample
+	// per batch, however many sub-ops it ran.
 	batchObs   = newCmdMetrics("batch")
 	batchOps   = obs.GetShardedCounter("d2xr.cmd.batch.ops")
-	stage1Lat  = obs.GetHistogram("d2xr.stage1.rip_to_genline")
 	stage1Miss = obs.GetCounter("d2xr.stage1.misses")
-	stage2Lat  = obs.GetHistogram("d2xr.stage2.genline_to_dsl")
 	stage2Miss = obs.GetCounter("d2xr.stage2.misses")
 	fusedLat   = obs.GetHistogram("d2xr.fused.resolve")
 
 	// stageTick drives 1-in-stageSampleEvery sampling of the resolve
-	// histograms (see recordAt); counts and misses remain exact.
+	// histogram (see recordAt); counts and misses remain exact.
 	stageTick atomic.Int64
 
 	rtvUnguarded  = obs.GetCounter("d2xr.rtv.unguarded")
@@ -157,8 +183,8 @@ var (
 // pre-service per-session tables map).
 const maxFileCacheEntries = 64
 
-// stageSampleEvery is the sampling stride for the per-stage lookup
-// histograms: recordAt times its two stages on one call in this many.
+// stageSampleEvery is the sampling stride for the resolve and rtv-handler
+// latency histograms: recordAt and evalVar time one call in this many.
 // A power of two keeps the modulo a mask.
 const stageSampleEvery = 8
 
@@ -251,60 +277,16 @@ func (r *Runtime) LiveSessions() int { return r.svc.Sessions() }
 // debuggee: 1 after any table-backed command, however many sessions ran.
 func (r *Runtime) TableDecodes() int { return r.svc.Decodes() }
 
-// cmdFunc is a D2X command body with its session state resolved.
-type cmdFunc func(st *session.State, call *minic.NativeCall) (minic.Value, error)
-
 // Register installs the D2X-R entry points as host-linked natives, the
 // analogue of linking libd2x-r.a into the generated executable.
 func (r *Runtime) Register(nats *minic.Natives) {
-	intT, strT, voidT := minic.IntType, minic.StringType, minic.VoidType
+	for i := range commandNatives {
+		c := &commandNatives[i]
+		nats.Register(&minic.Native{Name: c.Name, Sig: c.Sig, Handler: r.nativeCommand(c)})
+	}
 	nats.Register(&minic.Native{
-		Name: NativeXBT,
-		Sig:  minic.Signature{Params: []*minic.Type{intT, intT}, Result: voidT},
-		Handler: r.command("xbt", true, true, func(st *session.State, call *minic.NativeCall) (minic.Value, error) {
-			return minic.NullVal(), r.xbt(call.VM, call.Args[0].I)
-		}),
-	})
-	nats.Register(&minic.Native{
-		Name: NativeXFrame,
-		Sig:  minic.Signature{Params: []*minic.Type{intT, intT, strT}, Result: voidT},
-		Handler: r.command("xframe", true, true, func(st *session.State, call *minic.NativeCall) (minic.Value, error) {
-			return minic.NullVal(), r.xframe(st, call.VM, call.Args[0].I, call.Args[2].S)
-		}),
-	})
-	nats.Register(&minic.Native{
-		Name: NativeXList,
-		Sig:  minic.Signature{Params: []*minic.Type{intT, intT}, Result: voidT},
-		Handler: r.command("xlist", true, true, func(st *session.State, call *minic.NativeCall) (minic.Value, error) {
-			return minic.NullVal(), r.xlist(st, call.VM, call.Args[0].I)
-		}),
-	})
-	nats.Register(&minic.Native{
-		Name: NativeXVars,
-		Sig:  minic.Signature{Params: []*minic.Type{intT, intT, strT}, Result: voidT},
-		Handler: r.command("xvars", true, true, func(st *session.State, call *minic.NativeCall) (minic.Value, error) {
-			return minic.NullVal(), r.xvars(st, call.VM, call.Args[0].I, call.Args[2].S)
-		}),
-	})
-	nats.Register(&minic.Native{
-		Name: NativeXBreak,
-		Sig:  minic.Signature{Params: []*minic.Type{intT, strT}, Result: strT},
-		Handler: r.command("xbreak", true, false, func(st *session.State, call *minic.NativeCall) (minic.Value, error) {
-			s, err := r.xbreak(st, call.VM, call.Args[0].I, call.Args[1].S)
-			return minic.StrVal(s), err
-		}),
-	})
-	nats.Register(&minic.Native{
-		Name: NativeXDel,
-		Sig:  minic.Signature{Params: []*minic.Type{strT}, Result: strT},
-		Handler: r.command("xdel", false, false, func(st *session.State, call *minic.NativeCall) (minic.Value, error) {
-			s, err := r.xdel(st, call.VM, call.Args[0].S)
-			return minic.StrVal(s), err
-		}),
-	})
-	nats.Register(&minic.Native{
-		Name:      NativeFindStackVar,
-		Sig:       minic.Signature{Params: []*minic.Type{strT}, Result: minic.AnyType},
+		Name:      findStackVarNative.Name,
+		Sig:       findStackVarNative.Sig,
 		AnyResult: true,
 		Handler: func(call *minic.NativeCall) (minic.Value, error) {
 			findStackVars.Inc()
@@ -313,43 +295,44 @@ func (r *Runtime) Register(nats *minic.Natives) {
 	})
 }
 
-// command wraps an entry point with the session-state bookkeeping every
-// D2X command shares — resolving the calling session, resetting the
-// selected extended frame when execution moved, and, for the commands
-// that receive $rsp, marking the command active so nested handler calls
-// can locate the paused frame — plus its observability: call/error
-// counters, a latency histogram, and one trace event per invocation.
-// The hasRIP/hasRSP flags are explicit: xdel's first argument is a
-// breakpoint spec, not a rip, and frame ID 0 (the first frame a VM
-// creates) is a perfectly valid $rsp.
-func (r *Runtime) command(name string, hasRIP, hasRSP bool, h cmdFunc) minic.NativeHandler {
-	m := cmdObs[name]
+// nativeCommand adapts one Table 2 native to execOp: it lifts the call's
+// arguments from their slots into a BatchOp, renders the command into a
+// pooled buffer, writes the output to the debuggee only on success, and
+// returns the break/clear script for the natives that return one.
+// Around the command it records the native's latency histogram and one
+// trace event per invocation.
+func (r *Runtime) nativeCommand(c *commandNative) minic.NativeHandler {
+	m := &cmdObs[c.kind]
 	//d2x:hotpath
 	return func(call *minic.NativeCall) (minic.Value, error) {
+		if len(call.Args) != len(c.Sig.Params) {
+			return minic.NullVal(), fmt.Errorf("d2x: %s takes %d arguments, got %d", c.Name, len(c.Sig.Params), len(call.Args))
+		}
+		op := BatchOp{Kind: c.kind}
+		if c.rip >= 0 {
+			op.RIP = call.Args[c.rip].I
+		}
+		if c.rsp >= 0 {
+			op.RSP = call.Args[c.rsp].I
+		}
+		if c.arg >= 0 {
+			op.Arg = call.Args[c.arg].S
+		}
 		// Checkout pins the session state for the whole command: a
 		// concurrent AttachDebugInfo/Invalidate defers its Reset until
 		// the Checkin below, so the command never sees its breakpoints
 		// or frame selection torn down mid-flight.
 		st := r.svc.Checkout(call.VM)
 		defer r.svc.Checkin(call.VM, st)
-		var rip int64
-		if hasRIP && len(call.Args) >= 1 {
-			rip = call.Args[0].I
-			if !st.HaveRIP || rip != st.LastRIP {
-				st.SelXFrame = 0
-			}
-			st.LastRIP = rip
-			st.HaveRIP = true
-		}
-		if hasRSP && len(call.Args) >= 2 {
-			st.CurRSP = call.Args[1].I
-			st.CmdActive = true
-			defer func() { st.CmdActive = false }()
-		}
 		start := obs.NowNanos()
-		v, err := h(st, call)
-		m.calls.Inc(uint64(st.ID))
-		ev := obs.Event{Kind: "cmd", Name: name, Session: st.ID, RIP: rip}
+		rb := getRender()
+		b, script, err := r.execOp(st, call.VM, op, rb.b)
+		rb.b = b
+		if err == nil {
+			flush(call.VM, b)
+		}
+		putRender(rb)
+		ev := obs.Event{Kind: "cmd", Name: m.name, Session: st.ID, RIP: op.RIP}
 		if start != 0 {
 			durNS := obs.NowNanos() - start
 			m.lat.ObserveNS(durNS)
@@ -359,11 +342,13 @@ func (r *Runtime) command(name string, hasRIP, hasRSP bool, h cmdFunc) minic.Nat
 			ev.Time = obs.WallNanos(start + durNS)
 		}
 		if err != nil {
-			m.errs.Inc(uint64(st.ID))
 			ev.Err = err.Error()
 		}
 		obs.Emit(ev)
-		return v, err
+		if c.Sig.Result == minic.VoidType {
+			return minic.NullVal(), err
+		}
+		return minic.StrVal(script), err
 	}
 }
 
@@ -391,8 +376,8 @@ func (r *Runtime) recordAt(vm *minic.VM, rip int64) (*d2xc.Record, int, error) {
 	fu, err := r.svc.Fused(vm, r.info)
 	if err != nil {
 		// The shared tables are unavailable (program carries none, or
-		// its constructors have not run). Report with the reference
-		// path's precedence: a stage-1 miss outranks the table error.
+		// its constructors have not run). Report with the two-stage
+		// mapping's precedence: a stage-1 miss outranks the table error.
 		_, genLine, ok := r.info.LineFor(dwarfish.DecodeAddr(rip))
 		if !ok {
 			stage1Miss.Inc()
@@ -423,46 +408,14 @@ func (r *Runtime) recordAt(vm *minic.VM, rip int64) (*d2xc.Record, int, error) {
 
 // RecordAt maps an encoded rip to its DSL context through the fused
 // resolution index — the production path every D2X command uses.
-// Exported alongside RecordAtReference so the differential-correctness
-// check can drive both and compare.
+// Exported so the differential-correctness tests can check it against
+// the two-stage mapping on every address of every example program.
 func (r *Runtime) RecordAt(vm *minic.VM, rip int64) (*d2xc.Record, int, error) {
 	return r.recordAt(vm, rip)
 }
 
 // Info returns the attached debug info (nil before AttachDebugInfo).
 func (r *Runtime) Info() *dwarfish.Info { return r.info }
-
-// RecordAtReference performs the original, un-fused two-stage mapping:
-// standard debug info to the generated line (stage 1), then D2X tables
-// to the DSL record (stage 2), each stage timed separately so the
-// snapshot can attribute latency to the debug-info walk versus the
-// table lookup. It is retained as the correctness oracle for the fused
-// index — CI runs a differential check proving recordAt and this path
-// agree on every address of every example program.
-func (r *Runtime) RecordAtReference(vm *minic.VM, rip int64) (*d2xc.Record, int, error) {
-	if r.info == nil {
-		return nil, 0, fmt.Errorf("d2x: no debug info attached")
-	}
-	t0 := obs.NowNanos()
-	_, genLine, ok := r.info.LineFor(dwarfish.DecodeAddr(rip))
-	var t1 int64
-	if t0 != 0 {
-		t1 = obs.NowNanos()
-		stage1Lat.ObserveNS(t1 - t0)
-	}
-	if !ok {
-		return nil, 0, fmt.Errorf("d2x: no line info for rip %#x", rip)
-	}
-	tables, err := r.tablesFor(vm)
-	if err != nil {
-		return nil, genLine, err
-	}
-	rec := tables.RecordForLine(genLine)
-	if t1 != 0 {
-		stage2Lat.ObserveNS(obs.NowNanos() - t1)
-	}
-	return rec, genLine, nil
-}
 
 // appendNoContext renders the no-DSL-context notice shared by the
 // frame-walking commands.
@@ -486,24 +439,8 @@ func flush(vm *minic.VM, b []byte) {
 	_, _ = vm.Output.Write(b) //d2xvet:ignore noalloc the session capture sink appends into its reused buffer
 }
 
-// xbt prints the extended stack for the current execution frame.
-//
-//d2x:noalloc amortized
-func (r *Runtime) xbt(vm *minic.VM, rip int64) error {
-	rb := getRender()
-	defer putRender(rb)
-	b, err := r.appendXBT(vm, rip, rb.b)
-	rb.b = b
-	if err != nil {
-		return err
-	}
-	flush(vm, rb.b)
-	return nil
-}
-
-// appendXBT renders the extended stack for rip into b: the shared core
-// of xbt and ExecBatch. On error b is returned unchanged, so batch
-// error isolation keeps clean output spans.
+// appendXBT renders the extended stack for rip into b (xbt). On error b
+// is returned unchanged, so a failed command contributes no output.
 //
 //d2x:noalloc amortized
 func (r *Runtime) appendXBT(vm *minic.VM, rip int64, b []byte) ([]byte, error) {
@@ -521,24 +458,8 @@ func (r *Runtime) appendXBT(vm *minic.VM, rip int64, b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// xframe displays or changes the selected extended frame.
-//
-//d2x:noalloc amortized
-func (r *Runtime) xframe(st *session.State, vm *minic.VM, rip int64, arg string) error {
-	rb := getRender()
-	defer putRender(rb)
-	b, err := r.appendXFrameCmd(st, vm, rip, arg, rb.b)
-	rb.b = b
-	if err != nil {
-		return err
-	}
-	flush(vm, rb.b)
-	return nil
-}
-
 // appendXFrameCmd renders (and optionally changes) the selected extended
-// frame into b: the shared core of xframe and ExecBatch. On error b is
-// returned unchanged.
+// frame into b (xframe). On error b is returned unchanged.
 //
 //d2x:noalloc amortized
 func (r *Runtime) appendXFrameCmd(st *session.State, vm *minic.VM, rip int64, arg string, b []byte) ([]byte, error) {
@@ -574,24 +495,8 @@ func (r *Runtime) appendXFrameCmd(st *session.State, vm *minic.VM, rip int64, ar
 	return b, nil
 }
 
-// xlist lists DSL source around the selected extended frame.
-//
-//d2x:hotpath
-func (r *Runtime) xlist(st *session.State, vm *minic.VM, rip int64) error {
-	rb := getRender()
-	defer putRender(rb)
-	b, err := r.appendXList(st, vm, rip, rb.b)
-	rb.b = b
-	if err != nil {
-		return err
-	}
-	flush(vm, rb.b)
-	return nil
-}
-
 // appendXList renders DSL source around the selected extended frame
-// into b: the shared core of xlist and ExecBatch. On error b is
-// returned unchanged.
+// into b (xlist). On error b is returned unchanged.
 //
 //d2x:hotpath
 func (r *Runtime) appendXList(st *session.State, vm *minic.VM, rip int64, b []byte) ([]byte, error) {
@@ -626,24 +531,9 @@ func (r *Runtime) appendXList(st *session.State, vm *minic.VM, rip int64, b []by
 	return b, nil
 }
 
-// xvars lists the extended variables at the current line, or evaluates one.
-//
-//d2x:hotpath
-func (r *Runtime) xvars(st *session.State, vm *minic.VM, rip int64, name string) error {
-	rb := getRender()
-	defer putRender(rb)
-	b, err := r.appendXVars(st, vm, rip, name, rb.b)
-	rb.b = b
-	if err != nil {
-		return err
-	}
-	flush(vm, rb.b)
-	return nil
-}
-
 // appendXVars renders the extended variables at the current line (or
-// one evaluated variable) into b: the shared core of xvars and
-// ExecBatch. On error b is returned unchanged.
+// one evaluated variable) into b (xvars). On error b is returned
+// unchanged.
 //
 //d2x:hotpath
 func (r *Runtime) appendXVars(st *session.State, vm *minic.VM, rip int64, name string, b []byte) ([]byte, error) {
@@ -789,28 +679,13 @@ func (r *Runtime) evalVar(st *session.State, vm *minic.VM, v d2xc.VarEntry) (str
 	return "", fmt.Errorf("d2x: unknown variable kind %d", v.Kind)
 }
 
-// xbreak installs a DSL-level breakpoint: it expands the DSL location to
-// all matching generated lines and returns the debugger commands that
+// appendXBreak installs a DSL-level breakpoint (xbreak): it expands the
+// DSL location to all matching generated lines, appends the
+// human-readable output to b, and returns the debugger commands that
 // install the low-level breakpoints (executed by the debugger's eval).
-// An empty spec lists the current DSL breakpoints and returns no commands.
-//
-//d2x:noalloc amortized
-func (r *Runtime) xbreak(st *session.State, vm *minic.VM, rip int64, spec string) (string, error) {
-	rb := getRender()
-	defer putRender(rb)
-	b, script, err := r.appendXBreak(st, vm, rip, spec, rb.b)
-	rb.b = b
-	if err != nil {
-		return "", err
-	}
-	flush(vm, rb.b)
-	return script, nil
-}
-
-// appendXBreak is the shared core of xbreak, ResolveBreakSet and
-// ExecBatch: it appends the human-readable output to b and returns the
-// break script (interned on the session's BreakPlan, so the steady
-// state hands back the same string instead of rendering a new one).
+// The script is interned on the session's BreakPlan, so the steady
+// state hands back the same string instead of rendering a new one. An
+// empty spec lists the current DSL breakpoints and returns no commands.
 // On error b is returned unchanged.
 //
 //d2x:noalloc amortized
@@ -991,30 +866,13 @@ func dedupeSortedLines(lines []int) []int {
 	return lines[:w]
 }
 
-// xdel removes a DSL-level breakpoint by ID and returns the debugger
-// commands that clear the generated-code breakpoints.
+// appendXDel removes a DSL-level breakpoint by ID (xdel): it appends the
+// human-readable output to b and returns the debugger commands that
+// clear the generated-code breakpoints. On error b is returned
+// unchanged.
 //
 //d2x:noalloc amortized
-func (r *Runtime) xdel(st *session.State, vm *minic.VM, spec string) (string, error) {
-	rb := getRender()
-	defer putRender(rb)
-	b, script, err := r.appendXDel(st, spec, rb.b)
-	rb.b = b
-	if err != nil {
-		return "", err
-	}
-	flush(vm, rb.b)
-	return script, nil
-}
-
-// appendXDel is the shared core of xdel and ExecBatch: it appends the
-// human-readable output to b and returns the clear script. Breakpoints
-// installed from a cached plan hand back the plan's interned script;
-// the render fallback covers breakpoints that never had one. On error
-// b is returned unchanged.
-//
-//d2x:noalloc amortized
-func (r *Runtime) appendXDel(st *session.State, spec string, b []byte) ([]byte, string, error) {
+func appendXDel(st *session.State, spec string, b []byte) ([]byte, string, error) {
 	spec = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(spec), "#"))
 	id, err := strconv.Atoi(spec)
 	if err != nil {
@@ -1030,24 +888,10 @@ func (r *Runtime) appendXDel(st *session.State, spec string, b []byte) ([]byte, 
 		b = append(b, " ("...)
 		b = strconv.AppendInt(b, int64(len(bp.GenLines)), 10)
 		b = append(b, " generated locations)\n"...)
-		script := ""
-		if plan := bp.Plan; plan != nil {
-			// The breakpoint's GenLines are a verbatim copy of the plan's
-			// (appendXBreak installs them that way and nothing mutates
-			// either), so the interned clear script applies as-is.
-			script = plan.ClearScript
-		} else {
-			// No plan: the breakpoint predates the plan cache (installed
-			// directly by tooling or tests). Defensive dedupe in the
-			// session scratch — a duplicate `clear` on an already-cleared
-			// location is a command error.
-			st.ScratchLines = append(st.ScratchLines[:0], bp.GenLines...)
-			lines := dedupeSortedLines(st.ScratchLines)
-			rb := getRender()
-			rb.b = appendBreakCmds(rb.b[:0], "clear ", r.genFileName(), lines)
-			script = string(rb.b) //d2xvet:ignore noalloc the fallback script must outlive the pooled buffer
-			putRender(rb)
-		}
+		// appendXBreak is the only code that installs a breakpoint, and it
+		// copies GenLines verbatim from the plan it records, so the plan's
+		// interned clear script applies as-is.
+		script := bp.Plan.ClearScript
 		st.PutBP(bp)
 		return b, script, nil
 	}
@@ -1122,17 +966,4 @@ func (r *Runtime) sourceLine(path string, n int) (string, bool) {
 		return "", false
 	}
 	return strings.TrimRight(lines[n-1], " \t"), true
-}
-
-// formatXFrame is the fmt-based reference renderer for one extended
-// frame line. The command path renders with appendXFrame instead; this
-// stays as the oracle the equivalence tests compare against.
-func formatXFrame(i int, loc srcloc.Loc) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "#%d ", i)
-	if loc.Function != "" {
-		fmt.Fprintf(&b, "in %s ", loc.Function)
-	}
-	fmt.Fprintf(&b, "at %s:%d", loc.File, loc.Line)
-	return b.String()
 }

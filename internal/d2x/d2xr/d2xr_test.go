@@ -7,7 +7,6 @@ import (
 
 	"d2x/internal/d2x/d2xc"
 	"d2x/internal/d2x/d2xenc"
-	"d2x/internal/d2x/session"
 	"d2x/internal/dwarfish"
 	"d2x/internal/minic"
 )
@@ -237,6 +236,10 @@ func TestCommandErrors(t *testing.T) {
 	if err := call("d2x_runtime_command_xdel", minic.StrVal("42")); err == nil {
 		t.Error("xdel of unknown id accepted")
 	}
+	// The debugger's call command does not check a native's arity.
+	if err := call("d2x_runtime_command_xframe", minic.IntVal(f.rip), minic.IntVal(f.rsp)); err == nil || !strings.Contains(err.Error(), "takes 3 arguments, got 2") {
+		t.Errorf("xframe with a missing argument: %v", err)
+	}
 }
 
 func TestNoDebugInfoAttached(t *testing.T) {
@@ -360,7 +363,7 @@ func TestFindStackVarInFrameZero(t *testing.T) {
 	if frameID != 0 {
 		t.Fatalf("expected main to be frame 0 in a constructor-free program, got %d", frameID)
 	}
-	// Mark a D2X command active on frame 0, exactly as the command wrapper
+	// Mark a D2X command active on frame 0, exactly as the command executor
 	// does when the debugger passes $rsp = 0.
 	st := rt.svc.State(vm)
 	st.CmdActive = true
@@ -578,20 +581,6 @@ func TestXBreakDedupesDuplicateGenLines(t *testing.T) {
 	}
 	if v.S != "clear gen.c:2" {
 		t.Errorf("xdel commands = %q, want one deduplicated clear", v.S)
-	}
-}
-
-// TestXDelEmitsSortedUniqueClears: xdel must emit clear commands sorted
-// and deduplicated even for breakpoints whose stored expansion predates
-// the dedupe (e.g. set before a re-attach under an older build).
-func TestXDelEmitsSortedUniqueClears(t *testing.T) {
-	f := newFixture(t)
-	st := f.rt.svc.State(f.vm)
-	st.XBPs = append(st.XBPs, &session.XBreakpoint{
-		ID: 5, File: "p.dsl", Line: 1, GenLines: []int{7, 6, 7, 6, 6}})
-	v := f.callCmd(t, "d2x_runtime_command_xdel", minic.StrVal("#5"))
-	if v.S != "clear gen.c:6\nclear gen.c:7" {
-		t.Errorf("xdel commands = %q, want sorted unique clears", v.S)
 	}
 }
 

@@ -41,8 +41,9 @@ func putRender(rb *renderBuf) {
 }
 
 // appendXFrame renders one extended-stack frame line, the exact bytes
-// the fmt-based reference renderer produces: "#i in F at file:line"
-// (the function part omitted when empty).
+// the fmt-based renderer in the examplebuilds differential tests
+// produces: "#i in F at file:line" (the function part omitted when
+// empty).
 //
 //d2x:noalloc amortized
 func appendXFrame(b []byte, i int, loc srcloc.Loc) []byte {

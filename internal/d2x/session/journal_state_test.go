@@ -7,10 +7,26 @@ import (
 )
 
 // fakeJournal stands in for the execution journal: the registry only
-// ever moves the handle and calls Stop through the small interface.
+// ever moves the handle and calls Stop and Active through small
+// interfaces.
 type fakeJournal struct{ stopped bool }
 
-func (f *fakeJournal) Stop() { f.stopped = true }
+func (f *fakeJournal) Stop()        { f.stopped = true }
+func (f *fakeJournal) Active() bool { return !f.stopped }
+
+// sameShardVMs returns n VMs that all hash to one shard of s, so the
+// per-shard FIFO bound applies across them.
+func sameShardVMs(s *Service, n int) []*minic.VM {
+	target := s.shardFor(&minic.VM{})
+	var vms []*minic.VM
+	for len(vms) < n {
+		vm := &minic.VM{}
+		if s.shardFor(vm) == target {
+			vms = append(vms, vm)
+		}
+	}
+	return vms
+}
 
 // TestJournalSurvivesEviction: a session starts recording, its debugger
 // closes (Release evicts the state), and a new session attaches to the
@@ -45,16 +61,7 @@ func TestJournalSurvivesEviction(t *testing.T) {
 // off the end is stopped, freeing its snapshots, not leaked.
 func TestJournalMemoryIsBounded(t *testing.T) {
 	s := New()
-	// Collect VMs that all hash to one shard, so the FIFO bound applies
-	// across them.
-	target := s.shardFor(&minic.VM{})
-	var vms []*minic.VM
-	for len(vms) < maxJournalMemory+1 {
-		vm := &minic.VM{}
-		if s.shardFor(vm) == target {
-			vms = append(vms, vm)
-		}
-	}
+	vms := sameShardVMs(s, maxJournalMemory+1)
 	jours := make([]*fakeJournal, len(vms))
 	for i, vm := range vms {
 		jours[i] = &fakeJournal{}
@@ -74,6 +81,34 @@ func TestJournalMemoryIsBounded(t *testing.T) {
 	}
 	if s.State(vms[1]).Journal != jours[1] {
 		t.Error("bounded memory lost a recording it should have kept")
+	}
+}
+
+// TestReleaseDropsStoppedJournal: `record stop` leaves the stopped
+// handle on the session state, and a stopped journal still holds its
+// VM. Release must drop it rather than park it: stopped journals must
+// neither come back to a new session on the same VM nor push a live
+// parked recording off the per-shard FIFO.
+func TestReleaseDropsStoppedJournal(t *testing.T) {
+	s := New()
+	vms := sameShardVMs(s, maxJournalMemory+1)
+	live := &fakeJournal{}
+	s.State(vms[0]).Journal = live
+	s.Release(vms[0])
+	for _, vm := range vms[1:] {
+		s.State(vm).Journal = &fakeJournal{stopped: true}
+		s.Release(vm)
+	}
+	if live.stopped {
+		t.Error("releasing stopped recordings evicted and stopped a live parked one")
+	}
+	for i, vm := range vms[1:] {
+		if j := s.State(vm).Journal; j != nil {
+			t.Errorf("stopped recording %d came back from State: %v", i+1, j)
+		}
+	}
+	if s.State(vms[0]).Journal != live {
+		t.Error("live parked recording lost")
 	}
 }
 

@@ -67,8 +67,7 @@ type XBreakpoint struct {
 // A plan is computed once per (file, line) per session and cached on
 // the State (see PlanFor/AddPlan) — the lexer, macro, and string work
 // of resolving a spec is paid on the first xbreak only, which is what
-// takes the xbreak+xdel round trip below its allocation budget and
-// what ResolveBreakSet amortizes across a whole breakpoint set. Plans
+// takes the xbreak+xdel round trip below its allocation budget. Plans
 // are immutable once cached; Reset drops them with the rest of the
 // build-derived state.
 type BreakPlan struct {
@@ -133,13 +132,14 @@ type State struct {
 	// depend on the recorder). It is owned by the session's single command
 	// stream like the fields above; the registry only moves it around.
 	// Like FuelBudget it survives Release into a bounded per-shard memory,
-	// so a debugger re-attaching to the same VM resumes its recording.
+	// so a debugger re-attaching to the same VM resumes its recording;
+	// a stopped recording is dropped at Release rather than parked.
 	// Unlike FuelBudget it does NOT survive Reset: the history describes
 	// the old build's instruction stream, so invalidation stops it.
 	Journal any
 
 	// ScratchLines is the reusable generated-line scratch of the xbreak
-	// and xdel command paths (candidate collection, dedupe, sort). It is
+	// command path (candidate collection, dedupe, sort). It is
 	// touched only by this session's single command stream and is always
 	// rewritten from length zero, so stale contents cannot leak between
 	// commands or builds; keeping the capacity across Reset is what makes
@@ -492,7 +492,9 @@ func (s *Service) Lookup(vm *minic.VM) (*State, bool) {
 // entry, it never resets a live state. The session's fuel-budget
 // override is remembered so a later session on the same VM inherits it,
 // and a live recording is parked the same way so re-attaching resumes
-// the journal instead of losing the history.
+// the journal instead of losing the history. A stopped recording is
+// dropped instead: it has nothing to resume, and parking it would keep
+// its VM reachable.
 func (s *Service) Release(vm *minic.VM) {
 	sh := s.shardFor(vm)
 	sh.mu.Lock()
@@ -515,6 +517,9 @@ func (s *Service) Release(vm *minic.VM) {
 			sh.fuelOrder = append(sh.fuelOrder, vm)
 		}
 		sh.fuel[vm] = st.FuelBudget
+	}
+	if j, ok := st.Journal.(interface{ Active() bool }); ok && !j.Active() {
+		st.Journal = nil
 	}
 	if st.Journal != nil {
 		if sh.jour == nil {

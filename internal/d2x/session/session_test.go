@@ -376,16 +376,23 @@ func TestShardSpread(t *testing.T) {
 	}
 }
 
-// TestInvalidateConcurrentTablesLookup: 8 goroutines hammer the
-// shared-decode and state paths while Invalidate repeatedly drops the
-// published tables. Every decode any goroutine observes must be complete
-// and equal to the reference decode — a torn publish would differ (and
-// trip the race detector).
+// TestInvalidateConcurrentTablesLookup: 8 goroutines, each a session
+// with its own VM of the same build, hammer the shared-decode and state
+// paths while Invalidate repeatedly drops the published tables. Every
+// decode any goroutine observes must be complete and equal to the
+// reference decode — a torn publish would differ (and trip the race
+// detector). Each State is touched only by its own goroutine, the
+// single command stream the State contract allows.
 func TestInvalidateConcurrentTablesLookup(t *testing.T) {
 	s := New()
-	vm := tablesVM(t)
+	const goroutines = 8
+	const iters = 400
+	vms := make([]*minic.VM, goroutines)
+	for g := range vms {
+		vms[g] = tablesVM(t)
+	}
 
-	ref, err := s.Tables(vm)
+	ref, err := s.Tables(vms[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,11 +400,9 @@ func TestInvalidateConcurrentTablesLookup(t *testing.T) {
 		t.Fatal("fixture decoded no records")
 	}
 
-	const goroutines = 8
-	const iters = 400
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
+	for _, vm := range vms {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

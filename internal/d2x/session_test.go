@@ -178,8 +178,9 @@ func TestObsMetricsUnderConcurrentSessions(t *testing.T) {
 	if d := live.Value() - c0[4]; d != 0 {
 		t.Errorf("live gauge did not drain: delta = %d", d)
 	}
-	// The command wrapper times every call (only the stage histograms
-	// sample), so the latency count must match the call count exactly.
+	// The native entry point times every call (only the resolve and
+	// rtv-handler histograms sample), so the latency count must match the
+	// call count exactly.
 	if d := xbtLat.Count() - c0[5]; d != n {
 		t.Errorf("xbt latency observations delta = %d, want %d", d, n)
 	}

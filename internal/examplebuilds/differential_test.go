@@ -3,10 +3,13 @@ package examplebuilds
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"d2x/internal/d2x"
+	"d2x/internal/d2x/d2xc"
+	"d2x/internal/d2x/d2xenc"
 	"d2x/internal/d2x/d2xr"
 	"d2x/internal/dwarfish"
 	"d2x/internal/minic"
@@ -30,6 +33,59 @@ func ranSession(t *testing.T, name string) (*d2x.Build, *minic.VM, *bytes.Buffer
 		t.Fatalf("running %s: %v", name, err)
 	}
 	return build, d.Process().VM, &out
+}
+
+// twoStage is the original, un-fused mapping of Figure 4, kept as the
+// oracle for the fused resolution index: standard debug info takes a rip
+// to its generated line (stage 1), then the D2X tables take that line to
+// its record (stage 2). The tables are a decode of their own, read out
+// of the debuggee once per sweep, independent of the runtime's shared
+// decode and of the index built over it.
+type twoStage struct {
+	info    *dwarfish.Info
+	tables  *d2xenc.Tables
+	tabsErr error
+}
+
+func newTwoStage(rt *d2xr.Runtime, vm *minic.VM) twoStage {
+	tables, err := d2xenc.Decode(vm)
+	return twoStage{info: rt.Info(), tables: tables, tabsErr: err}
+}
+
+// recordAt resolves rip with the error precedence of the two stages: a
+// stage-1 miss outranks a table decode failure.
+func (ts twoStage) recordAt(rip int64) (*d2xc.Record, int, error) {
+	_, genLine, ok := ts.info.LineFor(dwarfish.DecodeAddr(rip))
+	if !ok {
+		return nil, 0, fmt.Errorf("d2x: no line info for rip %#x", rip)
+	}
+	if ts.tabsErr != nil {
+		return nil, genLine, ts.tabsErr
+	}
+	return ts.tables.RecordForLine(genLine), genLine, nil
+}
+
+// checkFusedMatchesTwoStage sweeps every address of the build: the fused
+// path must return the same record (by value: the oracle's decode shares
+// no pointers with the runtime's), generated line and error as the
+// two-stage mapping.
+func checkFusedMatchesTwoStage(t *testing.T, rt *d2xr.Runtime, vm *minic.VM) {
+	t.Helper()
+	ref := newTwoStage(rt, vm)
+	sweepAddrs(t, rt.Info(), func(rip int64) {
+		rec, gl, err := rt.RecordAt(vm, rip)
+		recRef, glRef, errRef := ref.recordAt(rip)
+		if (err == nil) != (errRef == nil) {
+			t.Fatalf("rip %#x: fused err=%v, reference err=%v", rip, err, errRef)
+		}
+		if err != nil && err.Error() != errRef.Error() {
+			t.Fatalf("rip %#x: fused err %q, reference err %q", rip, err, errRef)
+		}
+		if gl != glRef || !reflect.DeepEqual(rec, recRef) {
+			t.Fatalf("rip %#x: fused (%+v, line %d) != reference (%+v, line %d)",
+				rip, rec, gl, recRef, glRef)
+		}
+	})
 }
 
 // sweepAddrs calls fn for every address of the build's debug info — each
@@ -68,27 +124,13 @@ func sweepAddrs(t *testing.T, info *dwarfish.Info, fn func(rip int64)) {
 // TestFusedMatchesTwoStageReference is the differential-correctness
 // check behind the fused resolution index (CI runs it explicitly): on
 // every address of every example program, the fused path must return the
-// identical record pointer, generated line, and error as the original
-// two-stage mapping it replaced.
+// same record, generated line, and error as the original two-stage
+// mapping it replaced.
 func TestFusedMatchesTwoStageReference(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
 			build, vm, _ := ranSession(t, name)
-			rt := build.Runtime
-			sweepAddrs(t, rt.Info(), func(rip int64) {
-				rec, gl, err := rt.RecordAt(vm, rip)
-				recRef, glRef, errRef := rt.RecordAtReference(vm, rip)
-				if (err == nil) != (errRef == nil) {
-					t.Fatalf("rip %#x: fused err=%v, reference err=%v", rip, err, errRef)
-				}
-				if err != nil && err.Error() != errRef.Error() {
-					t.Fatalf("rip %#x: fused err %q, reference err %q", rip, err, errRef)
-				}
-				if rec != recRef || gl != glRef {
-					t.Fatalf("rip %#x: fused (%p, line %d) != reference (%p, line %d)",
-						rip, rec, gl, recRef, glRef)
-				}
-			})
+			checkFusedMatchesTwoStage(t, build.Runtime, vm)
 		})
 	}
 }
@@ -106,6 +148,7 @@ func TestXBTOutputMatchesReferenceRenderer(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: xbt native not registered", name)
 			}
+			ref := newTwoStage(rt, vm)
 			sweepAddrs(t, rt.Info(), func(rip int64) {
 				out.Reset()
 				_, err := nat.Handler(&minic.NativeCall{
@@ -114,7 +157,7 @@ func TestXBTOutputMatchesReferenceRenderer(t *testing.T) {
 				})
 				got := out.String()
 
-				rec, gl, refErr := rt.RecordAtReference(vm, rip)
+				rec, gl, refErr := ref.recordAt(rip)
 				if refErr != nil {
 					if err == nil || err.Error() != refErr.Error() {
 						t.Fatalf("rip %#x: xbt err %v, reference err %v", rip, err, refErr)

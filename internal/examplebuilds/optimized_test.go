@@ -82,22 +82,7 @@ func TestFusedMatchesTwoStageReferenceOptimized(t *testing.T) {
 			if err := d.Execute("run"); err != nil {
 				t.Fatalf("run: %v", err)
 			}
-			vm := d.Process().VM
-			rt := build.Runtime
-			sweepAddrs(t, rt.Info(), func(rip int64) {
-				rec, gl, err := rt.RecordAt(vm, rip)
-				recRef, glRef, errRef := rt.RecordAtReference(vm, rip)
-				if (err == nil) != (errRef == nil) {
-					t.Fatalf("rip %#x: fused err=%v, reference err=%v", rip, err, errRef)
-				}
-				if err != nil && err.Error() != errRef.Error() {
-					t.Fatalf("rip %#x: fused err %q, reference err %q", rip, err, errRef)
-				}
-				if rec != recRef || gl != glRef {
-					t.Fatalf("rip %#x: fused (%p, line %d) != reference (%p, line %d)",
-						rip, rec, gl, recRef, glRef)
-				}
-			})
+			checkFusedMatchesTwoStage(t, build.Runtime, d.Process().VM)
 		})
 	}
 }

@@ -2,6 +2,7 @@ package graphit
 
 import (
 	"fmt"
+	"sync"
 
 	"d2x/internal/graphgen"
 	"d2x/internal/minic"
@@ -11,10 +12,14 @@ import (
 // runtime prologue (__graphit_load) consumes. The generated code builds
 // its own CSR; the host only serves the raw edge list described by a
 // graph-spec string (see package graphgen). Parsed graphs are cached per
-// registry, like an mmap'd input file.
+// registry, like an mmap'd input file; every debug session of a build
+// shares the registry, so the cache is guarded.
 func RegisterGraphNatives(nats *minic.Natives) {
+	var mu sync.Mutex
 	cache := map[string]*graphgen.Graph{}
 	load := func(spec string) (*graphgen.Graph, error) {
+		mu.Lock()
+		defer mu.Unlock()
 		if g, ok := cache[spec]; ok {
 			return g, nil
 		}
