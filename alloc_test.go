@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"d2x/internal/graphit"
+	"d2x/internal/minic"
 )
 
 // Steady-state allocation budgets for the hot D2X-R command path. These
@@ -41,6 +42,23 @@ const (
 	// the macro substitutions materialise and the expression-cache miss
 	// the unique xdel line forces by construction.
 	xbreakAllocBudget = 6
+
+	// vmLoopAllocBudget bounds the allocations of one VM instruction in
+	// a loop that makes no calls: loads, stores, arithmetic and jumps
+	// work on the frame's preallocated operand stack. Measured: 0.
+	vmLoopAllocBudget = 0
+
+	// vmNativeCallAllocBudget bounds one OpCallNative to an
+	// allocation-free native: the arguments are a window on the
+	// caller's operand stack and the NativeCall comes from the VM's
+	// freelist. Measured: 0.
+	vmNativeCallAllocBudget = 0
+
+	// vmCallAllocBudget bounds one OpCall by the callee frame's own
+	// objects: the Frame, its slot pointers, its slot cells and its
+	// operand stack, which is sized once from FuncCode.MaxStack.
+	// Arguments are read in place from the caller's stack. Measured: 4.
+	vmCallAllocBudget = 4
 )
 
 func measureAllocs(t *testing.T, runs int, f func() error) float64 {
@@ -142,4 +160,83 @@ func TestConcurrentSessionsSharedRenderPath(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// loopVM starts a VM on a program whose main loop runs body far longer
+// than any measurement, and warms it past the first iterations.
+func loopVM(t *testing.T, decls, body string) *minic.VM {
+	t.Helper()
+	prog, err := minic.Compile("loop.c", `
+global int acc = 0;
+global int calls = 0;
+`+decls+`
+func int main() {
+	for (int i = 0; i < 100000000; i++) {
+		`+body+`
+	}
+	return acc;
+}`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := minic.NewVM(prog, nil)
+	if err := vm.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10000; i++ {
+		vm.StepInstr()
+	}
+	return vm
+}
+
+// vmAllocsPer runs vm in blocks of 10000 instructions and returns the
+// allocations per unit, units being a counter the program advances.
+func vmAllocsPer(t *testing.T, vm *minic.VM, units func() int64) float64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation budgets don't hold under the race detector's runtime")
+	}
+	const block, runs = 10000, 20
+	u0 := units()
+	perBlock := testing.AllocsPerRun(runs, func() {
+		for i := 0; i < block; i++ {
+			vm.StepInstr()
+		}
+	})
+	if vm.Done() {
+		t.Fatal("the loop finished during the measurement")
+	}
+	// AllocsPerRun runs the block once more, unmeasured, to warm up.
+	return perBlock / (float64(units()-u0) / (runs + 1))
+}
+
+func TestVMLoopAllocs(t *testing.T) {
+	vm := loopVM(t, "", "acc = acc + i * 3 - (i / 2);")
+	avg := vmAllocsPer(t, vm, func() int64 { return vm.Steps })
+	if avg > vmLoopAllocBudget {
+		t.Errorf("call-free loop = %.4f allocs/instruction, budget %d", avg, vmLoopAllocBudget)
+	}
+}
+
+func TestVMNativeCallAllocs(t *testing.T) {
+	vm := loopVM(t, "", "acc = acc + min_int(i, 7); calls = calls + 1;")
+	calls := vm.GlobalCell("calls")
+	avg := vmAllocsPer(t, vm, func() int64 { return calls.V.I })
+	if avg > vmNativeCallAllocBudget {
+		t.Errorf("OpCallNative = %.2f allocs/call, budget %d", avg, vmNativeCallAllocBudget)
+	}
+}
+
+func TestVMCallAllocs(t *testing.T) {
+	vm := loopVM(t, `
+func int scaled(int x, int k) {
+	int y = x * k;
+	calls = calls + 1;
+	return y + 1;
+}`, "acc = acc + scaled(i, 3);")
+	calls := vm.GlobalCell("calls")
+	avg := vmAllocsPer(t, vm, func() int64 { return calls.V.I })
+	if avg > vmCallAllocBudget {
+		t.Errorf("OpCall = %.2f allocs/call, budget %d (the callee frame's own objects)", avg, vmCallAllocBudget)
+	}
 }

@@ -4,7 +4,9 @@
 // (reference) and on (subject), and asserts a scripted debug session
 // cannot tell the builds apart: identical program output, xbreak
 // expansions that only shrink, stop traces that align, and byte-identical
-// xbt/xvars at every aligned stop.
+// xbt/xvars at every aligned stop. Each build also runs the time-travel
+// oracle (progen.CheckReplay): record goto replays, reverse-step then
+// step, and reverse-continue must reproduce the forward session.
 //
 // On a divergence the offending spec is minimised to a 1-minimal
 // reproducer and, with -fixtures, written as a JSON fixture for
@@ -24,6 +26,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"d2x/internal/d2x"
 	"d2x/internal/minic"
 	"d2x/internal/minic/debugify"
 	"d2x/internal/progen"
@@ -67,7 +70,7 @@ func main() {
 				}
 			}
 		}
-		res, err := progen.RunDifferential(p)
+		res, err := runOracles(p)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", spec.Name(), err)
 			harnessErrs++
@@ -135,8 +138,36 @@ func main() {
 	}
 }
 
+// replayStops caps the stops CheckReplay drives per build, as in the
+// progen replay test.
+const replayStops = 20
+
+// runOracles runs the optimiser differential and then the time-travel
+// oracle on both builds it linked, reporting replay failures as
+// divergences of kind progen.DivReplay.
+func runOracles(p *progen.Program) (*progen.DiffResult, error) {
+	res, err := progen.RunDifferential(p)
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range []struct {
+		name  string
+		build *d2x.Build
+	}{{"reference", res.Ref}, {"optimised", res.Subject}} {
+		if b.build == nil {
+			continue
+		}
+		if err := progen.CheckReplay(b.build, replayStops); err != nil {
+			res.Divergences = append(res.Divergences, progen.Divergence{
+				Kind: progen.DivReplay, Detail: fmt.Sprintf("%s build: %v", b.name, err),
+			})
+		}
+	}
+	return res, nil
+}
+
 // reproduces builds the minimiser predicate: a candidate keeps the
-// divergence alive if it renders, runs through the oracle, and still
+// divergence alive if it renders, runs through the oracles, and still
 // reports a divergence of the original kind.
 func reproduces(kind string) func(*progen.Spec) bool {
 	return func(s *progen.Spec) bool {
@@ -144,7 +175,7 @@ func reproduces(kind string) func(*progen.Spec) bool {
 		if err != nil {
 			return false
 		}
-		res, err := progen.RunDifferential(p)
+		res, err := runOracles(p)
 		if err != nil {
 			return false
 		}

@@ -147,13 +147,12 @@ type Debugger struct {
 	exprCache   map[string][]exprToken
 	mangleCache map[string]string
 
-	// argFree and natFree recycle the argument slices and native-call
-	// frames of debuggee calls. Calls nest (f(g(x)) holds two argument
-	// lists at once), hence freelists rather than single slots; an inner
-	// call completes before the outer one is issued, so a popped entry
-	// is never still in use when it is reused.
+	// argFree recycles the argument slices of debuggee calls (the VM
+	// recycles their native-call frames). Calls nest (f(g(x)) holds two
+	// argument lists at once), hence a freelist rather than a single
+	// slot; an inner call completes before the outer one is issued, so a
+	// popped entry is never still in use when it is reused.
 	argFree []([]minic.Value)
-	natFree []*minic.NativeCall
 	strFree [][]string
 	bufFree [][]byte
 

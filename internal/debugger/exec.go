@@ -83,7 +83,9 @@ func (d *Debugger) checkRunning() error {
 // resume is the scheduler loop. All threads advance in the VM's
 // deterministic round-robin; stop conditions are evaluated before each
 // statement-start instruction, the same granularity a line-table-driven
-// native debugger achieves.
+// native debugger achieves. Each instruction asks the scheduler once:
+// Faulted is a field read, and the StepInstr after NextThread runs the
+// thread NextThread picked without searching again.
 func (d *Debugger) resume(mode resumeMode) (Stop, error) {
 	vm := d.proc.VM
 
@@ -110,13 +112,13 @@ func (d *Debugger) resume(mode resumeMode) (Stop, error) {
 			d.lastStop = Stop{Reason: StopFault, Thread: ft, Fault: ft.Fault}
 			return d.lastStop, nil
 		}
-		if vm.Done() {
-			d.skipValid = false
-			d.lastStop = Stop{Reason: StopExited}
-			return d.lastStop, nil
-		}
 		t := vm.NextThread()
 		if t == nil {
+			if vm.Done() {
+				d.skipValid = false
+				d.lastStop = Stop{Reason: StopExited}
+				return d.lastStop, nil
+			}
 			return Stop{}, fmt.Errorf("debugger: deadlock: no runnable threads")
 		}
 		top := t.Top()
@@ -217,33 +219,15 @@ func (d *Debugger) stopAt(t *minic.Thread, reason StopReason, bp *Breakpoint, ad
 // runtime design exploits. Program functions and host-linked natives are
 // both callable, as both are "functions linked into the executable".
 //
-// The NativeCall frame handed to a native handler is recycled; handlers
-// must not retain it (or its Args slice) past their return, which none of
-// a debugger's synchronous command handlers have reason to do.
+// Natives run through the VM's recycled NativeCall frames (see
+// minic.NativeCall for what a handler may keep).
 func (d *Debugger) CallValue(name string, args []minic.Value) (minic.Value, error) {
 	vm := d.proc.VM
 	if vm.Prog.FuncIndex(name) >= 0 {
 		return vm.CallFunctionGuarded(name, args, d.evalGuard)
 	}
 	if nat, _, ok := vm.Prog.Natives.Lookup(name); ok {
-		nc := d.getNatCall()
-		nc.VM, nc.Thread, nc.Args = vm, d.SelectedThread(), args
-		v, err := nat.Handler(nc)
-		nc.VM, nc.Thread, nc.Args = nil, nil, nil
-		d.natFree = append(d.natFree, nc)
-		return v, err
+		return vm.CallNative(nat, d.SelectedThread(), args)
 	}
 	return minic.NullVal(), fmt.Errorf("no symbol %q in current context", name)
-}
-
-// getNatCall pops a recycled NativeCall frame, or allocates the first
-// few. Natives can nest (a native's handler may evaluate expressions
-// that call back in), hence a freelist rather than a single slot.
-func (d *Debugger) getNatCall() *minic.NativeCall {
-	if n := len(d.natFree); n > 0 {
-		nc := d.natFree[n-1]
-		d.natFree = d.natFree[:n-1]
-		return nc
-	}
-	return &minic.NativeCall{}
 }

@@ -6,7 +6,8 @@ package debugger
 // reverse-xbt macro composes them through `call`/`eval` exactly like the
 // forward macros. The machinery stays behind the small Recorder surface
 // (Hanson's portable-debugger lesson): the debugger never sees snapshots
-// or instruction logs, only positions it can scan and restore.
+// or logs, only statement boundaries it can scan and positions it can
+// restore.
 
 import (
 	"fmt"
@@ -19,17 +20,20 @@ import (
 )
 
 // Recorder is what the debugger needs from an execution recorder: a
-// position counter, a scannable instruction log, and exact restoration
-// to any logged position. Implementations record scheduled debuggee
-// instructions only; synthetic calls the debugger injects at a stop are
-// not history.
+// position counter, a backwards scan over the statement boundaries
+// execution crossed, and exact restoration to any position. Positions
+// count scheduled debuggee instructions; synthetic calls the debugger
+// injects at a stop are not history.
 type Recorder interface {
 	// Step returns the current position (instructions recorded between
 	// attach and the debuggee's present state).
 	Step() int64
-	// At reports where execution stood just before logged instruction i
-	// ran. ok is false outside [0, Step()).
-	At(i int64) (thread, funcIndex, pc, depth int, ok bool)
+	// SeekBack scans the statement boundaries before position from,
+	// newest first, and returns the position of the first one match
+	// accepts. match sees where execution stood just before the
+	// boundary's statement-start instruction ran. ok is false when none
+	// matches.
+	SeekBack(from int64, match func(thread, funcIndex, pc, depth int) bool) (step int64, ok bool)
 	// RestoreTo rewinds the debuggee to its exact state at position
 	// step, discarding later history (forward execution regenerates it
 	// deterministically).
@@ -58,9 +62,11 @@ func NewJournalRecorder(j *journal.Journal) Recorder { return journalRecorder{j}
 
 func (r journalRecorder) Step() int64 { return r.j.Step() }
 
-func (r journalRecorder) At(i int64) (int, int, int, int, bool) {
-	rec, ok := r.j.At(i)
-	return rec.Thread, rec.FuncIndex, rec.PC, rec.Depth, ok
+func (r journalRecorder) SeekBack(from int64, match func(thread, funcIndex, pc, depth int) bool) (int64, bool) {
+	rec, ok := r.j.SeekBack(from, func(rec journal.Rec) bool {
+		return match(rec.Thread, rec.FuncIndex, rec.PC, rec.Depth)
+	})
+	return rec.Step, ok
 }
 
 func (r journalRecorder) RestoreTo(step int64) error { return r.j.RestoreTo(step) }
@@ -141,16 +147,6 @@ func (d *Debugger) requireRecorder() (Recorder, error) {
 	return rec, nil
 }
 
-// stmtStartAt reports whether (funcIndex, pc) is a statement boundary.
-func (d *Debugger) stmtStartAt(funcIndex, pc int) bool {
-	code := d.proc.VM.Prog.Code
-	if funcIndex < 0 || funcIndex >= len(code) {
-		return false
-	}
-	instrs := code[funcIndex].Instrs
-	return pc >= 0 && pc < len(instrs) && instrs[pc].StmtStart
-}
-
 // reverseStopAt restores position step and rebuilds the debugger's stop
 // state there. Thread and frame pointers from before the rewind are
 // stale afterwards; everything is re-resolved by ID.
@@ -173,8 +169,8 @@ func (d *Debugger) reverseStopAt(rec Recorder, step int64, reason StopReason, bp
 }
 
 // ReverseStep runs the selected thread backwards to the previous source
-// line (GDB `reverse-step`): the most recent logged statement boundary
-// of that thread whose line or frame depth differs from the current one.
+// line (GDB `reverse-step`): the most recent statement boundary of that
+// thread whose line or frame depth differs from the current one.
 func (d *Debugger) ReverseStep() (Stop, error) {
 	rec, err := d.requireRecorder()
 	if err != nil {
@@ -191,25 +187,14 @@ func (d *Debugger) ReverseStep() (Stop, error) {
 			startLine = line
 		}
 	}
-	target := int64(-1)
-	for i := rec.Step() - 1; i >= 0; i-- {
-		th, fn, pc, depth, ok := rec.At(i)
-		if !ok {
-			break
-		}
-		if th != t.ID || !d.stmtStartAt(fn, pc) {
-			continue
+	target, ok := rec.SeekBack(rec.Step(), func(th, fn, pc, depth int) bool {
+		if th != t.ID {
+			return false
 		}
 		_, line, ok := d.proc.Info.LineFor(dwarfish.Addr{FuncIndex: fn, PC: pc})
-		if !ok {
-			continue
-		}
-		if depth != startDepth || line != startLine {
-			target = i
-			break
-		}
-	}
-	if target < 0 {
+		return ok && (depth != startDepth || line != startLine)
+	})
+	if !ok {
 		d.printf("No more reverse-execution history.\n")
 		return d.reverseStopAt(rec, 0, StopStep, nil)
 	}
@@ -229,25 +214,18 @@ func (d *Debugger) ReverseContinue() (Stop, error) {
 	scanFrom := rec.Step()
 	for {
 		var (
-			target int64 = -1
-			addr   dwarfish.Addr
-			thID   int
+			addr dwarfish.Addr
+			thID int
 		)
-		for i := scanFrom - 1; i >= 0; i-- {
-			th, fn, pc, _, ok := rec.At(i)
-			if !ok {
-				break
-			}
-			if !d.stmtStartAt(fn, pc) {
-				continue
-			}
+		target, ok := rec.SeekBack(scanFrom, func(th, fn, pc, _ int) bool {
 			a := dwarfish.Addr{FuncIndex: fn, PC: pc}
-			if d.breakpointAt(a) != nil {
-				target, addr, thID = i, a, th
-				break
+			if d.breakpointAt(a) == nil {
+				return false
 			}
-		}
-		if target < 0 {
+			addr, thID = a, th
+			return true
+		})
+		if !ok {
 			d.printf("No more reverse-execution history.\n")
 			return d.reverseStopAt(rec, 0, StopStep, nil)
 		}

@@ -63,6 +63,39 @@ func (o OpCode) String() string {
 	return fmt.Sprintf("op(%d)", int(o))
 }
 
+// opPops is the number of operands each opcode pops; OpCall and
+// OpCallNative pop their argument count B instead. The VM checks it once
+// per instruction before touching the stack, and the compiler's
+// stack-depth analysis reads it with opPushes.
+var opPops = [OpHalt + 1]int{
+	OpStoreLocal: 1, OpStoreGlobal: 1, OpLoadInd: 1, OpStoreInd: 2,
+	OpIndexLoad: 2, OpIndexAddr: 2, OpFieldLoad: 1, OpFieldAddr: 1,
+	OpBin: 2, OpUn: 1, OpJmpFalse: 1, OpJmpTrue: 1, OpRetVal: 1, OpPop: 1,
+	OpDup: 1, OpNewArr: 1, OpCastInt: 1, OpCastFloat: 1, OpCastBool: 1,
+	OpParFor: 2,
+}
+
+// opPushes is the number of values each opcode pushes; calls push one
+// only when the callee returns a value (see maxStack).
+var opPushes = [OpHalt + 1]int{
+	OpConst: 1, OpLoadLocal: 1, OpAddrLocal: 1, OpLoadGlobal: 1,
+	OpAddrGlobal: 1, OpLoadInd: 1, OpIndexLoad: 1, OpIndexAddr: 1,
+	OpFieldLoad: 1, OpFieldAddr: 1, OpBin: 1, OpUn: 1, OpDup: 2,
+	OpNewArr: 1, OpNewStruct: 1, OpCastInt: 1, OpCastFloat: 1,
+	OpCastBool: 1,
+}
+
+// pops returns how many operands in takes off the stack.
+func (in Instr) pops() int {
+	if in.Op == OpCall || in.Op == OpCallNative {
+		return in.B
+	}
+	if int(in.Op) < len(opPops) {
+		return opPops[in.Op]
+	}
+	return 0
+}
+
 // Instr is one VM instruction.
 type Instr struct {
 	Op        OpCode
@@ -96,6 +129,10 @@ type FuncCode struct {
 	ParFors    []ParForInfo
 	NumSlots   int
 	NumParams  int
+	// MaxStack is the deepest the operand stack gets on any path through
+	// the function, computed at compile time. Each frame's stack is
+	// allocated once at this capacity, so pushes never grow it.
+	MaxStack int
 }
 
 // LineOf returns the source line of the instruction at pc, or 0.

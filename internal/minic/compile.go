@@ -52,7 +52,65 @@ func compileFunc(prog *Program, fd *FuncDecl) (*FuncCode, error) {
 		c.emit(OpConst, c.constIdx(ZeroValue(fd.Result)), 0)
 		c.emit(OpRetVal, 0, 0)
 	}
+	c.fc.MaxStack = maxStack(prog, c.fc)
 	return c.fc, nil
+}
+
+// maxStack returns the deepest the operand stack of fc gets: a forward
+// dataflow over the control-flow graph from depth 0 at entry. The
+// compiler is structured, so every path reaches an instruction at the
+// same depth; should two disagree the larger wins, and depths are capped
+// at one push per instruction so a malformed loop cannot keep raising
+// them. An underestimate would only cost the VM an append growth.
+func maxStack(prog *Program, fc *FuncCode) int {
+	n := len(fc.Instrs)
+	if n == 0 {
+		return 0
+	}
+	depth := make([]int, n)
+	for i := range depth {
+		depth[i] = -1
+	}
+	depth[0] = 0
+	work := []int{0}
+	peak := 0
+	for len(work) > 0 {
+		pc := work[len(work)-1]
+		work = work[:len(work)-1]
+		in := fc.Instrs[pc]
+		d := depth[pc] - in.pops()
+		switch {
+		case in.Op == OpCall:
+			if prog.Funcs[in.A].Result.Kind != TVoid {
+				d++
+			}
+		case in.Op == OpCallNative:
+			if prog.Natives.At(in.A).pushesResult() {
+				d++
+			}
+		case int(in.Op) < len(opPushes):
+			d += opPushes[in.Op]
+		}
+		d = min(max(d, 0), n)
+		peak = max(peak, depth[pc], d)
+		flow := func(next int) {
+			if next >= 0 && next < n && depth[next] < d {
+				depth[next] = d
+				work = append(work, next)
+			}
+		}
+		switch in.Op {
+		case OpJmp:
+			flow(in.A)
+		case OpJmpFalse, OpJmpTrue:
+			flow(in.A)
+			flow(pc + 1)
+		case OpRet, OpRetVal:
+		default:
+			flow(pc + 1)
+		}
+	}
+	return peak
 }
 
 func lastLine(b *BlockStmt) int {

@@ -3,20 +3,24 @@
 // The design is the classic deterministic-replay one (rr, GDB process
 // record): because the VM is single-goroutine, round-robin scheduled and
 // input-free, execution is a pure function of a state snapshot, so the
-// journal only needs periodic full snapshots plus a per-instruction
-// position log. Restoring to step N restores the nearest snapshot at or
-// before N and re-executes the gap with program output suppressed;
+// journal only needs periodic full snapshots plus a log of where
+// execution stood. Restoring to position N restores the nearest snapshot
+// at or before N and re-executes the gap with program output suppressed;
 // re-execution is byte-identical to the original run, which the replay
 // differential tests pin.
 //
-// The per-instruction log is the hot path: one fixed-size record per
-// scheduled instruction, appended into pooled 16K-record chunks so
-// steady-state recording allocates nothing (chunk growth amortizes to
-// zero, and truncated or stopped journals return their chunks to a
-// shared pool — the same ring/pool discipline internal/obs uses for its
-// histograms). The
-// package deliberately depends only on internal/minic — it is VM
-// machinery, usable by the stock debugger with no D2X knowledge.
+// Positions count scheduled instructions, and the VM keeps that count
+// itself (minic.VM.Scheduled), so the log need not hold one record per
+// instruction. It holds one per statement boundary instead: the VM fires
+// the journal's hook only before a statement-start instruction, which is
+// the only kind of instruction reverse-step and reverse-continue ever
+// land on. On the Fig4 run that is about one instruction in ten. Records
+// are fixed-size and append into pooled chunks, so steady-state recording
+// allocates nothing (truncated or stopped journals return their chunks
+// to a shared pool — the same ring/pool discipline internal/obs uses for
+// its histograms). The package deliberately depends only on
+// internal/minic — it is VM machinery, usable by the stock debugger with
+// no D2X knowledge.
 //
 // Two fidelity caveats, both shared with GDB's recorder: the journal
 // sees scheduled instructions only, so synthetic calls the debugger
@@ -29,22 +33,26 @@ package journal
 import (
 	"fmt"
 	"io"
+	"sort"
 	"sync"
+	"unsafe"
 
 	"d2x/internal/minic"
 )
 
-// chunkShift sizes the record chunks: 1<<14 records x 16 bytes = 256 KiB
-// per chunk.
+// chunkShift sizes the record chunks: 1<<12 records x 24 bytes = 96 KiB
+// per chunk, about 40K instructions of history on the Fig4 run.
 const (
-	chunkShift = 14
+	chunkShift = 12
 	chunkSize  = 1 << chunkShift
 	chunkMask  = chunkSize - 1
 )
 
-// rec is one per-instruction delta: where execution stood just before
-// scheduled instruction i ran. 16 bytes, fixed size, no pointers.
+// rec is one statement boundary: where execution stood just before the
+// statement-start instruction at position step ran. 24 bytes, fixed
+// size, no pointers.
 type rec struct {
+	step   int64
 	thread int32
 	fnIdx  int32
 	pc     int32
@@ -55,17 +63,19 @@ type chunk [chunkSize]rec
 
 // chunkPool recycles record chunks across truncations, journals and
 // sessions. Chunks are pointer-free and every record slot is fully
-// rewritten before it is readable (reads stop at j.step), so reused
-// chunks need no zeroing — which is the point: new(chunk) pays a 256 KiB
-// memclr that recording at full speed cannot afford.
+// rewritten before it is readable (reads stop at the last record
+// logged), so reused chunks
+// need no zeroing — which is the point: new(chunk) pays a 96 KiB memclr
+// that recording at full speed should not.
 var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
 
-// Rec is the exported view of one recorded instruction.
+// Rec is the exported view of one statement boundary.
 type Rec struct {
-	Thread    int // thread ID that ran the instruction
-	FuncIndex int // function containing it
-	PC        int // instruction index within the function
-	Depth     int // frame depth of the thread at that moment
+	Step      int64 // position: scheduled instructions before this one
+	Thread    int   // thread ID about to run it
+	FuncIndex int   // function containing it
+	PC        int   // instruction index within the function
+	Depth     int   // frame depth of the thread at that moment
 }
 
 // Options configures a journal.
@@ -93,7 +103,7 @@ type Stats struct {
 	Snapshots   int   // live snapshots, including the base
 	Replays     int64 // RestoreTo invocations
 	ReplaySteps int64 // instructions re-executed across all replays
-	RecordBytes int64 // bytes held by the record chunks (free pool included)
+	RecordBytes int64 // bytes held by the statement-record chunks
 }
 
 type checkpoint struct {
@@ -107,18 +117,19 @@ type Journal struct {
 	vm *minic.VM
 
 	// The hot-path cursor. cur/pos shadow chunks[len(chunks)-1] and the
-	// offset of record step within it, so the per-instruction append is
-	// one pointer indexing instead of two bounds-checked slice lookups;
-	// untilSnap counts records down to the next cadence snapshot, so the
-	// hot path never divides by `every`. pos == chunkSize forces grow.
-	cur       *chunk
-	pos       int64
-	untilSnap int64
+	// offset of the next record within it, so the append is one pointer
+	// indexing instead of two bounds-checked slice lookups; pos ==
+	// chunkSize forces grow. nextSnap is the position from which the
+	// next cadence snapshot is due.
+	cur      *chunk
+	pos      int
+	nextSnap int64
 
+	base   int64 // vm.Scheduled() at position 0
+	end    int64 // the position Stop froze
 	every  int64
 	chunks []*chunk
 	snaps  []checkpoint // ascending by step; snaps[0] is the base at step 0
-	step   int64        // recorded instructions; also the current position
 	active bool
 	stats  Stats
 }
@@ -135,15 +146,22 @@ func Attach(vm *minic.VM, opts Options) (*Journal, error) {
 	if every <= 0 {
 		every = DefaultSnapshotEvery
 	}
-	j := &Journal{vm: vm, every: every, active: true, pos: chunkSize, untilSnap: every}
+	j := &Journal{vm: vm, every: every, active: true, pos: chunkSize, nextSnap: every, base: vm.Scheduled()}
 	j.snaps = append(j.snaps, checkpoint{step: 0, snap: vm.TakeSnapshot()})
 	vm.SetStepHook(j.record)
 	return j, nil
 }
 
-// Step returns the current position: the number of recorded instructions
-// between the base snapshot and the VM's present state.
-func (j *Journal) Step() int64 { return j.step }
+// Step returns the current position: the number of scheduled
+// instructions between the base snapshot and the VM's present state.
+//
+//d2x:noalloc
+func (j *Journal) Step() int64 {
+	if !j.active {
+		return j.end
+	}
+	return j.vm.Scheduled() - j.base
+}
 
 // Active reports whether the journal is still recording.
 func (j *Journal) Active() bool { return j.active }
@@ -151,9 +169,9 @@ func (j *Journal) Active() bool { return j.active }
 // Stats returns a copy of the recording telemetry.
 func (j *Journal) Stats() Stats {
 	s := j.stats
-	s.Steps = j.step
+	s.Steps = j.Step()
 	s.Snapshots = len(j.snaps)
-	s.RecordBytes = int64(len(j.chunks)) * chunkSize * 16
+	s.RecordBytes = int64(len(j.chunks)) * int64(unsafe.Sizeof(chunk{}))
 	return s
 }
 
@@ -163,6 +181,7 @@ func (j *Journal) Stop() {
 	if !j.active {
 		return
 	}
+	j.end = j.Step()
 	j.active = false
 	j.vm.SetStepHook(nil)
 	for _, c := range j.chunks {
@@ -171,54 +190,49 @@ func (j *Journal) Stop() {
 	j.chunks, j.snaps, j.cur = nil, nil, nil
 }
 
-// record is the per-instruction hot path, installed as the VM step hook.
-// It runs once per scheduled instruction while recording is on.
+// record is the hot path, installed as the VM's statement-boundary
+// hook. It runs once per scheduled statement-start instruction while
+// recording is on.
 //
 //d2x:hotpath
 //d2x:noalloc
 func (j *Journal) record(t *minic.Thread) {
-	// The hook fires before the instruction at position j.step executes,
-	// so right now the VM state IS position j.step — the only moment a
-	// cadence snapshot for it can be taken. untilSnap hits 0 exactly at
-	// positive multiples of `every` (the checkpoint guard absorbs
-	// re-execution over a cadence point that already has its snapshot).
-	if j.untilSnap == 0 {
-		j.checkpoint() //d2xvet:ignore noalloc cadence snapshots are off the per-instruction path
-		j.untilSnap = j.every
+	// The hook fires before the instruction at position step executes,
+	// so right now the VM state IS position step — the only moment a
+	// cadence snapshot for it can be taken.
+	step := j.Step()
+	if step >= j.nextSnap {
+		j.checkpoint(step) //d2xvet:ignore noalloc cadence snapshots are off the per-statement path
 	}
-	j.untilSnap--
 	if j.pos == chunkSize {
-		j.grow() //d2xvet:ignore noalloc chunk growth is pooled and amortized over 16384 records
+		j.grow() //d2xvet:ignore noalloc chunk growth is pooled and amortized over 4096 records
 	}
 	r := &j.cur[j.pos]
+	f := t.Top() // never nil: the hook fires only at a statement start
+	r.step = step
 	r.thread = int32(t.ID)
-	if f := t.Top(); f != nil {
-		r.fnIdx = int32(f.FuncIndex)
-		r.pc = int32(f.PC)
-		r.depth = int32(len(t.Frames))
-	} else {
-		r.fnIdx, r.pc, r.depth = -1, -1, 0
-	}
+	r.fnIdx = int32(f.FuncIndex)
+	r.pc = int32(f.PC)
+	r.depth = int32(len(t.Frames))
 	j.pos++
-	j.step++
 }
 
-// grow opens the chunk holding record j.step.
+// grow opens the chunk holding the next record.
 func (j *Journal) grow() {
 	j.cur = chunkPool.Get().(*chunk)
 	j.chunks = append(j.chunks, j.cur)
 	j.pos = 0
 }
 
-// checkpoint takes a cadence snapshot at the current position unless one
-// is already recorded there (re-execution after a rewind crosses the
-// same cadence points again).
-func (j *Journal) checkpoint() {
-	if n := len(j.snaps); n > 0 && j.snaps[n-1].step >= j.step {
-		return
+// checkpoint takes a snapshot at position step unless one is already
+// recorded there (a forced Checkpoint at a stop is followed by the hook
+// at the same position when execution resumes), and schedules the next
+// cadence snapshot for the following multiple of `every`.
+func (j *Journal) checkpoint(step int64) {
+	if j.snaps[len(j.snaps)-1].step < step {
+		j.snaps = append(j.snaps, checkpoint{step: step, snap: j.vm.TakeSnapshot()})
 	}
-	j.snaps = append(j.snaps, checkpoint{step: j.step, snap: j.vm.TakeSnapshot()})
-	j.stats.Snapshots = len(j.snaps)
+	j.nextSnap = step - step%j.every + j.every
 }
 
 // Checkpoint forces a full snapshot at the current position. The
@@ -229,32 +243,34 @@ func (j *Journal) Checkpoint() {
 	if !j.active {
 		return
 	}
-	j.checkpoint()
+	j.checkpoint(j.Step())
 }
 
-// At returns the recorded position of instruction i (0-based), i.e. where
-// execution stood just before it ran. ok is false outside [0, Step()).
-func (j *Journal) At(i int64) (Rec, bool) {
-	if i < 0 || i >= j.step {
-		return Rec{}, false
-	}
-	r := &j.chunks[i>>chunkShift][i&chunkMask]
-	return Rec{Thread: int(r.thread), FuncIndex: int(r.fnIdx), PC: int(r.pc), Depth: int(r.depth)}, true
+// records returns the number of statement records logged.
+func (j *Journal) records() int { return (len(j.chunks)-1)<<chunkShift + j.pos }
+
+// at returns record k.
+func (j *Journal) at(k int) *rec { return &j.chunks[k>>chunkShift][k&chunkMask] }
+
+// before returns the number of records logged before position pos.
+func (j *Journal) before(pos int64) int {
+	return sort.Search(j.records(), func(k int) bool { return j.at(k).step >= pos })
 }
 
 // RestoreTo rewinds (or fast-forwards within history) the VM to its
-// exact state after `target` recorded instructions: the nearest snapshot
-// at or before target is restored and the gap re-executed with program
-// output suppressed, so replay emits nothing the forward run already
-// printed. History beyond target is discarded — resuming forward from
-// there deterministically regenerates it (and its output), unless the
-// caller mutates the debuggee first, which is the point of rewinding.
+// exact state after `target` scheduled instructions: the nearest
+// snapshot at or before target is restored and the gap re-executed with
+// program output suppressed, so replay emits nothing the forward run
+// already printed. History beyond target is discarded — resuming forward
+// from there deterministically regenerates it (and its output), unless
+// the caller mutates the debuggee first, which is the point of
+// rewinding.
 func (j *Journal) RestoreTo(target int64) error {
 	if !j.active {
 		return fmt.Errorf("journal: not recording")
 	}
-	if target < 0 || target > j.step {
-		return fmt.Errorf("journal: step %d outside recorded history [0, %d]", target, j.step)
+	if step := j.Step(); target < 0 || target > step {
+		return fmt.Errorf("journal: step %d outside recorded history [0, %d]", target, step)
 	}
 	// Nearest checkpoint at or before target (snaps is ascending and
 	// snaps[0].step == 0).
@@ -267,30 +283,24 @@ func (j *Journal) RestoreTo(target int64) error {
 	}
 	cp := j.snaps[ci]
 	j.snaps = j.snaps[:ci+1]
+	j.nextSnap = cp.step - cp.step%j.every + j.every
 
-	// Truncate the record log to target, recycling whole chunks, and
-	// point the append cursor at the first free slot (pos == chunkSize
-	// makes the next record pull a chunk back from the pool).
-	keep := int((target + chunkMask) >> chunkShift)
+	// Truncate the log to the records before target, recycling whole
+	// chunks, and point the append cursor at the first free slot (pos
+	// == chunkSize makes the next record pull a chunk from the pool).
+	n := j.before(target)
+	keep := (n + chunkMask) >> chunkShift
 	for len(j.chunks) > keep {
-		n := len(j.chunks) - 1
-		chunkPool.Put(j.chunks[n])
-		j.chunks = j.chunks[:n]
+		last := len(j.chunks) - 1
+		chunkPool.Put(j.chunks[last])
+		j.chunks = j.chunks[:last]
 	}
 	if keep > 0 {
 		j.cur = j.chunks[keep-1]
-		j.pos = target - int64(keep-1)<<chunkShift
+		j.pos = n - (keep-1)<<chunkShift
 	} else {
 		j.cur = nil
 		j.pos = chunkSize
-	}
-	// Re-arm the cadence countdown: the next checkpoint check fires at
-	// the next positive multiple of `every` (immediately if target sits
-	// on one — the guard then skips, since its snapshot survived the
-	// truncation).
-	j.untilSnap = (j.every - target%j.every) % j.every
-	if target == 0 {
-		j.untilSnap = j.every
 	}
 
 	vm := j.vm
@@ -298,12 +308,9 @@ func (j *Journal) RestoreTo(target int64) error {
 	out := vm.Output
 	vm.Output = io.Discard
 	err := vm.RestoreSnapshot(cp.snap)
-	if err == nil {
-		for i := cp.step; i < target; i++ {
-			if vm.StepInstr() == nil {
-				err = fmt.Errorf("journal: replay stalled at step %d of %d", i, target)
-				break
-			}
+	for err == nil && j.Step() < target {
+		if vm.StepInstr() == nil {
+			err = fmt.Errorf("journal: replay stalled at step %d of %d", j.Step(), target)
 		}
 	}
 	vm.Output = out
@@ -311,25 +318,22 @@ func (j *Journal) RestoreTo(target int64) error {
 	if err != nil {
 		return err
 	}
-	j.step = target
 	j.stats.Replays++
 	j.stats.ReplaySteps += target - cp.step
 	return nil
 }
 
-// SeekBack scans the record log backwards from position `from`
-// (exclusive) for the most recent instruction satisfying pred, returning
-// its step. ok is false when no recorded instruction matches. The scan
-// does not touch the VM; pair it with RestoreTo.
-func (j *Journal) SeekBack(from int64, pred func(Rec) bool) (int64, bool) {
-	if from > j.step {
-		from = j.step
-	}
-	for i := from - 1; i >= 0; i-- {
-		r := &j.chunks[i>>chunkShift][i&chunkMask]
-		if pred(Rec{Thread: int(r.thread), FuncIndex: int(r.fnIdx), PC: int(r.pc), Depth: int(r.depth)}) {
-			return i, true
+// SeekBack scans the statement log backwards from position `from`
+// (exclusive) for the most recent boundary satisfying pred. ok is false
+// when no logged boundary matches. The scan does not touch the VM; pair
+// it with RestoreTo(r.Step).
+func (j *Journal) SeekBack(from int64, pred func(Rec) bool) (r Rec, ok bool) {
+	for k := j.before(from) - 1; k >= 0; k-- {
+		x := j.at(k)
+		r = Rec{Step: x.step, Thread: int(x.thread), FuncIndex: int(x.fnIdx), PC: int(x.pc), Depth: int(x.depth)}
+		if pred(r) {
+			return r, true
 		}
 	}
-	return 0, false
+	return Rec{}, false
 }

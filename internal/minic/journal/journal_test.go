@@ -1,8 +1,10 @@
 package journal
 
 import (
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"d2x/internal/minic"
 )
@@ -102,48 +104,62 @@ func TestRestoreToReplaysByteIdentically(t *testing.T) {
 	}
 }
 
-// TestRecordsMatchExecution checks the per-instruction log against the
-// scheduler: every record's (thread, func, pc) must equal what
-// NextThread showed just before that step ran.
+// allRecords lists the statement log oldest first, read through
+// SeekBack the way the debugger reads it.
+func allRecords(j *Journal) []Rec {
+	var out []Rec
+	for from := j.Step(); ; {
+		r, ok := j.SeekBack(from, func(Rec) bool { return true })
+		if !ok {
+			break
+		}
+		out = append(out, r)
+		from = r.Step
+	}
+	slices.Reverse(out)
+	return out
+}
+
+// TestRecordsMatchExecution checks the statement log against the
+// scheduler: there is exactly one record per scheduled statement-start
+// instruction, at its position, and its (thread, func, pc, depth) equal
+// what NextThread showed just before that step ran.
 func TestRecordsMatchExecution(t *testing.T) {
 	vm := startVM(t, &strings.Builder{})
-	j, err := Attach(vm, Options{})
+	j, err := Attach(vm, Options{SnapshotEvery: 97})
 	if err != nil {
 		t.Fatal(err)
 	}
-	type pos struct{ th, fn, pc, depth int }
-	var want []pos
+	var want []Rec
+	var steps int64
 	for {
 		nt := vm.NextThread()
 		if nt == nil {
 			break
 		}
-		p := pos{th: nt.ID}
-		if f := nt.Top(); f != nil {
-			p.fn, p.pc, p.depth = f.FuncIndex, f.PC, len(nt.Frames)
-		} else {
-			p.fn, p.pc = -1, -1
+		if f := nt.Top(); f != nil && f.Code.Instrs[f.PC].StmtStart {
+			want = append(want, Rec{Step: steps, Thread: nt.ID, FuncIndex: f.FuncIndex, PC: f.PC, Depth: len(nt.Frames)})
 		}
-		want = append(want, p)
 		vm.StepInstr()
+		steps++
 	}
-	if j.Step() != int64(len(want)) {
-		t.Fatalf("recorded %d steps, executed %d", j.Step(), len(want))
+	if j.Step() != steps {
+		t.Fatalf("journal position %d, scheduler ran %d", j.Step(), steps)
 	}
-	for i, p := range want {
-		r, ok := j.At(int64(i))
-		if !ok {
-			t.Fatalf("At(%d) out of range", i)
+	if len(want) == 0 || int64(len(want)) >= steps {
+		t.Fatalf("%d statement boundaries in %d steps: the log should be a strict, non-empty subset", len(want), steps)
+	}
+	got := allRecords(j)
+	if len(got) != len(want) {
+		t.Fatalf("logged %d statement boundaries, executed %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
 		}
-		if r.Thread != p.th || r.FuncIndex != p.fn || r.PC != p.pc || r.Depth != p.depth {
-			t.Fatalf("record %d = %+v, want %+v", i, r, p)
-		}
 	}
-	if _, ok := j.At(int64(len(want))); ok {
-		t.Fatal("At(extent) should be out of range")
-	}
-	if _, ok := j.At(-1); ok {
-		t.Fatal("At(-1) should be out of range")
+	if r, ok := j.SeekBack(0, func(Rec) bool { return true }); ok {
+		t.Fatalf("SeekBack(0) found %+v before the first position", r)
 	}
 }
 
@@ -157,18 +173,29 @@ func TestSeekBack(t *testing.T) {
 	}
 	total := j.Step()
 
-	// The most recent main-thread record is findable...
-	s, ok := j.SeekBack(total, func(r Rec) bool { return r.Thread == 0 })
+	// The most recent main-thread boundary is findable, and it is a
+	// statement start...
+	main := func(r Rec) bool { return r.Thread == 0 }
+	r, ok := j.SeekBack(total, main)
 	if !ok {
 		t.Fatal("no main-thread record found")
 	}
-	r, _ := j.At(s)
-	if r.Thread != 0 {
-		t.Fatalf("SeekBack landed on thread %d", r.Thread)
+	if r.Thread != 0 || r.Step >= total {
+		t.Fatalf("SeekBack landed on %+v", r)
 	}
-	// ...the scan is bounded by from...
-	if s2, ok := j.SeekBack(s, func(r Rec) bool { return r.Thread == 0 }); !ok || s2 >= s {
-		t.Fatalf("SeekBack(from=%d) = %d, %v; want an earlier hit", s, s2, ok)
+	if !vm.Prog.Code[r.FuncIndex].Instrs[r.PC].StmtStart {
+		t.Fatalf("record %+v is not a statement start", r)
+	}
+	// ...a from beyond history is clamped to it...
+	if r2, ok := j.SeekBack(total+1000, main); !ok || r2 != r {
+		t.Fatalf("SeekBack(beyond history) = %+v, %v; want %+v", r2, ok, r)
+	}
+	// ...the scan is bounded by from, which is exclusive...
+	if r2, ok := j.SeekBack(r.Step, main); !ok || r2.Step >= r.Step {
+		t.Fatalf("SeekBack(from=%d) = %+v, %v; want an earlier hit", r.Step, r2, ok)
+	}
+	if r2, ok := j.SeekBack(r.Step+1, main); !ok || r2 != r {
+		t.Fatalf("SeekBack(from=%d) = %+v, %v; want %+v", r.Step+1, r2, ok, r)
 	}
 	// ...and an impossible predicate reports no hit.
 	if _, ok := j.SeekBack(total, func(Rec) bool { return false }); ok {
@@ -274,7 +301,7 @@ func TestRestoreToBounds(t *testing.T) {
 
 // TestChunkRecycling rewinds across chunk boundaries and checks that
 // truncated chunks come back from the free pool instead of growing the
-// footprint.
+// footprint, and that the re-recorded log matches the first recording.
 func TestChunkRecycling(t *testing.T) {
 	prog, err := minic.Compile("test.c", `
 global int n = 0;
@@ -295,26 +322,30 @@ func int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3*chunkSize; i++ {
+	for j.records() < 3*chunkSize {
 		if vm.StepInstr() == nil {
 			t.Fatal("program too short for the test")
 		}
 	}
+	total := j.Step()
+	first := allRecords(j)
 	bytesBefore := j.Stats().RecordBytes
+	if bytesBefore != 3*int64(unsafe.Sizeof(chunk{})) {
+		t.Fatalf("%d records held in %d bytes, want exactly three chunks", len(first), bytesBefore)
+	}
 	if err := j.RestoreTo(10); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3*chunkSize-10; i++ {
+	if got := j.Stats().RecordBytes; got >= bytesBefore {
+		t.Errorf("rewind to 10 kept %d of %d record bytes", got, bytesBefore)
+	}
+	for j.Step() < total {
 		vm.StepInstr()
 	}
 	if got := j.Stats().RecordBytes; got != bytesBefore {
 		t.Errorf("record footprint changed across rewind+rerun: %d -> %d bytes", bytesBefore, got)
 	}
-	if j.Step() != 3*chunkSize {
-		t.Fatalf("Step() = %d, want %d", j.Step(), 3*chunkSize)
-	}
-	r, ok := j.At(3*chunkSize - 1)
-	if !ok || r.Thread != 0 {
-		t.Fatalf("re-recorded tail record bad: %+v ok=%v", r, ok)
+	if again := allRecords(j); !slices.Equal(again, first) {
+		t.Fatalf("re-recorded log differs: %d records, first recording %d", len(again), len(first))
 	}
 }

@@ -70,6 +70,11 @@ func (p *Program) SourceLine(n int) string {
 type NativeHandler func(call *NativeCall) (Value, error)
 
 // NativeCall carries the arguments and VM context of one native invocation.
+//
+// A handler must not keep the call or its Args after it returns: the VM
+// recycles the NativeCall for the next native call, and Args is a window
+// on the caller's operand stack that the next instruction overwrites.
+// Copying a Value out of Args is enough to keep it.
 type NativeCall struct {
 	VM     *VM
 	Thread *Thread
@@ -93,6 +98,12 @@ type Native struct {
 	// writes, and the VM's guarded-call write barrier blocks calls to
 	// natives that set it.
 	WritesMemory bool
+}
+
+// pushesResult reports whether a call to the native leaves a result on
+// the caller's operand stack.
+func (n *Native) pushesResult() bool {
+	return n.AnyResult || n.Sig.Result != nil && n.Sig.Result.Kind != TVoid
 }
 
 // Natives is a registry of native functions available to a program. A

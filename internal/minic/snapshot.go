@@ -11,6 +11,7 @@ import "fmt"
 // metadata (FuncDecl, FuncCode, Type, StructDef) with the live VM.
 type Snapshot struct {
 	steps        int64
+	sched        int64
 	schedIdx     int
 	nextThreadID int
 	nextFrameID  int
@@ -30,6 +31,7 @@ func (vm *VM) TakeSnapshot() *Snapshot {
 	dst := make([]Cell, len(vm.Globals))
 	return &Snapshot{
 		steps:        vm.Steps,
+		sched:        vm.sched,
 		schedIdx:     vm.schedIdx,
 		nextThreadID: vm.nextThreadID,
 		nextFrameID:  vm.nextFrameID,
@@ -51,13 +53,25 @@ func (vm *VM) RestoreSnapshot(s *Snapshot) error {
 	}
 	threads := copyVMState(s.globals, s.threads, vm.Globals)
 	vm.threads = threads
+	clear(vm.runq)
+	vm.runq = vm.runq[:0]
+	vm.fault, vm.picked = nil, nil
 	vm.frameByID = make(map[int]*Frame, 2*len(threads))
 	for _, t := range threads {
 		for _, f := range t.Frames {
 			vm.frameByID[f.ID] = f
 		}
+		switch t.State {
+		case ThreadReady, ThreadWaiting:
+			vm.runq = append(vm.runq, t)
+		case ThreadFaulted:
+			if vm.fault == nil {
+				vm.fault = t
+			}
+		}
 	}
 	vm.Steps = s.steps
+	vm.sched = s.sched
 	vm.schedIdx = s.schedIdx
 	vm.nextThreadID = s.nextThreadID
 	vm.nextFrameID = s.nextFrameID
@@ -72,23 +86,30 @@ func (vm *VM) RestoreSnapshot(s *Snapshot) error {
 // container rather than to a detached duplicate:
 //
 //  1. register the root cells whose copies have fixed homes (globals);
-//  2. discover the reachable graph, allocating each container copy and
-//     mapping its interior cells the moment the container is first seen;
-//  3. give every remaining reachable cell (frame slots, parallel_for
-//     captures, cells kept alive only by pointers) a standalone copy;
-//  4. fill every mapped cell and every non-cell value (operand stacks,
-//     thread results) by translating through the completed maps.
+//  2. discover the reachable graph: every container, copied the moment
+//     it is first seen, and every cell reachable other than as a
+//     container interior (frame slots, parallel_for captures, pointer
+//     targets);
+//  3. map each pointer target that is a container interior to the
+//     copied container's cell — only when a pointer was found, so the
+//     common pointer-free state pays no per-element map entry — and give
+//     every other discovered cell a standalone copy;
+//  4. fill every mapped cell, container interior and non-cell value
+//     (operand stacks, thread results) by translating through the maps.
 //
 // The VM guarantees that a frame slot or global cell is never the
 // interior of an array or struct (slots come from newFrame/parForFrame
 // backing cells, globals from vm.Globals), so root registration in phase
 // 1 cannot conflict with container discovery in phase 2.
 type stateCopier struct {
-	cells   map[*Cell]*Cell
+	cells   map[*Cell]*Cell // nil until phase 3 for non-global cells
 	arrs    map[*ArrayObj]*ArrayObj
 	structs map[*StructObj]*StructObj
-	seen    []*Cell // discovery order; queue tail is unprocessed
-	queued  map[*Cell]bool
+	// Discovery order; each is also a worklist whose tail is unscanned.
+	cellQ   []*Cell
+	arrQ    []*ArrayObj
+	structQ []*StructObj
+	ptrs    int // pointer targets first seen as pointers (maybe interiors)
 }
 
 // copyVMState deep-copies (globals, threads) into (dstGlobals, returned
@@ -99,47 +120,58 @@ func copyVMState(globals []Cell, threads []*Thread, dstGlobals []Cell) []*Thread
 		cells:   make(map[*Cell]*Cell, len(globals)+64),
 		arrs:    map[*ArrayObj]*ArrayObj{},
 		structs: map[*StructObj]*StructObj{},
-		queued:  make(map[*Cell]bool, len(globals)+64),
 	}
 
 	// Phase 1: globals are roots with fixed destinations.
 	for i := range globals {
 		c.cells[&globals[i]] = &dstGlobals[i]
-		c.enqueue(&globals[i])
+		c.cellQ = append(c.cellQ, &globals[i])
 	}
 
 	// Phase 2: discover everything reachable from threads.
 	for _, t := range threads {
 		for _, f := range t.Frames {
 			for _, slot := range f.Slots {
-				c.enqueue(slot)
+				c.addCell(slot)
 			}
 			for _, v := range f.stack {
-				c.discoverValue(v)
+				c.discover(v)
 			}
 		}
 		if t.par != nil {
 			for _, cap := range t.par.captured {
-				c.enqueue(cap)
+				c.addCell(cap)
 			}
 		}
-		c.discoverValue(t.Result)
+		c.discover(t.Result)
 	}
-	for i := 0; i < len(c.seen); i++ {
-		c.discoverValue(c.seen[i].V)
-	}
+	c.drain()
 
-	// Phase 3: reachable cells not owned by a container or a global get
-	// standalone copies.
-	for _, old := range c.seen {
+	// Phase 3: interior pointer targets, then standalone copies.
+	if c.ptrs > 0 {
+		c.mapInteriors()
+	}
+	for _, old := range c.cellQ {
 		if c.cells[old] == nil {
 			c.cells[old] = &Cell{}
 		}
 	}
 
 	// Phase 4: fill.
-	for old, nc := range c.cells {
-		nc.V = c.translate(old.V)
+	for _, old := range c.cellQ {
+		c.cells[old].V = c.translate(old.V)
+	}
+	for _, old := range c.arrQ {
+		na := c.arrs[old]
+		for i := range old.Cells {
+			na.Cells[i].V = c.translate(old.Cells[i].V)
+		}
+	}
+	for _, old := range c.structQ {
+		ns := c.structs[old]
+		for i := range old.Fields {
+			ns.Fields[i].V = c.translate(old.Fields[i].V)
+		}
 	}
 	tmap := make(map[*Thread]*Thread, len(threads))
 	out := make([]*Thread, len(threads))
@@ -156,6 +188,7 @@ func copyVMState(globals []Cell, threads []*Thread, dstGlobals []Cell) []*Thread
 		nt.parent = tmap[t.parent] // nil maps to nil
 		nt.children = t.children
 		nt.synth = t.synth
+		nt.idx = t.idx
 		if t.par != nil {
 			pr := &parRange{next: t.par.next, end: t.par.end, helper: t.par.helper}
 			pr.captured = make([]*Cell, len(t.par.captured))
@@ -191,43 +224,85 @@ func copyVMState(globals []Cell, threads []*Thread, dstGlobals []Cell) []*Thread
 	return out
 }
 
-func (c *stateCopier) enqueue(cell *Cell) {
-	if cell == nil || c.queued[cell] {
-		return
+// addCell registers a cell reachable other than as a container
+// interior, reporting whether it was new.
+func (c *stateCopier) addCell(cell *Cell) bool {
+	if cell == nil {
+		return false
 	}
-	c.queued[cell] = true
-	c.seen = append(c.seen, cell)
+	if _, ok := c.cells[cell]; ok {
+		return false
+	}
+	c.cells[cell] = nil
+	c.cellQ = append(c.cellQ, cell)
+	return true
 }
 
-// discoverValue walks one value, allocating container copies (with their
-// interior cell mappings) on first sight and queueing every cell it can
-// reach. Recursion depth is bounded by static type nesting, not by data
-// size: container elements are iterated, and revisits cut off at the
-// identity maps.
-func (c *stateCopier) discoverValue(v Value) {
+// discover registers what one value references: a container is copied
+// (empty) and queued for scanning on first sight, a pointer's target
+// cell is registered. Scanning is iterative (drain), so deep structures
+// such as long linked lists cannot overflow the stack.
+func (c *stateCopier) discover(v Value) {
 	switch v.Kind {
 	case VArr:
 		if v.Arr == nil || c.arrs[v.Arr] != nil {
 			return
 		}
-		na := &ArrayObj{Elem: v.Arr.Elem, Cells: make([]Cell, len(v.Arr.Cells))}
-		c.arrs[v.Arr] = na
-		for i := range v.Arr.Cells {
-			c.cells[&v.Arr.Cells[i]] = &na.Cells[i]
-			c.enqueue(&v.Arr.Cells[i])
-		}
+		c.arrs[v.Arr] = &ArrayObj{Elem: v.Arr.Elem, Cells: make([]Cell, len(v.Arr.Cells))}
+		c.arrQ = append(c.arrQ, v.Arr)
 	case VStruct:
 		if v.Struct == nil || c.structs[v.Struct] != nil {
 			return
 		}
-		ns := &StructObj{Def: v.Struct.Def, Fields: make([]Cell, len(v.Struct.Fields))}
-		c.structs[v.Struct] = ns
-		for i := range v.Struct.Fields {
-			c.cells[&v.Struct.Fields[i]] = &ns.Fields[i]
-			c.enqueue(&v.Struct.Fields[i])
-		}
+		c.structs[v.Struct] = &StructObj{Def: v.Struct.Def, Fields: make([]Cell, len(v.Struct.Fields))}
+		c.structQ = append(c.structQ, v.Struct)
 	case VPtr:
-		c.enqueue(v.Ptr)
+		if c.addCell(v.Ptr) {
+			c.ptrs++
+		}
+	}
+}
+
+// drain scans every queued cell and container until nothing new turns
+// up.
+func (c *stateCopier) drain() {
+	ci, ai, si := 0, 0, 0
+	for ci < len(c.cellQ) || ai < len(c.arrQ) || si < len(c.structQ) {
+		for ; ci < len(c.cellQ); ci++ {
+			c.discover(c.cellQ[ci].V)
+		}
+		for ; ai < len(c.arrQ); ai++ {
+			for i := range c.arrQ[ai].Cells {
+				c.discover(c.arrQ[ai].Cells[i].V)
+			}
+		}
+		for ; si < len(c.structQ); si++ {
+			for i := range c.structQ[si].Fields {
+				c.discover(c.structQ[si].Fields[i].V)
+			}
+		}
+	}
+}
+
+// mapInteriors points every registered cell that lies inside a copied
+// container at the copy's corresponding cell. A pointer into a
+// container the copy never reached keeps a standalone copy.
+func (c *stateCopier) mapInteriors() {
+	for _, old := range c.arrQ {
+		na := c.arrs[old]
+		for i := range old.Cells {
+			if nc, ok := c.cells[&old.Cells[i]]; ok && nc == nil {
+				c.cells[&old.Cells[i]] = &na.Cells[i]
+			}
+		}
+	}
+	for _, old := range c.structQ {
+		ns := c.structs[old]
+		for i := range old.Fields {
+			if nc, ok := c.cells[&old.Fields[i]]; ok && nc == nil {
+				c.cells[&old.Fields[i]] = &ns.Fields[i]
+			}
+		}
 	}
 }
 

@@ -79,6 +79,7 @@ type Thread struct {
 	children int
 	par      *parRange
 	synth    bool // synthetic thread (debugger `call`), not scheduled normally
+	idx      int  // position in VM.threads, the scheduler's program order
 }
 
 // Top returns the innermost frame, or nil for a finished thread.
@@ -96,6 +97,14 @@ func (t *Thread) Top() *Frame {
 // deterministic round-robin, so data races in generated code are
 // observable and reproducible — the property GraphIt's push schedule
 // (atomicAdd vs plain +=) depends on.
+//
+// The round-robin runs over a run queue: runq holds the unfinished
+// (ready or waiting) scheduled threads in program order, so picking the
+// next thread costs O(live threads) however many parallel_for workers
+// have come and gone. threads keeps every scheduled thread ever spawned,
+// finished ones included, for `info threads` and for the cursor:
+// schedIdx indexes threads, and the next thread to run is the first
+// ready one at or after it, wrapping around.
 type VM struct {
 	Prog    *Program
 	Globals []Cell
@@ -105,8 +114,8 @@ type VM struct {
 	// to (the analogue of OMP_NUM_THREADS). Default 4.
 	NumWorkers int
 
-	// Steps counts executed instructions; a deterministic clock for the
-	// overhead experiments.
+	// Steps counts executed instructions, scheduled and synthetic; a
+	// deterministic clock for the overhead experiments.
 	Steps int64
 
 	// SynthBudget caps the instructions of one synchronous CallFunction
@@ -114,19 +123,37 @@ type VM struct {
 	SynthBudget int64
 
 	threads      []*Thread
+	runq         []*Thread
 	nextThreadID int
 	nextFrameID  int
 	frameByID    map[int]*Frame
 	schedIdx     int
 	started      bool
 
-	// onStep, when set, observes every scheduled instruction just before
-	// it executes (the execution journal records through it). It fires
-	// only for scheduled steps — synthetic calls (debugger `call`,
-	// rtv_handlers) run on their own pool and are invisible to it. The
-	// hook runs before schedIdx advances, so a snapshot taken inside it
-	// captures a state from which the same thread is deterministically
-	// re-selected on replay.
+	// sched counts scheduled instructions: the position the execution
+	// journal records, which synthetic calls do not advance.
+	sched int64
+	// fault is the first faulted scheduled thread in program order.
+	fault *Thread
+	// picked caches NextThread's answer (runq[pickedAt]) until the next
+	// StepInstr or restore, so the debugger's peek-then-step asks the
+	// scheduler once per instruction.
+	picked   *Thread
+	pickedAt int
+	// spawned collects the threads the executing instruction's
+	// parallel_for created; whoever drives execInstr drains it.
+	spawned []*Thread
+	// natFree recycles NativeCall frames. A handler may re-enter the VM
+	// and call further natives, so it is a freelist, not a single slot.
+	natFree []*NativeCall
+
+	// onStep, when set, observes every scheduled statement-start
+	// instruction just before it executes (the execution journal records
+	// through it). It fires only for scheduled steps — synthetic calls
+	// (debugger `call`, rtv_handlers) run on their own pool and are
+	// invisible to it. The hook runs before schedIdx and the scheduled
+	// count advance, so a snapshot taken inside it captures a state from
+	// which the same thread is deterministically re-selected on replay.
 	onStep func(*Thread)
 }
 
@@ -186,8 +213,22 @@ func (vm *VM) GlobalCell(name string) *Cell {
 	return nil
 }
 
-// Threads returns the live thread list (program order).
+// Threads returns every scheduled thread, finished ones included, in
+// program order.
 func (vm *VM) Threads() []*Thread { return vm.threads }
+
+// SchedCursor returns the round-robin cursor: the index into Threads at
+// which the scheduler starts looking for the next ready thread. The
+// scheduler oracle tests check it against the reference scan.
+func (vm *VM) SchedCursor() int { return vm.schedIdx }
+
+// Scheduled returns the number of scheduled instructions executed so
+// far. Unlike Steps it does not count synthetic calls, and a snapshot
+// restore rewinds it; the execution journal's positions are offsets of
+// it.
+//
+//d2x:noalloc
+func (vm *VM) Scheduled() int64 { return vm.sched }
 
 // ThreadByID returns the thread with the given ID, or nil.
 func (vm *VM) ThreadByID(id int) *Thread {
@@ -215,6 +256,7 @@ func (vm *VM) newFrame(funcIndex int, args []Value) (*Frame, error) {
 		Fn:        fd,
 		Code:      fc,
 		Slots:     make([]*Cell, fc.NumSlots),
+		stack:     make([]Value, 0, fc.MaxStack),
 	}
 	vm.nextFrameID++
 	backing := make([]Cell, fc.NumSlots)
@@ -261,80 +303,137 @@ func (vm *VM) Start() error {
 	}
 	t := vm.newThread(nil, false)
 	t.Frames = []*Frame{frame}
-	vm.threads = append(vm.threads, t)
+	vm.schedule(t)
 	vm.started = true
 	return nil
+}
+
+// schedule appends a new scheduled thread to the program order and the
+// run queue. Threads are born ready and with the largest index, so the
+// run queue stays sorted by idx.
+func (vm *VM) schedule(t *Thread) {
+	t.idx = len(vm.threads)
+	vm.threads = append(vm.threads, t)
+	vm.runq = append(vm.runq, t)
 }
 
 // Started reports whether Start has run (the main thread exists).
 func (vm *VM) Started() bool { return vm.started }
 
-// SetStepHook installs (or, with nil, removes) the per-instruction
-// observer. At most one hook is supported; installing a new one replaces
-// the old. The hook must not run or mutate the VM — taking a snapshot is
-// the intended use.
+// SetStepHook installs (or, with nil, removes) the statement-boundary
+// observer: it fires before every scheduled instruction that starts a
+// source statement. At most one hook is supported; installing a new one
+// replaces the old. The hook must not run or mutate the VM — taking a
+// snapshot is the intended use.
 func (vm *VM) SetStepHook(fn func(*Thread)) { vm.onStep = fn }
 
-// Done reports whether every thread has finished.
-func (vm *VM) Done() bool {
-	for _, t := range vm.threads {
-		if t.State == ThreadReady || t.State == ThreadWaiting {
-			return false
-		}
-	}
-	return true
-}
+// Done reports whether every scheduled thread has finished.
+func (vm *VM) Done() bool { return len(vm.runq) == 0 }
 
-// Faulted returns the first faulted thread, or nil.
-func (vm *VM) Faulted() *Thread {
-	for _, t := range vm.threads {
-		if t.State == ThreadFaulted {
-			return t
+// Faulted returns the first faulted thread in program order, or nil.
+func (vm *VM) Faulted() *Thread { return vm.fault }
+
+// pick returns the run-queue position of the thread the scheduler runs
+// next, or -1 when nothing is ready: the first ready thread at or after
+// schedIdx in program order, wrapping around.
+//
+//d2x:noalloc
+func (vm *VM) pick() int {
+	rq := vm.runq
+	start := 0
+	for start < len(rq) && rq[start].idx < vm.schedIdx {
+		start++
+	}
+	for i := start; i < len(rq); i++ {
+		if rq[i].State == ThreadReady {
+			return i
 		}
 	}
-	return nil
+	for i := 0; i < start; i++ {
+		if rq[i].State == ThreadReady {
+			return i
+		}
+	}
+	return -1
 }
 
 // NextThread returns the thread the scheduler would run next, or nil when
 // everything is blocked or finished. It does not advance any state: the
-// debugger uses it to inspect the instruction about to execute.
+// debugger uses it to inspect the instruction about to execute, and the
+// StepInstr that follows runs the same thread without searching again.
+//
+//d2x:hotpath
+//d2x:noalloc
 func (vm *VM) NextThread() *Thread {
-	n := len(vm.threads)
-	for off := 0; off < n; off++ {
-		t := vm.threads[(vm.schedIdx+off)%n]
-		if t.State == ThreadReady {
-			return t
+	if vm.picked == nil {
+		i := vm.pick()
+		if i < 0 {
+			return nil
 		}
+		vm.picked, vm.pickedAt = vm.runq[i], i
 	}
-	return nil
+	return vm.picked
 }
 
 // StepInstr executes exactly one instruction on the next runnable thread.
 // It returns the thread that ran (nil when nothing is runnable). Faults
 // mark the thread Faulted rather than returning an error, so a debugger
 // can inspect the fault site; RunToCompletion converts them to errors.
+//
+//d2x:hotpath
+//d2x:noalloc
 func (vm *VM) StepInstr() *Thread {
-	n := len(vm.threads)
-	for off := 0; off < n; off++ {
-		idx := (vm.schedIdx + off) % n
-		t := vm.threads[idx]
-		if t.State != ThreadReady {
-			continue
+	t, at := vm.picked, vm.pickedAt
+	if t == nil {
+		if at = vm.pick(); at < 0 {
+			return nil
 		}
-		if vm.onStep != nil {
-			vm.onStep(t)
-		}
-		vm.schedIdx = (idx + 1) % len(vm.threads)
-		spawned, err := vm.execInstr(t)
-		vm.Steps++
-		if err != nil {
-			t.State = ThreadFaulted
-			t.Fault = err
-		}
-		vm.threads = append(vm.threads, spawned...)
-		return t
+		t = vm.runq[at]
 	}
-	return nil
+	vm.picked = nil
+	err := vm.execInstr(t, vm.onStep) //d2xvet:ignore noalloc calls allocate the callee frame, parallel_for its workers, natives what they build
+	vm.schedIdx = (t.idx + 1) % len(vm.threads)
+	vm.Steps++
+	vm.sched++
+	if err != nil {
+		t.State = ThreadFaulted
+		t.Fault = err
+		if vm.fault == nil || t.idx < vm.fault.idx {
+			vm.fault = t
+		}
+	}
+	if t.State == ThreadDone || t.State == ThreadFaulted {
+		vm.retire(at)
+	}
+	if len(vm.spawned) > 0 {
+		vm.adoptSpawned() //d2xvet:ignore noalloc a parallel_for's fan-out appends its workers once, not per instruction
+	}
+	return t
+}
+
+// retire drops the finished thread at run-queue position at, keeping the
+// rest in program order.
+//
+//d2x:noalloc
+func (vm *VM) retire(at int) {
+	rq := vm.runq
+	copy(rq[at:], rq[at+1:])
+	rq[len(rq)-1] = nil
+	vm.runq = rq[:len(rq)-1]
+}
+
+// adoptSpawned schedules the workers the last instruction spawned.
+func (vm *VM) adoptSpawned() {
+	for _, c := range vm.spawned {
+		vm.schedule(c)
+	}
+	vm.takeSpawned()
+}
+
+// takeSpawned empties the spawn buffer without releasing its capacity.
+func (vm *VM) takeSpawned() {
+	clear(vm.spawned)
+	vm.spawned = vm.spawned[:0]
 }
 
 // RunToCompletion drives the scheduler until the program finishes or
@@ -343,42 +442,23 @@ func (vm *VM) StepInstr() *Thread {
 // still pending, and a program that finishes in exactly maxSteps
 // succeeds. (The fuel guard in CallFunctionGuarded depends on budgets
 // being exact, and it used to be possible to slip one extra instruction
-// past the cap here.)
-//
-// The loop tracks a live-thread count instead of rescanning every thread
-// per instruction: Faulted() and Done() are O(threads), and journal
-// replay drives this loop for millions of steps over programs whose
-// parallel_for fan-out leaves hundreds of finished threads behind.
+// past the cap here.) Faulted and Done are field reads, so checking
+// them every step costs nothing.
 func (vm *VM) RunToCompletion(maxSteps int64) error {
-	live := 0
-	for _, t := range vm.threads {
-		switch t.State {
-		case ThreadFaulted:
+	for steps := int64(0); ; steps++ {
+		if t := vm.Faulted(); t != nil {
 			return fmt.Errorf("thread %d faulted: %w", t.ID, t.Fault)
-		case ThreadReady, ThreadWaiting:
-			live++
 		}
-	}
-	var steps int64
-	for live > 0 {
+		if vm.Done() {
+			return nil
+		}
 		if maxSteps > 0 && steps >= maxSteps {
 			return fmt.Errorf("minic: step budget of %d exceeded", maxSteps)
 		}
-		known := len(vm.threads)
-		t := vm.StepInstr()
-		if t == nil {
+		if vm.StepInstr() == nil {
 			return fmt.Errorf("minic: deadlock: no runnable threads")
 		}
-		steps++
-		live += len(vm.threads) - known // spawned threads are born Ready
-		switch t.State {
-		case ThreadFaulted:
-			return fmt.Errorf("thread %d faulted: %w", t.ID, t.Fault)
-		case ThreadDone:
-			live--
-		}
 	}
-	return nil
 }
 
 // Run compiles the whole lifecycle: Start plus RunToCompletion.
@@ -502,13 +582,14 @@ func (vm *VM) callSynthetic(fi int, args []Value, g *Guard) (Value, error) {
 					return fail(err)
 				}
 			}
-			spawned, err := vm.execInstr(t)
+			err := vm.execInstr(t, nil)
 			vm.Steps++
 			budget++
+			pool = append(pool, vm.spawned...)
+			vm.takeSpawned()
 			if err != nil {
 				return fail(fmt.Errorf("in %s: %w", vm.Prog.Funcs[fi].Name, err))
 			}
-			pool = append(pool, spawned...)
 			progress = true
 			if budget > limit {
 				if fuelLimited {
@@ -600,35 +681,36 @@ func (vm *VM) faultf(f *Frame, format string, args ...any) error {
 
 func (f *Frame) push(v Value) { f.stack = append(f.stack, v) }
 
-func (f *Frame) pop() (Value, bool) {
-	if len(f.stack) == 0 {
-		return Value{}, false
-	}
+// pop removes and returns the top operand. execInstr checks the depth an
+// instruction needs before running it, so pop itself does not.
+func (f *Frame) pop() Value {
 	v := f.stack[len(f.stack)-1]
 	f.stack = f.stack[:len(f.stack)-1]
-	return v, true
+	return v
 }
 
-// execInstr executes one instruction on thread t, returning any threads
-// spawned by a parallel_for.
-func (vm *VM) execInstr(t *Thread) ([]*Thread, error) {
+// execInstr executes one instruction on thread t. Threads a parallel_for
+// spawns are left in vm.spawned for the caller to schedule. When the
+// instruction starts a source statement and hook is non-nil, hook sees t
+// just before the instruction runs; StepInstr passes the journal's hook
+// here, where the instruction is already loaded, so that checking for a
+// statement boundary costs recording next to nothing per instruction.
+func (vm *VM) execInstr(t *Thread, hook func(*Thread)) error {
 	f := t.Top()
 	if f == nil {
 		t.State = ThreadDone
-		return nil, nil
+		return nil
 	}
 	if f.PC < 0 || f.PC >= len(f.Code.Instrs) {
-		return nil, vm.faultf(f, "program counter out of range (%d)", f.PC)
+		return vm.faultf(f, "program counter out of range (%d)", f.PC)
 	}
 	in := f.Code.Instrs[f.PC]
+	if in.StmtStart && hook != nil {
+		hook(t)
+	}
 	f.PC++
-
-	pop := func() (Value, error) {
-		v, ok := f.pop()
-		if !ok {
-			return Value{}, vm.faultf(f, "operand stack underflow at %s", in.Op)
-		}
-		return v, nil
+	if len(f.stack) < in.pops() {
+		return vm.faultf(f, "operand stack underflow at %s", in.Op)
 	}
 
 	switch in.Op {
@@ -642,11 +724,7 @@ func (vm *VM) execInstr(t *Thread) ([]*Thread, error) {
 		f.push(f.Slots[in.A].V)
 
 	case OpStoreLocal:
-		v, err := pop()
-		if err != nil {
-			return nil, err
-		}
-		f.Slots[in.A].V = v
+		f.Slots[in.A].V = f.pop()
 
 	case OpAddrLocal:
 		f.push(PtrVal(f.Slots[in.A]))
@@ -655,53 +733,34 @@ func (vm *VM) execInstr(t *Thread) ([]*Thread, error) {
 		f.push(vm.Globals[in.A].V)
 
 	case OpStoreGlobal:
-		v, err := pop()
-		if err != nil {
-			return nil, err
-		}
-		vm.Globals[in.A].V = v
+		vm.Globals[in.A].V = f.pop()
 
 	case OpAddrGlobal:
 		f.push(PtrVal(&vm.Globals[in.A]))
 
 	case OpLoadInd:
-		p, err := pop()
-		if err != nil {
-			return nil, err
-		}
+		p := f.pop()
 		if p.Kind != VPtr || p.Ptr == nil {
-			return nil, vm.faultf(f, "null pointer dereference")
+			return vm.faultf(f, "null pointer dereference")
 		}
 		f.push(p.Ptr.V)
 
 	case OpStoreInd:
-		v, err := pop()
-		if err != nil {
-			return nil, err
-		}
-		p, err := pop()
-		if err != nil {
-			return nil, err
-		}
+		v := f.pop()
+		p := f.pop()
 		if p.Kind != VPtr || p.Ptr == nil {
-			return nil, vm.faultf(f, "null pointer store")
+			return vm.faultf(f, "null pointer store")
 		}
 		p.Ptr.V = v
 
 	case OpIndexLoad, OpIndexAddr:
-		idx, err := pop()
-		if err != nil {
-			return nil, err
-		}
-		arr, err := pop()
-		if err != nil {
-			return nil, err
-		}
+		idx := f.pop()
+		arr := f.pop()
 		if arr.Kind != VArr || arr.Arr == nil {
-			return nil, vm.faultf(f, "indexing a null array")
+			return vm.faultf(f, "indexing a null array")
 		}
 		if idx.I < 0 || idx.I >= int64(len(arr.Arr.Cells)) {
-			return nil, vm.faultf(f, "array index %d out of range [0, %d)", idx.I, len(arr.Arr.Cells))
+			return vm.faultf(f, "array index %d out of range [0, %d)", idx.I, len(arr.Arr.Cells))
 		}
 		if in.Op == OpIndexLoad {
 			f.push(arr.Arr.Cells[idx.I].V)
@@ -710,10 +769,7 @@ func (vm *VM) execInstr(t *Thread) ([]*Thread, error) {
 		}
 
 	case OpFieldLoad, OpFieldAddr:
-		sv, err := pop()
-		if err != nil {
-			return nil, err
-		}
+		sv := f.pop()
 		var obj *StructObj
 		switch sv.Kind {
 		case VStruct:
@@ -724,7 +780,7 @@ func (vm *VM) execInstr(t *Thread) ([]*Thread, error) {
 			}
 		}
 		if obj == nil {
-			return nil, vm.faultf(f, "field access on null struct")
+			return vm.faultf(f, "field access on null struct")
 		}
 		if in.Op == OpFieldLoad {
 			f.push(obj.Fields[in.A].V)
@@ -733,25 +789,16 @@ func (vm *VM) execInstr(t *Thread) ([]*Thread, error) {
 		}
 
 	case OpBin:
-		y, err := pop()
-		if err != nil {
-			return nil, err
-		}
-		x, err := pop()
-		if err != nil {
-			return nil, err
-		}
+		y := f.pop()
+		x := f.pop()
 		v, err := evalBin(Kind(in.A), x, y)
 		if err != nil {
-			return nil, vm.faultf(f, "%s", err)
+			return vm.faultf(f, "%s", err)
 		}
 		f.push(v)
 
 	case OpUn:
-		x, err := pop()
-		if err != nil {
-			return nil, err
-		}
+		x := f.pop()
 		switch Kind(in.A) {
 		case Minus:
 			if x.Kind == VFloat {
@@ -762,65 +809,46 @@ func (vm *VM) execInstr(t *Thread) ([]*Thread, error) {
 		case Not:
 			f.push(BoolVal(!x.Bool()))
 		default:
-			return nil, vm.faultf(f, "bad unary operator %s", Kind(in.A))
+			return vm.faultf(f, "bad unary operator %s", Kind(in.A))
 		}
 
 	case OpJmp:
 		f.PC = in.A
 
 	case OpJmpFalse:
-		v, err := pop()
-		if err != nil {
-			return nil, err
-		}
-		if !v.Bool() {
+		if !f.pop().Bool() {
 			f.PC = in.A
 		}
 
 	case OpJmpTrue:
-		v, err := pop()
-		if err != nil {
-			return nil, err
-		}
-		if v.Bool() {
+		if f.pop().Bool() {
 			f.PC = in.A
 		}
 
 	case OpCall:
-		args := make([]Value, in.B)
-		for i := in.B - 1; i >= 0; i-- {
-			v, err := pop()
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
-		}
-		callee, err := vm.newFrame(in.A, args)
+		// The arguments are read in place, as a window on the caller's
+		// operand stack, and copied into the callee's slots.
+		base := len(f.stack) - in.B
+		callee, err := vm.newFrame(in.A, f.stack[base:])
+		f.stack = f.stack[:base]
 		if err != nil {
-			return nil, vm.faultf(f, "%s", err)
+			return vm.faultf(f, "%s", err)
 		}
 		if len(t.Frames) >= 10000 {
-			return nil, vm.faultf(f, "call stack overflow (10000 frames)")
+			return vm.faultf(f, "call stack overflow (10000 frames)")
 		}
 		t.Frames = append(t.Frames, callee)
 
 	case OpCallNative:
 		nat := vm.Prog.Natives.At(in.A)
-		args := make([]Value, in.B)
-		for i := in.B - 1; i >= 0; i-- {
-			v, err := pop()
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
-		}
-		res, err := nat.Handler(&NativeCall{VM: vm, Thread: t, Args: args})
+		top := len(f.stack)
+		base := top - in.B
+		res, err := vm.CallNative(nat, t, f.stack[base:top:top])
+		f.stack = f.stack[:base]
 		if err != nil {
-			return nil, vm.faultf(f, "%s: %s", nat.Name, err)
+			return vm.faultf(f, "%s: %s", nat.Name, err)
 		}
-		if nat.Sig.Result != nil && nat.Sig.Result.Kind != TVoid {
-			f.push(res)
-		} else if nat.AnyResult {
+		if nat.pushesResult() {
 			f.push(res)
 		}
 
@@ -828,35 +856,21 @@ func (vm *VM) execInstr(t *Thread) ([]*Thread, error) {
 		vm.returnFrame(t, NullVal(), false)
 
 	case OpRetVal:
-		v, err := pop()
-		if err != nil {
-			return nil, err
-		}
-		vm.returnFrame(t, v, true)
+		vm.returnFrame(t, f.pop(), true)
 
 	case OpPop:
-		if _, err := pop(); err != nil {
-			return nil, err
-		}
+		f.stack = f.stack[:len(f.stack)-1]
 
 	case OpDup:
-		v, err := pop()
-		if err != nil {
-			return nil, err
-		}
-		f.push(v)
-		f.push(v)
+		f.push(f.stack[len(f.stack)-1])
 
 	case OpNewArr:
-		n, err := pop()
-		if err != nil {
-			return nil, err
-		}
+		n := f.pop()
 		if n.I < 0 {
-			return nil, vm.faultf(f, "negative array size %d", n.I)
+			return vm.faultf(f, "negative array size %d", n.I)
 		}
 		if n.I > 1<<28 {
-			return nil, vm.faultf(f, "array size %d too large", n.I)
+			return vm.faultf(f, "array size %d too large", n.I)
 		}
 		f.push(ArrVal(NewArray(f.Code.Types[in.A], int(n.I))))
 
@@ -864,56 +878,56 @@ func (vm *VM) execInstr(t *Thread) ([]*Thread, error) {
 		f.push(StructVal(NewStruct(f.Code.StructRefs[in.A])))
 
 	case OpCastInt:
-		v, err := pop()
-		if err != nil {
-			return nil, err
-		}
+		v := f.pop()
 		switch v.Kind {
 		case VFloat:
 			f.push(IntVal(int64(v.F)))
 		case VBool, VInt:
 			f.push(IntVal(v.I))
 		default:
-			return nil, vm.faultf(f, "cannot convert %s to int", v.Kind)
+			return vm.faultf(f, "cannot convert %s to int", v.Kind)
 		}
 
 	case OpCastFloat:
-		v, err := pop()
-		if err != nil {
-			return nil, err
-		}
+		v := f.pop()
 		switch v.Kind {
 		case VInt:
 			f.push(FloatVal(float64(v.I)))
 		case VFloat:
 			f.push(v)
 		default:
-			return nil, vm.faultf(f, "cannot convert %s to float", v.Kind)
+			return vm.faultf(f, "cannot convert %s to float", v.Kind)
 		}
 
 	case OpCastBool:
-		v, err := pop()
-		if err != nil {
-			return nil, err
-		}
-		f.push(BoolVal(v.I != 0))
+		f.push(BoolVal(f.pop().I != 0))
 
 	case OpParFor:
-		hi, err := pop()
-		if err != nil {
-			return nil, err
-		}
-		lo, err := pop()
-		if err != nil {
-			return nil, err
-		}
-		info := f.Code.ParFors[in.A]
-		return vm.spawnParFor(t, f, info, lo.I, hi.I)
+		hi := f.pop()
+		lo := f.pop()
+		vm.spawnParFor(t, f, f.Code.ParFors[in.A], lo.I, hi.I)
 
 	default:
-		return nil, vm.faultf(f, "unknown opcode %s", in.Op)
+		return vm.faultf(f, "unknown opcode %s", in.Op)
 	}
-	return nil, nil
+	return nil
+}
+
+// CallNative invokes a native on behalf of thread t. The NativeCall the
+// handler receives is recycled once it returns (see NativeCall).
+func (vm *VM) CallNative(nat *Native, t *Thread, args []Value) (Value, error) {
+	var nc *NativeCall
+	if n := len(vm.natFree); n > 0 {
+		nc = vm.natFree[n-1]
+		vm.natFree = vm.natFree[:n-1]
+	} else {
+		nc = &NativeCall{}
+	}
+	nc.VM, nc.Thread, nc.Args = vm, t, args
+	res, err := nat.Handler(nc)
+	*nc = NativeCall{}
+	vm.natFree = append(vm.natFree, nc)
+	return res, err
 }
 
 // returnFrame pops the top frame; pushes the result into the caller or
@@ -959,16 +973,21 @@ func (vm *VM) parForFrame(pr *parRange) *Frame {
 		Fn:        fd,
 		Code:      fc,
 		Slots:     make([]*Cell, fc.NumSlots),
+		stack:     make([]Value, 0, fc.MaxStack),
 	}
 	vm.nextFrameID++
-	f.Slots[0] = &Cell{V: IntVal(pr.next)}
+	// The index and the helper's own locals share one backing array;
+	// the captured slots alias the spawning frame's cells.
+	own := make([]Cell, fc.NumSlots-len(pr.captured))
+	own[0].V = IntVal(pr.next)
+	f.Slots[0] = &own[0]
 	for i, cell := range pr.captured {
 		f.Slots[1+i] = cell
 	}
-	for i := 1 + len(pr.captured); i < fc.NumSlots; i++ {
-		f.Slots[i] = &Cell{}
+	for i, k := 1+len(pr.captured), 1; i < fc.NumSlots; i, k = i+1, k+1 {
+		f.Slots[i] = &own[k]
 		if i < len(fd.SlotTypes) {
-			f.Slots[i].V = ZeroValue(fd.SlotTypes[i])
+			own[k].V = ZeroValue(fd.SlotTypes[i])
 		}
 	}
 	vm.frameByID[f.ID] = f
@@ -976,10 +995,11 @@ func (vm *VM) parForFrame(pr *parRange) *Frame {
 }
 
 // spawnParFor fans the index range [lo, hi) out over up to NumWorkers
-// logical threads and blocks t until they all complete.
-func (vm *VM) spawnParFor(t *Thread, f *Frame, info ParForInfo, lo, hi int64) ([]*Thread, error) {
+// logical threads, left in vm.spawned, and blocks t until they all
+// complete.
+func (vm *VM) spawnParFor(t *Thread, f *Frame, info ParForInfo, lo, hi int64) {
 	if lo >= hi {
-		return nil, nil
+		return
 	}
 	captured := make([]*Cell, len(info.Captured))
 	for i, slot := range info.Captured {
@@ -994,7 +1014,7 @@ func (vm *VM) spawnParFor(t *Thread, f *Frame, info ParForInfo, lo, hi int64) ([
 		workers = span
 	}
 	chunk := (span + workers - 1) / workers
-	var spawned []*Thread
+	spawned := 0
 	for w := int64(0); w < workers; w++ {
 		start := lo + w*chunk
 		end := start + chunk
@@ -1008,11 +1028,11 @@ func (vm *VM) spawnParFor(t *Thread, f *Frame, info ParForInfo, lo, hi int64) ([
 		child.par = &parRange{next: start, end: end, helper: info.Helper, captured: captured}
 		child.Frames = []*Frame{vm.parForFrame(child.par)}
 		child.par.next++
-		spawned = append(spawned, child)
+		vm.spawned = append(vm.spawned, child)
+		spawned++
 	}
-	t.children = len(spawned)
+	t.children = spawned
 	t.State = ThreadWaiting
-	return spawned, nil
 }
 
 func evalBin(op Kind, x, y Value) (Value, error) {

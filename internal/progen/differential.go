@@ -22,6 +22,7 @@ const (
 	DivExtra     = "extra-stop"       // subject stopped where the reference never did
 	DivBacktrace = "xbt"              // xbt text differs at an aligned stop
 	DivVariables = "xvars"            // xvars text differs at an aligned stop
+	DivReplay    = "replay"           // CheckReplay: a rewound or reversed session left its forward run
 )
 
 // Divergence is one observed disagreement between the reference
@@ -51,6 +52,10 @@ type DiffResult struct {
 	Divergences []Divergence
 	Stops       int // stops observed in the reference trace
 	DSLLines    int // distinct breakable DSL lines exercised via xbreak
+	// Ref and Subject are the builds compared, so callers can run
+	// further oracles (CheckReplay) without linking again. Subject is
+	// nil when the optimised link failed.
+	Ref, Subject *d2x.Build
 }
 
 // Clean reports whether the two build modes were debugger-equivalent.
@@ -104,6 +109,7 @@ func RunDifferential(p *Program) (*DiffResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("progen: reference link of %s: %w", p.Spec.Name(), err)
 	}
+	res.Ref = ref
 	sub, err := p.Build(true)
 	if err != nil {
 		res.Divergences = append(res.Divergences, Divergence{
@@ -111,6 +117,7 @@ func RunDifferential(p *Program) (*DiffResult, error) {
 		})
 		return res, nil
 	}
+	res.Subject = sub
 
 	refOut, _, err := ref.Run()
 	if err != nil {

@@ -15,9 +15,10 @@ import (
 
 // The recording pair runs the identical PageRankDelta computation with
 // the execution journal attached and without it. The journal's budget is
-// at most 15% wall-clock on the recorded run (the per-instruction log is
-// 16 pooled bytes; snapshots amortise over DefaultSnapshotEvery steps)
-// and exactly zero when off — recording off IS the plain VM loop, there
+// at most 15% wall-clock on the recorded run (the log takes 24 pooled
+// bytes per statement boundary; snapshots amortise over
+// DefaultSnapshotEvery steps) and exactly zero when off — recording off
+// IS the plain VM loop, there
 // is no disabled-but-present instrumentation to pay for. The gate in
 // TestEmitRecordingBenchJSON holds the first claim; the deterministic
 // instruction counter makes the workloads comparable instruction for
