@@ -218,24 +218,10 @@ func (b *Build) NewSessionSplit(progOut, transcript io.Writer) (*debugger.Debugg
 		vm := proc.VM
 		rt := b.Runtime
 		d.OnClose(func() { rt.Release(vm) })
-		// Recording in a D2X session parks the journal handle on the
-		// per-VM session state instead of the debugger: Release moves it
-		// into the runtime's bounded re-attach memory (like the fuel
-		// budget), so a debugger re-attaching to the same VM resumes its
-		// history, and build invalidation stops it with the rest of the
-		// session state.
-		d.SetRecorderFactory(func(vm *minic.VM) (debugger.Recorder, error) {
-			st := rt.StateFor(vm)
-			if j, ok := st.Journal.(*journal.Journal); ok && j.Active() {
-				return debugger.NewJournalRecorder(j), nil
-			}
-			j, err := journal.Attach(vm, journal.Options{})
-			if err != nil {
-				return nil, err
-			}
-			st.Journal = j
-			return debugger.NewJournalRecorder(j), nil
-		})
+		// Publish each recording on the session state, where tooling
+		// finds it next to the session's other D2X state. The debugger
+		// still owns the journal and stops it when it closes.
+		d.OnRecord(func(j *journal.Journal) { rt.StateFor(vm).Journal = j })
 	}
 	if b.ExtraMacros != "" {
 		if err := d.LoadMacros(b.ExtraMacros); err != nil {

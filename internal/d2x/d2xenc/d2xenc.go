@@ -204,14 +204,14 @@ type Tables struct {
 	byLine  map[int]int
 
 	// fwd is the (file, line) → records forward index behind
-	// GenLinesForDSL, keyed by the full DSL path of each record's stack
-	// top. Values are record indices in table order.
+	// AppendGenLinesForDSL, keyed by the full DSL path of each record's
+	// stack top. Values are record indices in table order.
 	fwd map[fileLine][]int
 	// topFiles are the distinct stack-top files (possibly including ""),
 	// the candidate set suffix queries resolve against.
 	topFiles []string
 	// files are the distinct non-empty DSL files across all stack
-	// entries, first-appearance order — the precomputed DSLFiles result.
+	// entries, first-appearance order; FirstDSLFile reads the first.
 	files []string
 
 	// fx maps handler name → recorded effect summary. nil when the build
@@ -307,10 +307,25 @@ func Decode(vm *minic.VM) (*Tables, error) {
 		return strtab[i], nil
 	}
 
-	t := &Tables{byLine: map[int]int{}}
-	if int64(len(ints[GRecLine])) < count {
-		return nil, fmt.Errorf("d2x: corrupt tables: %d records declared, %d present", count, len(ints[GRecLine]))
+	// The loop below indexes every column of a group with one index, so
+	// each group's columns must all be long enough: records up to count,
+	// source entries up to len(src_file), vars up to len(var_key).
+	for _, g := range [...]struct {
+		n    int64
+		cols []string
+	}{
+		{count, []string{GRecLine, GRecSrcOff, GRecSrcCnt, GRecVarOff, GRecVarCnt}},
+		{int64(len(ints[GSrcFile])), []string{GSrcLine, GSrcFunc}},
+		{int64(len(ints[GVarKey])), []string{GVarKind, GVarVal}},
+	} {
+		for _, c := range g.cols {
+			if int64(len(ints[c])) < g.n {
+				return nil, fmt.Errorf("d2x: corrupt tables: %s has %d entries, want %d", c, len(ints[c]), g.n)
+			}
+		}
 	}
+
+	t := &Tables{byLine: map[int]int{}}
 	for i := int64(0); i < count; i++ {
 		rec := d2xc.Record{GenLine: int(ints[GRecLine][i])}
 		so, sc := ints[GRecSrcOff][i], ints[GRecSrcCnt][i]
@@ -403,46 +418,13 @@ func (t *Tables) RecordForLine(line int) *d2xc.Record {
 	return nil
 }
 
-// GenLinesForDSL returns every generated line whose extended stack *top*
-// is the given DSL location — the xbreak forward map. File matching is by
-// path suffix so users can type short names. The result is always a fresh
-// slice; callers may mutate it without corrupting the shared tables.
-func (t *Tables) GenLinesForDSL(file string, line int) []int {
-	var hits [][]int
-	for _, full := range t.topFiles {
-		if !fileMatches(full, file) {
-			continue
-		}
-		if idxs := t.fwd[fileLine{full, line}]; len(idxs) > 0 {
-			hits = append(hits, idxs)
-		}
-	}
-	var recIdxs []int
-	switch len(hits) {
-	case 0:
-		return nil
-	case 1:
-		recIdxs = hits[0]
-	default:
-		// A suffix query can match several files; merging the per-file
-		// record indices restores the table order a full scan would give.
-		for _, h := range hits {
-			recIdxs = append(recIdxs, h...)
-		}
-		sort.Ints(recIdxs)
-	}
-	out := make([]int, len(recIdxs))
-	for i, ri := range recIdxs {
-		out[i] = t.Records[ri].GenLine
-	}
-	return out
-}
-
-// AppendGenLinesForDSL appends the GenLinesForDSL result for (file,
-// line) to dst and returns the extended slice. It performs no
-// allocation when dst has capacity, which is what the xbreak command
-// path wants for its per-session scratch slice; use GenLinesForDSL when
-// a fresh, independently owned slice is needed.
+// AppendGenLinesForDSL appends every generated line whose extended stack
+// *top* is the given DSL location — the xbreak forward map — to dst, in
+// table order, and returns the extended slice. File matching is by path
+// suffix so users can type short names. It performs no allocation when
+// dst has capacity, which is what the xbreak command path wants for its
+// per-session scratch slice; pass nil for a fresh, independently owned
+// slice.
 //
 //d2x:noalloc amortized
 func (t *Tables) AppendGenLinesForDSL(dst []int, file string, line int) []int {
@@ -467,16 +449,9 @@ func (t *Tables) AppendGenLinesForDSL(dst []int, file string, line int) []int {
 	return dst
 }
 
-// DSLFiles returns the distinct DSL files appearing across all extended
-// stacks, in first-appearance order. The result is a fresh slice.
-func (t *Tables) DSLFiles() []string {
-	return append([]string(nil), t.files...)
-}
-
 // FirstDSLFile returns the first DSL file appearing in the tables (the
 // program's primary source when there is only one) without copying the
-// file list. Command paths defaulting a file argument use this instead
-// of DSLFiles.
+// file list.
 //
 //d2x:noalloc
 func (t *Tables) FirstDSLFile() (string, bool) {

@@ -2,6 +2,7 @@ package d2xenc
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"strings"
 	"testing"
@@ -70,11 +71,11 @@ func TestEmitDecodeRoundTrip(t *testing.T) {
 	if tables.RecordForLine(6) != nil {
 		t.Error("empty line has a record")
 	}
-	if got := tables.GenLinesForDSL("a.dsl", 2); len(got) != 1 || got[0] != 7 {
-		t.Errorf("GenLinesForDSL = %v", got)
+	if got := tables.AppendGenLinesForDSL(nil, "a.dsl", 2); len(got) != 1 || got[0] != 7 {
+		t.Errorf("AppendGenLinesForDSL = %v", got)
 	}
-	if files := tables.DSLFiles(); len(files) != 1 || files[0] != "a.dsl" {
-		t.Errorf("DSLFiles = %v", files)
+	if file, ok := tables.FirstDSLFile(); !ok || file != "a.dsl" {
+		t.Errorf("FirstDSLFile = %q, %v", file, ok)
 	}
 }
 
@@ -151,50 +152,68 @@ func TestDecodeWithoutTables(t *testing.T) {
 	}
 }
 
-func TestDecodeCorruptTables(t *testing.T) {
-	// A program that declares the table globals but fills them with
-	// inconsistent data: the decoder must error, not panic.
-	src := `
-global string[] __d2x_strtab;
-global int[] __d2x_rec_line;
-global int[] __d2x_rec_src_off;
-global int[] __d2x_rec_src_cnt;
-global int[] __d2x_rec_var_off;
-global int[] __d2x_rec_var_cnt;
-global int[] __d2x_src_file;
-global int[] __d2x_src_line;
-global int[] __d2x_src_func;
-global int[] __d2x_var_key;
-global int[] __d2x_var_kind;
-global int[] __d2x_var_val;
-global int __d2x_rec_count = 1;
-func void __init_d2x_0() {
-	__d2x_strtab = new string[1];
-	__d2x_rec_line = new int[1];
-	__d2x_rec_src_off = new int[1];
-	__d2x_rec_src_cnt = new int[1];
-	__d2x_rec_src_cnt[0] = 99;
-	__d2x_rec_var_off = new int[1];
-	__d2x_rec_var_cnt = new int[1];
-	__d2x_src_file = new int[0];
-	__d2x_src_line = new int[0];
-	__d2x_src_func = new int[0];
-	__d2x_var_key = new int[0];
-	__d2x_var_kind = new int[0];
-	__d2x_var_val = new int[0];
+// corruptTablesSrc is a program that declares the table globals and
+// fills them with one constructor: count records declared, each column
+// allocated with the length lens gives it (0 when absent), then the
+// element stores in body.
+func corruptTablesSrc(count int, lens map[string]int, body string) string {
+	cols := []string{GRecLine, GRecSrcOff, GRecSrcCnt, GRecVarOff, GRecVarCnt, GSrcFile, GSrcLine, GSrcFunc, GVarKey, GVarKind, GVarVal}
+	var b strings.Builder
+	fmt.Fprintf(&b, "global string[] %s;\n", GStrtab)
+	for _, c := range cols {
+		fmt.Fprintf(&b, "global int[] %s;\n", c)
+	}
+	fmt.Fprintf(&b, "global int %s = %d;\n", GRecCount, count)
+	fmt.Fprintf(&b, "func void __init_d2x_0() {\n\t%s = new string[%d];\n", GStrtab, lens[GStrtab])
+	for _, c := range cols {
+		fmt.Fprintf(&b, "\t%s = new int[%d];\n", c, lens[c])
+	}
+	b.WriteString(body)
+	b.WriteString("}\nfunc int main() { return 0; }\n")
+	return b.String()
 }
-func int main() { return 0; }
-`
-	prog, err := minic.Compile("corrupt.c", src, nil)
-	if err != nil {
-		t.Fatal(err)
+
+// TestDecodeCorruptTables: tables in inferior memory are untrusted input.
+// Inconsistent columns must make the decoder return a "corrupt" error,
+// never panic.
+func TestDecodeCorruptTables(t *testing.T) {
+	// One record, one string, no source or var entries; each case
+	// overrides some column lengths and stores some elements.
+	oneRecord := map[string]int{GStrtab: 1, GRecLine: 1, GRecSrcOff: 1, GRecSrcCnt: 1, GRecVarOff: 1, GRecVarCnt: 1}
+	cases := []struct {
+		name  string
+		count int
+		lens  map[string]int
+		body  string
+	}{
+		{"source count past the source columns", 1, nil,
+			"\t__d2x_rec_src_cnt[0] = 99;\n"},
+		{"fewer records than declared", 2, nil, ""},
+		{"rec_src_off shorter than count", 1, map[string]int{GRecSrcOff: 0}, ""},
+		{"rec_var_cnt shorter than count", 1, map[string]int{GRecVarCnt: 0}, ""},
+		{"src_func shorter than src_file", 1, map[string]int{GSrcFile: 1, GSrcLine: 1},
+			"\t__d2x_rec_src_cnt[0] = 1;\n"},
+		{"var_val shorter than var_key", 1, map[string]int{GVarKey: 1, GVarKind: 1},
+			"\t__d2x_rec_var_cnt[0] = 1;\n"},
+		{"string index out of range", 1, map[string]int{GSrcFile: 1, GSrcLine: 1, GSrcFunc: 1},
+			"\t__d2x_rec_src_cnt[0] = 1;\n\t__d2x_src_file[0] = 7;\n"},
 	}
-	vm := minic.NewVM(prog, nil)
-	if err := vm.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Decode(vm); err == nil || !strings.Contains(err.Error(), "corrupt") {
-		t.Errorf("decode of corrupt tables: %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			lens := maps.Clone(oneRecord)
+			maps.Copy(lens, tc.lens)
+			prog, err := minic.Compile("corrupt.c", corruptTablesSrc(tc.count, lens, tc.body), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vm := minic.NewVM(prog, nil)
+			if err := vm.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Decode(vm); err == nil || !strings.Contains(err.Error(), "corrupt") {
+				t.Errorf("decode of corrupt tables: %v", err)
+			}
+		})
 	}
 }
 
@@ -326,15 +345,15 @@ func TestForwardIndexMatchesLinearScan(t *testing.T) {
 		{"missing.gt", 3}, // no such file
 	}
 	for _, q := range queries {
-		got := tables.GenLinesForDSL(q.file, q.line)
+		got := tables.AppendGenLinesForDSL(nil, q.file, q.line)
 		want := genLinesLinear(tables, q.file, q.line)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("GenLinesForDSL(%q, %d) = %v, linear scan = %v", q.file, q.line, got, want)
+			t.Errorf("AppendGenLinesForDSL(nil, %q, %d) = %v, linear scan = %v", q.file, q.line, got, want)
 		}
 	}
 	// The suffix query must have merged records from three files back
 	// into table order.
-	if got := tables.GenLinesForDSL("a.gt", 3); fmt.Sprint(got) != "[1 3 4 5]" {
+	if got := tables.AppendGenLinesForDSL(nil, "a.gt", 3); fmt.Sprint(got) != "[1 3 4 5]" {
 		t.Errorf("suffix query order = %v, want [1 3 4 5]", got)
 	}
 }
@@ -344,9 +363,9 @@ func TestForwardIndexMatchesLinearScan(t *testing.T) {
 // concurrent sessions rely on.
 func TestQueryResultsAreFresh(t *testing.T) {
 	tables := multiFileTables(t)
-	lines := tables.GenLinesForDSL("dsl/a.gt", 3)
+	lines := tables.AppendGenLinesForDSL(nil, "dsl/a.gt", 3)
 	if len(lines) != 2 {
-		t.Fatalf("GenLinesForDSL = %v, want 2 entries", lines)
+		t.Fatalf("AppendGenLinesForDSL = %v, want 2 entries", lines)
 	}
 	before := fmt.Sprint(lines)
 	for i := range lines {
@@ -354,15 +373,8 @@ func TestQueryResultsAreFresh(t *testing.T) {
 	}
 	trimmed := lines[:0] // the old xbreak filter pattern
 	_ = append(trimmed, -2)
-	if again := tables.GenLinesForDSL("dsl/a.gt", 3); fmt.Sprint(again) != before {
+	if again := tables.AppendGenLinesForDSL(nil, "dsl/a.gt", 3); fmt.Sprint(again) != before {
 		t.Errorf("query after caller mutation = %v, want %v", again, before)
-	}
-	files := tables.DSLFiles()
-	for i := range files {
-		files[i] = "clobbered"
-	}
-	if again := tables.DSLFiles(); len(again) == 0 || again[0] == "clobbered" {
-		t.Errorf("DSLFiles after caller mutation = %v", again)
 	}
 }
 

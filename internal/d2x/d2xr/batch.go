@@ -12,10 +12,10 @@
 // second: per-message protocol overhead, not evaluation, dominates once
 // the debugger and debuggee are decoupled (Hanson, "A
 // Machine-Independent Debugger—Revisited"). ExecBatch is the
-// coarser-grained operation: N sub-commands under one session pin into
-// one render buffer. Results are byte-identical to the equivalent
-// single-command sequence — CI proves it differentially over every
-// example build and a progen corpus slice.
+// coarser-grained operation: N sub-commands over one session-state
+// lookup into one render buffer. Results are byte-identical to the
+// equivalent single-command sequence — CI proves it differentially over
+// every example build and a progen corpus slice.
 package d2xr
 
 import (
@@ -78,9 +78,9 @@ type BatchResults struct {
 //d2x:noalloc
 func (res *BatchResults) Output(i int) []byte { return res.Buf[res.Ops[i].Lo:res.Ops[i].Hi] }
 
-// ExecBatch executes a batch of D2X commands under a single session
-// pin: one Checkout/Checkin pair instead of N, one render buffer
-// instead of N pooled round trips, and no VM native-call frames at all.
+// ExecBatch executes a batch of D2X commands over a single session-state
+// lookup instead of N, one render buffer instead of N pooled round
+// trips, and no VM native-call frames at all.
 // Sub-commands execute in order through execOp, the executor the native
 // entry points use, so a batch leaves the session in the same state the
 // equivalent command sequence would, and each sub-command's output
@@ -90,8 +90,7 @@ func (res *BatchResults) Output(i int) []byte { return res.Buf[res.Ops[i].Lo:res
 //
 //d2x:hotpath
 func (r *Runtime) ExecBatch(vm *minic.VM, ops []BatchOp, res *BatchResults) {
-	st := r.svc.Checkout(vm)
-	defer r.svc.Checkin(vm, st)
+	st := r.svc.State(vm)
 	start := obs.NowNanos()
 	res.Buf = res.Buf[:0]
 	res.Ops = res.Ops[:0]
@@ -116,7 +115,7 @@ func (r *Runtime) ExecBatch(vm *minic.VM, ops []BatchOp, res *BatchResults) {
 	obs.Emit(ev)
 }
 
-// execOp runs one D2X command on a checked-out session state, appending
+// execOp runs one D2X command on a session's state, appending
 // its output to b: the single executor behind the native entry points
 // and ExecBatch. It performs the per-command session bookkeeping —
 // resetting the selected extended frame when execution moved, and, for
@@ -166,38 +165,3 @@ func (r *Runtime) execOp(st *session.State, vm *minic.VM, op BatchOp, b []byte) 
 	}
 	return b, script, err
 }
-
-// SessionPin holds one session's state checked out across a whole
-// multi-command batch. Checkout/Checkin nest, so the per-command pins
-// the native entry points take simply stack on top of this one; while the
-// pin is held, Invalidate defers the session's Reset and Release keeps
-// the state object alive — the batch is atomic with respect to both.
-type SessionPin struct {
-	svc *session.Service
-	vm  *minic.VM
-	st  *session.State
-}
-
-// PinSession checks out vm's session state for a batch. Callers must
-// call Unpin exactly once; the zero SessionPin unpins as a no-op, so a
-// pin can be stored unconditionally.
-//
-//d2x:noalloc
-func (r *Runtime) PinSession(vm *minic.VM) SessionPin {
-	return SessionPin{svc: r.svc, vm: vm, st: r.svc.Checkout(vm)}
-}
-
-// Unpin releases the batch pin; the deferred Reset of an Invalidate
-// that arrived mid-batch is applied here (by the last Checkin).
-//
-//d2x:noalloc
-func (p SessionPin) Unpin() {
-	if p.svc != nil {
-		p.svc.Checkin(p.vm, p.st)
-	}
-}
-
-// State returns the pinned session state (nil for the zero pin).
-//
-//d2x:noalloc
-func (p SessionPin) State() *session.State { return p.st }

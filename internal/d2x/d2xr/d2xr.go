@@ -231,22 +231,16 @@ func (r *Runtime) SetFileResolver(fr FileResolver) {
 
 // AttachDebugInfo gives the runtime the program's standard debug info —
 // the same blob the debugger loads. D2X-R decodes it itself, exactly as
-// the paper's runtime decodes DWARF to find stack variables.
-//
-// Re-attaching (replacing the debug info of a runtime that already had
-// some) means the build itself was replaced, so everything derived from
-// the old build is invalidated: the shared table decode and every live
-// session's command state — a stale extended-frame selection or a DSL
-// breakpoint expanded against the old line numbering must not survive
-// into the new binary.
+// the paper's runtime decodes DWARF to find stack variables. A runtime
+// is linked into exactly one build, so it takes debug info once: a
+// second attach returns an error and changes nothing.
 func (r *Runtime) AttachDebugInfo(blob []byte) error {
+	if r.info != nil {
+		return fmt.Errorf("d2xr: debug info already attached")
+	}
 	info, err := dwarfish.Decode(blob)
 	if err != nil {
 		return fmt.Errorf("d2xr: %w", err)
-	}
-	if r.info != nil {
-		r.svc.Invalidate()
-		obs.Emit(obs.Event{Kind: "runtime", Name: "reattach", Detail: "tables and session state invalidated"})
 	}
 	r.info = info
 	return nil
@@ -318,12 +312,7 @@ func (r *Runtime) nativeCommand(c *commandNative) minic.NativeHandler {
 		if c.arg >= 0 {
 			op.Arg = call.Args[c.arg].S
 		}
-		// Checkout pins the session state for the whole command: a
-		// concurrent AttachDebugInfo/Invalidate defers its Reset until
-		// the Checkin below, so the command never sees its breakpoints
-		// or frame selection torn down mid-flight.
-		st := r.svc.Checkout(call.VM)
-		defer r.svc.Checkin(call.VM, st)
+		st := r.svc.State(call.VM)
 		start := obs.NowNanos()
 		rb := getRender()
 		b, script, err := r.execOp(st, call.VM, op, rb.b)

@@ -551,7 +551,7 @@ func TestXBreakDedupesDuplicateGenLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gls := tables.GenLinesForDSL("p.dsl", 1); len(gls) < 2 {
+	if gls := tables.AppendGenLinesForDSL(nil, "p.dsl", 1); len(gls) < 2 {
 		t.Fatalf("fixture did not reproduce duplicate records: GenLines = %v", gls)
 	}
 
@@ -584,81 +584,38 @@ func TestXBreakDedupesDuplicateGenLines(t *testing.T) {
 	}
 }
 
-// TestReattachResetsSessionState is the regression test for the
-// mid-flight re-attach bug: replacing the debug info used to keep every
-// session's frame selection, remembered rip and DSL breakpoints, all of
-// which refer to the old build's line numbering.
-func TestReattachResetsSessionState(t *testing.T) {
+// TestSecondAttachRejected: a runtime is linked into one build, so a
+// second AttachDebugInfo must fail and leave everything as it was — the
+// attached debug info, the session's state and breakpoints, the shared
+// decode, and the bytes xbt renders.
+func TestSecondAttachRejected(t *testing.T) {
 	f := newFixture(t)
 	f.callCmd(t, "d2x_runtime_command_xbreak", minic.IntVal(f.rip), minic.StrVal("prog.dsl:2"))
-	f.callCmd(t, "d2x_runtime_command_xbt", minic.IntVal(f.rip), minic.IntVal(f.rsp))
-	st := f.rt.svc.State(f.vm)
-	if !st.HaveRIP || len(st.XBPs) != 1 {
-		t.Fatalf("precondition not met: %+v", st)
-	}
-	dec0 := f.rt.TableDecodes()
-
-	if err := f.rt.AttachDebugInfo(dwarfish.Build(f.prog).Encode()); err != nil {
-		t.Fatal(err)
-	}
-	if st.HaveRIP || st.LastRIP != 0 || st.SelXFrame != 0 || len(st.XBPs) != 0 {
-		t.Errorf("stale session state survived re-attach: %+v", st)
-	}
-	// The shared decode was dropped too: the next table-backed command
-	// re-decodes from the debuggee instead of serving the stale build.
-	f.out.Reset()
-	f.callCmd(t, "d2x_runtime_command_xbt", minic.IntVal(f.rip), minic.IntVal(f.rsp))
-	if n := f.rt.TableDecodes(); n != dec0+1 {
-		t.Errorf("decodes after re-attach = %d, want %d", n, dec0+1)
-	}
-}
-
-// TestReattachInvalidatesFusedIndex is the stale-index regression test
-// for the fused resolution index: replacing the debug info must drop the
-// published index and rebuild it against the new info identity on the
-// next command. An entry fused under the old build's line numbering
-// serving the new binary would resolve frames to the wrong DSL context
-// silently — the worst failure mode this subsystem has.
-func TestReattachInvalidatesFusedIndex(t *testing.T) {
-	f := newFixture(t)
 	f.out.Reset()
 	f.callCmd(t, "d2x_runtime_command_xbt", minic.IntVal(f.rip), minic.IntVal(f.rsp))
 	want := f.out.String()
 	if want == "" {
-		t.Fatal("xbt produced no output before re-attach")
+		t.Fatal("xbt produced no output before the second attach")
 	}
-	fu0, err := f.rt.svc.Fused(f.vm, f.rt.info)
-	if err != nil {
-		t.Fatal(err)
+	info, st, decodes := f.rt.Info(), f.rt.StateFor(f.vm), f.rt.TableDecodes()
+
+	err := f.rt.AttachDebugInfo(dwarfish.Build(f.prog).Encode())
+	if err == nil || !strings.Contains(err.Error(), "already attached") {
+		t.Fatalf("second AttachDebugInfo: err = %v, want an already-attached error", err)
 	}
-	if fu0.Info() != f.rt.info {
-		t.Fatal("published index not keyed to the attached info")
+	if f.rt.Info() != info {
+		t.Error("second attach replaced the debug info")
+	}
+	if f.rt.StateFor(f.vm) != st || len(st.XBPs) != 1 || !st.HaveRIP {
+		t.Errorf("second attach disturbed the session state: %+v", st)
 	}
 
-	// Re-attach the same blob: the decode yields a fresh *dwarfish.Info,
-	// so anything keyed to the old identity is now stale by definition.
-	if err := f.rt.AttachDebugInfo(dwarfish.Build(f.prog).Encode()); err != nil {
-		t.Fatal(err)
-	}
-	if f.rt.info == fu0.Info() {
-		t.Fatal("re-attach kept the old info identity; test can prove nothing")
-	}
-	fu1, err := f.rt.svc.Fused(f.vm, f.rt.info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fu1 == fu0 {
-		t.Error("stale fused index survived AttachDebugInfo")
-	}
-	if fu1.Info() != f.rt.info {
-		t.Errorf("rebuilt index keyed to %p, want the re-attached info %p", fu1.Info(), f.rt.info)
-	}
-
-	// The command path agrees byte for byte with the pre-reattach output
-	// (same program, same rip — only the index was rebuilt).
 	f.out.Reset()
 	f.callCmd(t, "d2x_runtime_command_xbt", minic.IntVal(f.rip), minic.IntVal(f.rsp))
 	if got := f.out.String(); got != want {
-		t.Errorf("xbt after re-attach = %q, want %q", got, want)
+		t.Errorf("xbt after the second attach = %q, want %q", got, want)
+	}
+	if n := f.rt.TableDecodes(); n != decodes {
+		t.Errorf("decodes after the second attach = %d, want %d", n, decodes)
 	}
 }

@@ -54,9 +54,9 @@ func TestXVarsByteIdenticalAfterReplay(t *testing.T) {
 	}
 }
 
-// TestRecordingParksOnSessionState: in a D2X session the journal handle
-// lives on the per-VM session state, not inside the debugger — that is
-// what lets Release park it and a re-attach resume it.
+// TestRecordingParksOnSessionState: in a D2X session `record` publishes
+// its journal on the per-VM session state, and that is the very journal
+// the debugger records with.
 func TestRecordingParksOnSessionState(t *testing.T) {
 	b := buildPower(t, true)
 	d, _ := session(t, b)
@@ -67,19 +67,44 @@ func TestRecordingParksOnSessionState(t *testing.T) {
 	if !ok || !j.Active() {
 		t.Fatalf("session state holds %T, want an active journal", st.Journal)
 	}
-	rec := d.ActiveRecorder()
-	if rec == nil {
-		t.Fatal("debugger lost its recorder")
+	if rec := d.ActiveRecorder(); rec != j {
+		t.Fatalf("debugger records with %p, session state holds %p", rec, j)
 	}
 	exec(t, d, "next")
-	if rec.Step() != j.Step() || j.Step() == 0 {
-		t.Fatalf("recorder and parked journal disagree: %d vs %d", rec.Step(), j.Step())
+	if j.Step() == 0 {
+		t.Fatal("the published journal recorded nothing")
 	}
 
-	// `record` again on the same VM must reuse the parked journal, not
-	// attach a second one over it.
 	exec(t, d, "record stop")
 	if j.Active() {
-		t.Fatal("record stop left the parked journal recording")
+		t.Fatal("record stop left the published journal recording")
+	}
+	if d.ActiveRecorder() != nil {
+		t.Fatal("debugger still reports a recorder after record stop")
+	}
+}
+
+// TestCloseStopsRecording: a session that closes mid-recording, without
+// `record stop` (a wire client that disconnects), ends its recording
+// with it. Nothing keeps the journal — and through it the VM — alive
+// after the session is gone.
+func TestCloseStopsRecording(t *testing.T) {
+	b := buildPower(t, true)
+	d, _ := session(t, b)
+	exec(t, d, "break power_gen.c:4", "run", "record", "next")
+	j, ok := b.Runtime.StateFor(d.Process().VM).Journal.(*journal.Journal)
+	if !ok || !j.Active() {
+		t.Fatalf("no active journal on the session state after record")
+	}
+
+	d.Close()
+	if j.Active() {
+		t.Error("Close left the session's journal recording")
+	}
+	if d.ActiveRecorder() != nil {
+		t.Error("closed debugger still reports a recorder")
+	}
+	if n := b.LiveSessions(); n != 0 {
+		t.Errorf("LiveSessions = %d after Close, want 0", n)
 	}
 }

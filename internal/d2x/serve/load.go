@@ -27,9 +27,8 @@ type LoadConfig struct {
 	// Example is the build every session launches (default "power").
 	Example string
 	// Batch, when >= 2, groups the steady-state commands into batch
-	// requests of this many sub-commands: one wire round trip and one
-	// server-side session pin per batch instead of per command. 0 or 1
-	// issues them as standalone requests.
+	// requests of this many sub-commands: one wire round trip per batch
+	// instead of per command. 0 or 1 issues them as standalone requests.
 	Batch int
 }
 

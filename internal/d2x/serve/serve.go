@@ -24,11 +24,9 @@ import (
 	"sync/atomic"
 
 	"d2x/internal/d2x"
-	"d2x/internal/d2x/d2xr"
 	"d2x/internal/d2x/wire"
 	"d2x/internal/debugger"
 	"d2x/internal/examplebuilds"
-	"d2x/internal/minic"
 	"d2x/internal/obs"
 )
 
@@ -273,12 +271,6 @@ type conn struct {
 
 	dbg       *debugger.Debugger
 	sessionID int64
-	// rt and vm identify this session's D2X runtime and debuggee VM
-	// (nil for builds compiled without D2X). The batch handler pins the
-	// session state through them so a whole batch is atomic with respect
-	// to Invalidate and Release.
-	rt *d2xr.Runtime
-	vm *minic.VM
 
 	progOut    bytes.Buffer // debuggee output, drained into output events
 	transcript bytes.Buffer // debugger transcript, returned in responses
@@ -454,9 +446,7 @@ func (cn *conn) execOne(command string, args *wire.Args) (*wire.Body, error) {
 // batch executes a batch request: N sub-commands, one response carrying
 // one SubResult each. A sub-command failure is isolated to its result;
 // the batch response itself fails only when the request as a whole is
-// unusable (no session, empty batch). The whole batch runs under one
-// session-state pin, so a concurrent build invalidation cannot tear
-// down breakpoints or frame selections between sub-commands.
+// unusable (no session, empty batch).
 func (cn *conn) batch(req *wire.Frame) {
 	if cn.dbg == nil {
 		cn.respondErr(req, fmt.Errorf("no session: send launch first"))
@@ -469,10 +459,6 @@ func (cn *conn) batch(req *wire.Frame) {
 	if len(subs) == 0 {
 		cn.respondErr(req, fmt.Errorf("batch needs at least one sub-command"))
 		return
-	}
-	if cn.rt != nil && cn.vm != nil {
-		pin := cn.rt.PinSession(cn.vm)
-		defer pin.Unpin()
 	}
 	results := make([]wire.SubResult, len(subs))
 	for i, sub := range subs {
@@ -522,8 +508,6 @@ func (cn *conn) launch(req *wire.Frame) {
 		return
 	}
 	cn.dbg = d
-	cn.rt = b.Runtime
-	cn.vm = d.Process().VM
 	cn.sessionID = cn.srv.nextSess.Add(1)
 	srvSessions.Inc()
 	cn.respond(req, &wire.Body{Session: cn.sessionID})

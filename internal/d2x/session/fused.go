@@ -115,10 +115,8 @@ func buildFused(info *dwarfish.Info, t *d2xenc.Tables) *Fused {
 // Fused returns the fused resolution index for the given debug info,
 // building it from the shared tables on first use. The hit path — every
 // call after the first, from every session — is one atomic load plus an
-// identity compare. A Fused built from replaced debug info can never be
-// returned: the index remembers the *dwarfish.Info it came from and the
-// identity check rejects it, and Invalidate drops the published index
-// outright when AttachDebugInfo swaps the build.
+// identity compare: the index remembers the *dwarfish.Info it came from,
+// so it can never serve a caller that passes different debug info.
 //
 //d2x:noalloc
 func (s *Service) Fused(vm *minic.VM, info *dwarfish.Info) (*Fused, error) {
@@ -131,37 +129,24 @@ func (s *Service) Fused(vm *minic.VM, info *dwarfish.Info) (*Fused, error) {
 
 // buildFusedIndex is the Fused miss path: build the index from the
 // shared tables under decodeMu and publish it. Split from Fused so the
-// hit path above stays within the //d2x:noalloc contract. The loop
-// restarts when Invalidate races the build.
+// hit path above stays within the //d2x:noalloc contract.
 func (s *Service) buildFusedIndex(vm *minic.VM, info *dwarfish.Info) (*Fused, error) {
-	for {
-		if f := s.fused.Load(); f != nil && f.info == info {
-			s.m.fusedHit.Inc()
-			return f, nil
-		}
-		s.m.fusedMiss.Inc()
-		t, err := s.Tables(vm)
-		if err != nil {
-			return nil, err
-		}
-		s.decodeMu.Lock()
-		if f := s.fused.Load(); f != nil && f.info == info {
-			s.decodeMu.Unlock()
-			return f, nil
-		}
-		if s.tables.Load() != t {
-			// Invalidate ran between our Tables call and the lock; the
-			// decode we hold describes a dead build. Start over.
-			s.decodeMu.Unlock()
-			continue
-		}
-		start := obs.Now()
-		f := buildFused(info, t)
-		s.m.fusedLat.Since(start)
-		s.m.fusedBuilds.Inc()
-		s.fused.Store(f)
-		s.decodeMu.Unlock()
-		obs.Emit(obs.Event{Kind: "decode", Name: "fused-index", Detail: "fused rip index published"})
+	s.m.fusedMiss.Inc()
+	t, err := s.Tables(vm)
+	if err != nil {
+		return nil, err
+	}
+	s.decodeMu.Lock()
+	defer s.decodeMu.Unlock()
+	if f := s.fused.Load(); f != nil && f.info == info {
+		// Another session built it while we waited for the lock.
 		return f, nil
 	}
+	start := obs.Now()
+	f := buildFused(info, t)
+	s.m.fusedLat.Since(start)
+	s.m.fusedBuilds.Inc()
+	s.fused.Store(f)
+	obs.Emit(obs.Event{Kind: "decode", Name: "fused-index", Detail: "fused rip index published"})
+	return f, nil
 }

@@ -16,19 +16,13 @@
 //     atomic counter increment.
 //   - State: the ambient command state one session accumulates (selected
 //     extended frame, DSL breakpoints, active-command frame). Each state
-//     is touched only by its own session's command stream; the registry
-//     holding them is sharded by VM identity, so sessions on different
-//     shards never contend even on the map.
-//   - Checkout/Checkin: a command pins its session's state for its
-//     duration. The pin is a refcount, so eviction and build
-//     invalidation can never reset or tear a state another goroutine is
-//     mid-command on — Invalidate defers the reset until the last
-//     in-flight command checks the state back in.
+//     lives exactly as long as its session's debugger and is touched only
+//     by that session's command stream; the registry holding them is
+//     sharded by VM identity, so sessions on different shards never
+//     contend even on the map.
 //   - Release: evicts a session's state when its debugger closes, so a
 //     long-lived build serving many sessions does not accumulate state
-//     for VMs that are gone. The session's fuel-budget preference and
-//     its live execution recording are remembered (bounded, FIFO) so a
-//     re-attach to the same VM gets them back.
+//     for VMs that are gone.
 //
 // Every event the service sees — decodes, cache hits and misses, state
 // creation and eviction, the live-session high-water mark — is exported
@@ -68,8 +62,7 @@ type XBreakpoint struct {
 // the State (see PlanFor/AddPlan) — the lexer, macro, and string work
 // of resolving a spec is paid on the first xbreak only, which is what
 // takes the xbreak+xdel round trip below its allocation budget. Plans
-// are immutable once cached; Reset drops them with the rest of the
-// build-derived state.
+// are immutable once cached.
 type BreakPlan struct {
 	File     string
 	Line     int
@@ -98,10 +91,12 @@ const maxPlanCache = 256
 // State is the command state of one debug session, keyed by the session's
 // debuggee VM. A debug session executes commands one at a time from its
 // paused debugger, so the fields need no lock of their own — only the
-// sharded registry that stores states is shared between sessions.
+// sharded registry that stores states is shared between sessions. A
+// state is created on the session's first use and dropped by Release
+// when its debugger closes; it never outlives the session.
 type State struct {
 	// ID identifies this session in trace events and diagnostics,
-	// assigned once at creation and stable across Reset.
+	// assigned once at creation.
 	ID int64
 
 	// SelXFrame is the selected extended frame (xframe), reset to the
@@ -129,68 +124,29 @@ type State struct {
 
 	// Journal is the execution-journal handle of this session's process
 	// record (a *journal.Journal, stored as any so this package does not
-	// depend on the recorder). It is owned by the session's single command
-	// stream like the fields above; the registry only moves it around.
-	// Like FuelBudget it survives Release into a bounded per-shard memory,
-	// so a debugger re-attaching to the same VM resumes its recording;
-	// a stopped recording is dropped at Release rather than parked.
-	// Unlike FuelBudget it does NOT survive Reset: the history describes
-	// the old build's instruction stream, so invalidation stops it.
+	// depend on the recorder). The debugger owns the recording and stops
+	// it when it closes; the d2x layer publishes the handle here so
+	// tooling can reach it through the session state.
 	Journal any
 
 	// ScratchLines is the reusable generated-line scratch of the xbreak
 	// command path (candidate collection, dedupe, sort). It is
 	// touched only by this session's single command stream and is always
 	// rewritten from length zero, so stale contents cannot leak between
-	// commands or builds; keeping the capacity across Reset is what makes
-	// repeat commands allocation-free.
+	// commands; keeping its capacity is what makes repeat commands
+	// allocation-free.
 	ScratchLines []int
 
 	// bpFree recycles breakpoints deleted by xdel — object and GenLines
 	// capacity both — so a set/delete round trip stops allocating once
 	// warm. Owned by the session's single command stream, like
-	// ScratchLines. Entries survive Reset: their fields are fully
-	// rewritten on reuse, so stale build state cannot leak through them.
+	// ScratchLines; their fields are fully rewritten on reuse.
 	bpFree []*XBreakpoint
 
 	// plans caches the BreakPlan of every DSL location this session has
 	// resolved, keyed by (file, line). Owned by the session's single
-	// command stream; dropped by Reset because the generated-line
-	// expansions belong to the old build.
+	// command stream.
 	plans map[breakKey]*BreakPlan
-
-	// refs counts in-flight commands pinning this state (Checkout has
-	// run, Checkin has not). resetPending records an Invalidate that
-	// arrived while refs was non-zero; the reset is applied by the
-	// Checkin that drops refs to zero. Both are guarded by the owning
-	// shard's lock — they are registry bookkeeping, not command state.
-	refs         int32
-	resetPending bool
-}
-
-// Reset clears everything that refers to the build the session was
-// debugging: the selected extended frame, the remembered rip, the active
-// command marker, and every DSL breakpoint (their generated-line
-// expansions belong to the old build's line numbering). The session's
-// identity and its fuel-budget preference survive. Called when
-// AttachDebugInfo replaces the build mid-flight.
-//
-//d2x:noalloc
-func (st *State) Reset() {
-	st.SelXFrame = 0
-	st.LastRIP = 0
-	st.HaveRIP = false
-	st.CmdActive = false
-	st.CurRSP = 0
-	st.XBPs = nil
-	st.NextID = 1
-	st.plans = nil
-	if j, ok := st.Journal.(interface{ Stop() }); ok {
-		// Recorded history indexes the old build's instruction stream;
-		// replaying it into the new build would restore garbage.
-		j.Stop()
-	}
-	st.Journal = nil
 }
 
 // GetBP pops a recycled breakpoint — GenLines emptied, capacity kept —
@@ -218,7 +174,7 @@ func (st *State) PutBP(bp *XBreakpoint) {
 }
 
 // PlanFor returns the cached expansion of a DSL location, or nil if
-// this session has not resolved it since the last Reset.
+// this session has not resolved it yet.
 //
 //d2x:noalloc
 func (st *State) PlanFor(file string, line int) *BreakPlan {
@@ -245,8 +201,6 @@ type metrics struct {
 	tablesMiss   *obs.Counter
 	stateCreates *obs.Counter
 	stateEvicts  *obs.Counter
-	fuelRestores *obs.Counter
-	jourRestores *obs.Counter
 	live         *obs.Gauge
 	decodeLat    *obs.Histogram
 	fusedHit     *obs.Counter
@@ -263,8 +217,6 @@ func newMetrics() metrics {
 		tablesMiss:   obs.GetCounter("session.tables.miss"),
 		stateCreates: obs.GetCounter("session.state.creates"),
 		stateEvicts:  obs.GetCounter("session.state.evicts"),
-		fuelRestores: obs.GetCounter("session.state.fuel_restores"),
-		jourRestores: obs.GetCounter("session.state.journal_restores"),
 		live:         obs.GetGauge("session.live"),
 		decodeLat:    obs.GetHistogram("session.tables.decode"),
 		fusedHit:     obs.GetCounter("session.fused.hit"),
@@ -280,31 +232,11 @@ func newMetrics() metrics {
 // the regression test for that claim).
 const ShardCount = 32
 
-// maxFuelMemory bounds, per shard, how many evicted sessions' fuel-budget
-// preferences are remembered. FIFO eviction: the memory exists so a
-// debugger re-attaching to the same VM keeps its override, not as an
-// unbounded registry of every VM that ever existed.
-const maxFuelMemory = 128
-
-// maxJournalMemory bounds, per shard, how many evicted sessions' live
-// recordings are parked for re-attach. Much smaller than maxFuelMemory:
-// a fuel budget is one int64, a journal holds snapshots and an
-// instruction log. A recording that falls off the FIFO is stopped, so
-// its history is freed rather than leaked.
-const maxJournalMemory = 16
-
-// shard is one slice of the state registry: a lock, the states of the
-// VMs that hash here, and the remembered fuel budgets and parked
-// recordings of evicted ones.
+// shard is one slice of the state registry: a lock and the states of
+// the VMs that hash here.
 type shard struct {
 	mu     sync.Mutex
 	states map[*minic.VM]*State
-
-	fuel      map[*minic.VM]int64
-	fuelOrder []*minic.VM // insertion order, for FIFO bounding
-
-	jour      map[*minic.VM]any
-	jourOrder []*minic.VM // insertion order, for FIFO bounding
 }
 
 // Service shares one build's decoded D2X tables across its debug
@@ -321,8 +253,8 @@ type Service struct {
 	fused atomic.Pointer[Fused]
 
 	// decodeMu serialises the slow paths that publish shared data: the
-	// table decode, the fused-index build, and Invalidate. It is never
-	// taken on a hit path and never nests with a shard lock.
+	// table decode and the fused-index build. It is never taken on a hit
+	// path and never nests with a shard lock.
 	decodeMu sync.Mutex
 	decodes  int
 
@@ -398,26 +330,6 @@ func (s *Service) getOrCreate(sh *shard, vm *minic.VM) *State {
 	st := sh.states[vm]
 	if st == nil {
 		st = &State{ID: s.nextSessID.Add(1), NextID: 1}
-		if fuel, ok := sh.fuel[vm]; ok {
-			// The VM had a session before (evicted); its fuel-budget
-			// preference survives re-attach.
-			st.FuelBudget = fuel
-			s.m.fuelRestores.Inc()
-		}
-		if j, ok := sh.jour[vm]; ok {
-			// A parked recording moves back onto the live state — removed
-			// from the memory (unlike fuel, the handle must have exactly
-			// one owner, or a later eviction would stop a live recording).
-			st.Journal = j
-			delete(sh.jour, vm)
-			for i, v := range sh.jourOrder {
-				if v == vm {
-					sh.jourOrder = append(sh.jourOrder[:i], sh.jourOrder[i+1:]...)
-					break
-				}
-			}
-			s.m.jourRestores.Inc()
-		}
 		sh.states[vm] = st
 		s.m.stateCreates.Inc()
 		// Delta, not Set: the gauge is process-wide and several builds'
@@ -429,49 +341,17 @@ func (s *Service) getOrCreate(sh *shard, vm *minic.VM) *State {
 }
 
 // State returns the command state of vm's session, creating it on first
-// use. The returned state is not pinned: callers that mutate it from a
-// command stream racing Release/Invalidate must use Checkout/Checkin
-// instead.
+// use. Every D2X command and batch looks its state up here: one shard
+// lock, no allocation once the state exists. The state belongs to the
+// session's single command stream, and Release runs on that same stream
+// when the debugger closes, so nothing else can tear it mid-command.
+//
+//d2x:noalloc
 func (s *Service) State(vm *minic.VM) *State {
 	sh := s.shardFor(vm)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return s.getOrCreate(sh, vm)
-}
-
-// Checkout returns the command state of vm's session, creating it on
-// first use, and pins it for the duration of one command: until the
-// matching Checkin, Invalidate defers the state's Reset, so an in-flight
-// command can never observe its breakpoints or frame selection being
-// torn down under it. Checkout/Checkin pairs are cheap — one shard lock
-// each, no allocation — and nest (a command that re-enters the service
-// through a nested native call simply holds two pins).
-//
-//d2x:noalloc
-func (s *Service) Checkout(vm *minic.VM) *State {
-	sh := s.shardFor(vm)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st := s.getOrCreate(sh, vm) //d2xvet:ignore noalloc state creation happens once per attach; every later Checkout is a map hit
-	st.refs++
-	return st
-}
-
-// Checkin unpins a state obtained from Checkout. If the build was
-// invalidated while the command was in flight, the last Checkin applies
-// the deferred Reset.
-//
-//d2x:noalloc
-func (s *Service) Checkin(vm *minic.VM, st *State) {
-	sh := s.shardFor(vm)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st.refs--
-	if st.refs == 0 && st.resetPending {
-		st.resetPending = false
-		st.Reset()
-		obs.Emit(obs.Event{Kind: "session", Name: "invalidate", Session: st.ID})
-	}
+	return s.getOrCreate(sh, vm) //d2xvet:ignore noalloc state creation happens once per session; every later lookup is a map hit
 }
 
 // Lookup returns the command state of vm's session without creating one.
@@ -487,14 +367,6 @@ func (s *Service) Lookup(vm *minic.VM) (*State, bool) {
 
 // Release evicts the command state of vm's session. Idempotent; the
 // shared tables stay, since they belong to the build, not the session.
-// A command in flight on the evicted state (Checkout without Checkin
-// yet) keeps its pinned state object — eviction only removes the map
-// entry, it never resets a live state. The session's fuel-budget
-// override is remembered so a later session on the same VM inherits it,
-// and a live recording is parked the same way so re-attaching resumes
-// the journal instead of losing the history. A stopped recording is
-// dropped instead: it has nothing to resume, and parking it would keep
-// its VM reachable.
 func (s *Service) Release(vm *minic.VM) {
 	sh := s.shardFor(vm)
 	sh.mu.Lock()
@@ -504,84 +376,9 @@ func (s *Service) Release(vm *minic.VM) {
 		return
 	}
 	delete(sh.states, vm)
-	if st.FuelBudget != 0 {
-		if sh.fuel == nil {
-			sh.fuel = map[*minic.VM]int64{}
-		}
-		if _, exists := sh.fuel[vm]; !exists {
-			for len(sh.fuelOrder) >= maxFuelMemory {
-				oldest := sh.fuelOrder[0]
-				sh.fuelOrder = sh.fuelOrder[1:]
-				delete(sh.fuel, oldest)
-			}
-			sh.fuelOrder = append(sh.fuelOrder, vm)
-		}
-		sh.fuel[vm] = st.FuelBudget
-	}
-	if j, ok := st.Journal.(interface{ Active() bool }); ok && !j.Active() {
-		st.Journal = nil
-	}
-	if st.Journal != nil {
-		if sh.jour == nil {
-			sh.jour = map[*minic.VM]any{}
-		}
-		for len(sh.jourOrder) >= maxJournalMemory {
-			oldest := sh.jourOrder[0]
-			sh.jourOrder = sh.jourOrder[1:]
-			if j, ok := sh.jour[oldest].(interface{ Stop() }); ok {
-				j.Stop()
-			}
-			delete(sh.jour, oldest)
-		}
-		sh.jourOrder = append(sh.jourOrder, vm)
-		sh.jour[vm] = st.Journal
-		st.Journal = nil
-	}
 	s.m.stateEvicts.Inc()
 	s.m.live.Add(-1)
 	obs.Emit(obs.Event{Kind: "session", Name: "evict", Session: st.ID})
-}
-
-// Invalidate drops the shared table decode and resets every live
-// session's command state, keeping the State objects themselves (their
-// owners hold pointers). Called when the build's debug info is replaced
-// mid-flight: the old tables describe a binary that no longer exists,
-// and stale frame selections or breakpoints must not survive into the
-// new one. States pinned by an in-flight command are not reset in place
-// — that command's view stays intact, and the reset is applied by its
-// Checkin — so invalidation can never tear state another goroutine is
-// reading. The cumulative decode counters are deliberately kept — they
-// measure work done, not current contents.
-func (s *Service) Invalidate() {
-	s.decodeMu.Lock()
-	s.tables.Store(nil)
-	// The fused index is derived from the tables; it dies with them.
-	// (Its info-identity check would also reject it, but only when the
-	// debug info object itself was replaced — drop it unconditionally.)
-	s.fused.Store(nil)
-	s.decodeMu.Unlock()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, st := range sh.states {
-			if st.refs > 0 {
-				st.resetPending = true
-				continue
-			}
-			st.Reset()
-			obs.Emit(obs.Event{Kind: "session", Name: "invalidate", Session: st.ID})
-		}
-		// Parked recordings die with the build too: their history indexes
-		// the old instruction stream.
-		for vm, j := range sh.jour {
-			if jj, ok := j.(interface{ Stop() }); ok {
-				jj.Stop()
-			}
-			delete(sh.jour, vm)
-		}
-		sh.jourOrder = sh.jourOrder[:0]
-		sh.mu.Unlock()
-	}
 }
 
 // Sessions reports how many sessions currently hold state.
@@ -598,7 +395,7 @@ func (s *Service) Sessions() int {
 
 // Decodes reports how many times the tables were decoded from a debuggee:
 // 1 after any session ran a table-backed command, no matter how many
-// sessions there are (more only if Invalidate forced a re-decode).
+// sessions there are.
 func (s *Service) Decodes() int {
 	s.decodeMu.Lock()
 	defer s.decodeMu.Unlock()

@@ -56,9 +56,7 @@ const (
 	CmdStats      = "stats"
 	CmdDisconnect = "disconnect"
 	// CmdBatch carries N sub-commands in one frame; the response carries
-	// one result per sub-command. One round trip instead of N, and the
-	// server executes the whole batch under a single session pin, so it
-	// is atomic with respect to build invalidation and session eviction.
+	// one result per sub-command: one round trip instead of N.
 	CmdBatch = "batch"
 )
 

@@ -23,6 +23,7 @@ import (
 
 	"d2x/internal/dwarfish"
 	"d2x/internal/minic"
+	"d2x/internal/minic/journal"
 )
 
 // Process is the debuggee: a loaded program plus its debug info. The
@@ -162,11 +163,10 @@ type Debugger struct {
 	// freelist every cycle re-allocates the whole set.
 	bpFree []*Breakpoint
 
-	// recorder is the live process-record target (nil when recording is
-	// off); recorderFactory, when set, overrides how `record` builds one
-	// (the D2X session layer parks the journal handle on per-VM state).
-	recorder        Recorder
-	recorderFactory func(*minic.VM) (Recorder, error)
+	// journal is the process-record target `record` attached (nil when
+	// recording is off); onRecord, when set, is told about each one.
+	journal  *journal.Journal
+	onRecord func(*journal.Journal)
 
 	closed     bool
 	closeHooks []func()
@@ -197,13 +197,18 @@ func (d *Debugger) OnClose(fn func()) {
 	d.closeHooks = append(d.closeHooks, fn)
 }
 
-// Close ends the debug session: registered hooks run in registration
-// order and further Execute calls fail. Idempotent.
+// Close ends the debug session: a live recording is stopped, registered
+// hooks run in registration order and further Execute calls fail.
+// Idempotent.
 func (d *Debugger) Close() {
 	if d.closed {
 		return
 	}
 	d.closed = true
+	if d.journal != nil {
+		d.journal.Stop()
+		d.journal = nil
+	}
 	for _, fn := range d.closeHooks {
 		fn()
 	}

@@ -4,10 +4,9 @@ package debugger
 // `reverse-continue`). These are stock debugger features — GDB has had
 // them since 7.0 — so they live here, not in any D2X layer; D2X's
 // reverse-xbt macro composes them through `call`/`eval` exactly like the
-// forward macros. The machinery stays behind the small Recorder surface
-// (Hanson's portable-debugger lesson): the debugger never sees snapshots
-// or logs, only statement boundaries it can scan and positions it can
-// restore.
+// forward macros. The recorder is the VM's execution journal: the
+// debugger scans its statement boundaries and restores positions, and
+// never touches its snapshots or logs.
 
 import (
 	"fmt"
@@ -15,82 +14,21 @@ import (
 	"strings"
 
 	"d2x/internal/dwarfish"
-	"d2x/internal/minic"
 	"d2x/internal/minic/journal"
 )
 
-// Recorder is what the debugger needs from an execution recorder: a
-// position counter, a backwards scan over the statement boundaries
-// execution crossed, and exact restoration to any position. Positions
-// count scheduled debuggee instructions; synthetic calls the debugger
-// injects at a stop are not history.
-type Recorder interface {
-	// Step returns the current position (instructions recorded between
-	// attach and the debuggee's present state).
-	Step() int64
-	// SeekBack scans the statement boundaries before position from,
-	// newest first, and returns the position of the first one match
-	// accepts. match sees where execution stood just before the
-	// boundary's statement-start instruction ran. ok is false when none
-	// matches.
-	SeekBack(from int64, match func(thread, funcIndex, pc, depth int) bool) (step int64, ok bool)
-	// RestoreTo rewinds the debuggee to its exact state at position
-	// step, discarding later history (forward execution regenerates it
-	// deterministically).
-	RestoreTo(step int64) error
-	// Checkpoint forces a full snapshot at the current position, so a
-	// mutation applied at this stop survives replays across it.
-	Checkpoint()
-	// Active reports whether recording is still on.
-	Active() bool
-	// Stop ends recording and releases all history.
-	Stop()
-	// Info returns telemetry for `info record`: instructions logged,
-	// snapshots held, and bytes of instruction log.
-	Info() (steps int64, snapshots int, bytes int64)
-}
+// OnRecord sets the hook run each time `record` attaches a journal.
+// The layer that attaches runtime services to a session uses it to
+// publish the journal handle; the debugger still owns the recording.
+func (d *Debugger) OnRecord(fn func(*journal.Journal)) { d.onRecord = fn }
 
-// journalRecorder adapts the VM execution journal to the Recorder
-// surface.
-type journalRecorder struct{ j *journal.Journal }
-
-// NewJournalRecorder wraps a VM execution journal as a Recorder. Layers
-// that keep the journal handle elsewhere (the D2X session service stores
-// it on per-VM state) attach the journal themselves and hand the wrapped
-// recorder to the debugger through SetRecorderFactory.
-func NewJournalRecorder(j *journal.Journal) Recorder { return journalRecorder{j} }
-
-func (r journalRecorder) Step() int64 { return r.j.Step() }
-
-func (r journalRecorder) SeekBack(from int64, match func(thread, funcIndex, pc, depth int) bool) (int64, bool) {
-	rec, ok := r.j.SeekBack(from, func(rec journal.Rec) bool {
-		return match(rec.Thread, rec.FuncIndex, rec.PC, rec.Depth)
-	})
-	return rec.Step, ok
-}
-
-func (r journalRecorder) RestoreTo(step int64) error { return r.j.RestoreTo(step) }
-func (r journalRecorder) Checkpoint()                { r.j.Checkpoint() }
-func (r journalRecorder) Active() bool               { return r.j.Active() }
-func (r journalRecorder) Stop()                      { r.j.Stop() }
-
-func (r journalRecorder) Info() (int64, int, int64) {
-	s := r.j.Stats()
-	return s.Steps, s.Snapshots, s.RecordBytes
-}
-
-// SetRecorderFactory overrides how `record` builds a recorder for the
-// debuggee. The default attaches a fresh VM execution journal; the D2X
-// session layer installs a factory that parks the journal handle on the
-// per-VM session state so recording survives session eviction.
-func (d *Debugger) SetRecorderFactory(f func(*minic.VM) (Recorder, error)) {
-	d.recorderFactory = f
-}
-
-// ActiveRecorder returns the live recorder, or nil when recording is off.
-func (d *Debugger) ActiveRecorder() Recorder {
-	if d.recorder != nil && d.recorder.Active() {
-		return d.recorder
+// ActiveRecorder returns the live execution journal, or nil when
+// recording is off. Journal positions count scheduled debuggee
+// instructions; synthetic calls the debugger injects at a stop are not
+// history.
+func (d *Debugger) ActiveRecorder() *journal.Journal {
+	if d.journal != nil && d.journal.Active() {
+		return d.journal
 	}
 	return nil
 }
@@ -105,21 +43,14 @@ func (d *Debugger) StartRecording() error {
 	if d.ActiveRecorder() != nil {
 		return fmt.Errorf("process record is already started")
 	}
-	factory := d.recorderFactory
-	if factory == nil {
-		factory = func(vm *minic.VM) (Recorder, error) {
-			j, err := journal.Attach(vm, journal.Options{})
-			if err != nil {
-				return nil, err
-			}
-			return NewJournalRecorder(j), nil
-		}
-	}
-	rec, err := factory(d.proc.VM)
+	j, err := journal.Attach(d.proc.VM, journal.Options{})
 	if err != nil {
 		return err
 	}
-	d.recorder = rec
+	d.journal = j
+	if d.onRecord != nil {
+		d.onRecord(j)
+	}
 	return nil
 }
 
@@ -128,15 +59,15 @@ func (d *Debugger) StopRecording() error {
 	if d.ActiveRecorder() == nil {
 		return fmt.Errorf("process record is not started")
 	}
-	d.recorder.Stop()
-	d.recorder = nil
+	d.journal.Stop()
+	d.journal = nil
 	return nil
 }
 
 // requireRecorder gates the reverse commands. Unlike checkRunning it
 // accepts an exited program: with history recorded, running backwards
 // out of the exit is exactly what reverse execution is for.
-func (d *Debugger) requireRecorder() (Recorder, error) {
+func (d *Debugger) requireRecorder() (*journal.Journal, error) {
 	if !d.started {
 		return nil, fmt.Errorf("the program is not being run")
 	}
@@ -150,7 +81,7 @@ func (d *Debugger) requireRecorder() (Recorder, error) {
 // reverseStopAt restores position step and rebuilds the debugger's stop
 // state there. Thread and frame pointers from before the rewind are
 // stale afterwards; everything is re-resolved by ID.
-func (d *Debugger) reverseStopAt(rec Recorder, step int64, reason StopReason, bp *Breakpoint) (Stop, error) {
+func (d *Debugger) reverseStopAt(rec *journal.Journal, step int64, reason StopReason, bp *Breakpoint) (Stop, error) {
 	if err := rec.RestoreTo(step); err != nil {
 		return Stop{}, err
 	}
@@ -187,18 +118,18 @@ func (d *Debugger) ReverseStep() (Stop, error) {
 			startLine = line
 		}
 	}
-	target, ok := rec.SeekBack(rec.Step(), func(th, fn, pc, depth int) bool {
-		if th != t.ID {
+	target, ok := rec.SeekBack(rec.Step(), func(r journal.Rec) bool {
+		if r.Thread != t.ID {
 			return false
 		}
-		_, line, ok := d.proc.Info.LineFor(dwarfish.Addr{FuncIndex: fn, PC: pc})
-		return ok && (depth != startDepth || line != startLine)
+		_, line, ok := d.proc.Info.LineFor(dwarfish.Addr{FuncIndex: r.FuncIndex, PC: r.PC})
+		return ok && (r.Depth != startDepth || line != startLine)
 	})
 	if !ok {
 		d.printf("No more reverse-execution history.\n")
 		return d.reverseStopAt(rec, 0, StopStep, nil)
 	}
-	return d.reverseStopAt(rec, target, StopStep, nil)
+	return d.reverseStopAt(rec, target.Step, StopStep, nil)
 }
 
 // ReverseContinue runs backwards to the most recent breakpoint hit (GDB
@@ -213,33 +144,25 @@ func (d *Debugger) ReverseContinue() (Stop, error) {
 	vm := d.proc.VM
 	scanFrom := rec.Step()
 	for {
-		var (
-			addr dwarfish.Addr
-			thID int
-		)
-		target, ok := rec.SeekBack(scanFrom, func(th, fn, pc, _ int) bool {
-			a := dwarfish.Addr{FuncIndex: fn, PC: pc}
-			if d.breakpointAt(a) == nil {
-				return false
-			}
-			addr, thID = a, th
-			return true
+		target, ok := rec.SeekBack(scanFrom, func(r journal.Rec) bool {
+			return d.breakpointAt(dwarfish.Addr{FuncIndex: r.FuncIndex, PC: r.PC}) != nil
 		})
 		if !ok {
 			d.printf("No more reverse-execution history.\n")
 			return d.reverseStopAt(rec, 0, StopStep, nil)
 		}
-		if err := rec.RestoreTo(target); err != nil {
+		if err := rec.RestoreTo(target.Step); err != nil {
 			return Stop{}, err
 		}
+		addr := dwarfish.Addr{FuncIndex: target.FuncIndex, PC: target.PC}
 		bp := d.breakpointAt(addr)
-		t := vm.ThreadByID(thID)
+		t := vm.ThreadByID(target.Thread)
 		if bp == nil || t == nil {
-			scanFrom = target
+			scanFrom = target.Step
 			continue
 		}
 		if bp.Cond != "" && !d.condTrue(t, bp.Cond) {
-			scanFrom = target
+			scanFrom = target.Step
 			continue
 		}
 		bp.Hits++
@@ -299,7 +222,7 @@ func (d *Debugger) infoRecord() {
 		d.printf("No recording is currently active.\n")
 		return
 	}
-	steps, snaps, bytes := rec.Info()
+	st := rec.Stats()
 	d.printf("Active record target: execution journal\n")
-	d.printf("Instruction log: %d instructions (%d KiB), %d snapshots.\n", steps, bytes/1024, snaps)
+	d.printf("Instruction log: %d instructions (%d KiB), %d snapshots.\n", st.Steps, st.RecordBytes/1024, st.Snapshots)
 }

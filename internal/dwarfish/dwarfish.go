@@ -375,12 +375,9 @@ func Decode(data []byte) (*Info, error) {
 	if in.File, err = readString(r); err != nil {
 		return nil, err
 	}
-	nf, err := readUvarint(r)
+	nf, err := readCount(r, "function", 1<<20)
 	if err != nil {
 		return nil, err
-	}
-	if nf > 1<<20 {
-		return nil, fmt.Errorf("dwarfish: corrupt function count %d", nf)
 	}
 	in.Funcs = make([]FuncInfo, nf)
 	for i := range in.Funcs {
@@ -401,12 +398,9 @@ func Decode(data []byte) (*Info, error) {
 		if f.File, err = readString(r); err != nil {
 			return nil, err
 		}
-		nv, err := readUvarint(r)
+		nv, err := readCount(r, "var", 1<<20)
 		if err != nil {
 			return nil, err
-		}
-		if nv > 1<<20 {
-			return nil, fmt.Errorf("dwarfish: corrupt var count %d", nv)
 		}
 		f.Vars = make([]VarLoc, nv)
 		for j := range f.Vars {
@@ -426,12 +420,9 @@ func Decode(data []byte) (*Info, error) {
 				return nil, err
 			}
 		}
-		nl, err := readUvarint(r)
+		nl, err := readCount(r, "line", 1<<26)
 		if err != nil {
 			return nil, err
-		}
-		if nl > 1<<26 {
-			return nil, fmt.Errorf("dwarfish: corrupt line count %d", nl)
 		}
 		f.Lines = make([]LineEntry, nl)
 		prevPC, prevLine := 0, 0
@@ -485,7 +476,23 @@ func writeBool(b *bytes.Buffer, v bool) {
 }
 
 func readUvarint(r *bytes.Reader) (uint64, error) { return binary.ReadUvarint(r) }
-func readVarint(r *bytes.Reader) (int64, error)   { return binary.ReadVarint(r) }
+
+func readVarint(r *bytes.Reader) (int64, error) { return binary.ReadVarint(r) }
+
+// readCount reads the element count of a table that follows in the blob
+// and rejects one above limit or above the bytes left: every element
+// encodes to at least one byte, so a larger count is corrupt, and
+// checking it before the make bounds the allocation by the input size.
+func readCount(r *bytes.Reader, what string, limit uint64) (int, error) {
+	n, err := readUvarint(r)
+	if err != nil {
+		return 0, err
+	}
+	if n > limit || n > uint64(r.Len()) {
+		return 0, fmt.Errorf("dwarfish: corrupt %s count %d", what, n)
+	}
+	return int(n), nil
+}
 
 // Interner deduplicates strings: each distinct spelling is stored once
 // and every later occurrence returns the stored copy. Decode uses one

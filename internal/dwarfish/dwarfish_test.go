@@ -1,7 +1,10 @@
 package dwarfish
 
 import (
+	"bytes"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -135,6 +138,54 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	blob := info.Encode()
 	if _, err := Decode(blob[:len(blob)/2]); err == nil {
 		t.Error("decode of truncated blob succeeded")
+	}
+}
+
+// TestDecodeBoundsCountsByInput: a count is checked against the bytes
+// left in the blob before anything is allocated for it. Both blobs carry
+// counts under the per-table caps, so only the input-size bound keeps
+// 12 bytes from allocating 96 MiB of functions, and 26 bytes 1.5 GiB of
+// line entries, before failing on EOF.
+func TestDecodeBoundsCountsByInput(t *testing.T) {
+	var b bytes.Buffer
+	b.WriteString(Magic)
+	writeUvarint(&b, Version)
+	writeString(&b, "a.c")
+	head := b.Len()
+	writeUvarint(&b, 1<<20) // functions
+	funcs := append([]byte(nil), b.Bytes()...)
+
+	b.Truncate(head)
+	writeUvarint(&b, 1) // one function
+	writeString(&b, "main")
+	writeUvarint(&b, 0) // FuncIndex
+	writeUvarint(&b, 0) // DeclLine
+	writeString(&b, "a.c")
+	writeUvarint(&b, 0)     // vars
+	writeUvarint(&b, 1<<26) // line entries
+	lines := b.Bytes()
+
+	for _, tc := range []struct {
+		blob []byte
+		size int
+		want string
+	}{
+		{funcs, 12, "corrupt function count 1048576"},
+		{lines, 26, "corrupt line count 67108864"},
+	} {
+		if len(tc.blob) != tc.size {
+			t.Errorf("blob is %d bytes, want %d", len(tc.blob), tc.size)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(tc.blob)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Decode(%d-byte blob) error = %v, want %q", len(tc.blob), err, tc.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("Decode(%d-byte blob) allocated %d bytes", len(tc.blob), grew)
+		}
 	}
 }
 
