@@ -54,11 +54,20 @@ const (
 	// freelist. Measured: 0.
 	vmNativeCallAllocBudget = 0
 
-	// vmCallAllocBudget bounds one OpCall by the callee frame's own
-	// objects: the Frame, its slot pointers, its slot cells and its
-	// operand stack, which is sized once from FuncCode.MaxStack.
-	// Arguments are read in place from the caller's stack. Measured: 4.
-	vmCallAllocBudget = 4
+	// vmCallAllocBudget bounds one OpCall of a function whose frames
+	// the VM recycles: the callee reuses a returned frame, and the
+	// arguments are read in place from the caller's stack. Measured: 0.
+	vmCallAllocBudget = 0
+
+	// vmAddrCallAllocBudget bounds one OpCall of a function that takes
+	// a local's address, whose frames are never recycled: the Frame, its
+	// slot pointers, its slot cells and its operand stack, which is
+	// sized once from FuncCode.MaxStack. Measured: 4.
+	vmAddrCallAllocBudget = 4
+
+	// sourceLineAllocBudget bounds one Program.SourceLine, which every
+	// breakpoint stop calls to print the stop line. Measured: 0.
+	sourceLineAllocBudget = 0
 )
 
 func measureAllocs(t *testing.T, runs int, f func() error) float64 {
@@ -237,6 +246,38 @@ func int scaled(int x, int k) {
 	calls := vm.GlobalCell("calls")
 	avg := vmAllocsPer(t, vm, func() int64 { return calls.V.I })
 	if avg > vmCallAllocBudget {
-		t.Errorf("OpCall = %.2f allocs/call, budget %d (the callee frame's own objects)", avg, vmCallAllocBudget)
+		t.Errorf("OpCall = %.2f allocs/call, budget %d (the callee reuses a returned frame)", avg, vmCallAllocBudget)
+	}
+}
+
+func TestVMAddrCallAllocs(t *testing.T) {
+	vm := loopVM(t, `
+func int viaPtr(int x) {
+	int y = x * 3;
+	int* p = &y;
+	calls = calls + 1;
+	return *p + 1;
+}`, "acc = acc + viaPtr(i);")
+	calls := vm.GlobalCell("calls")
+	avg := vmAllocsPer(t, vm, func() int64 { return calls.V.I })
+	if avg > vmAddrCallAllocBudget {
+		t.Errorf("OpCall = %.2f allocs/call, budget %d (the callee frame's own objects)", avg, vmAddrCallAllocBudget)
+	}
+	if avg < 1 {
+		t.Errorf("OpCall = %.2f allocs/call: the frames of a callee that takes a local's address must not be recycled", avg)
+	}
+}
+
+func TestSourceLineAllocs(t *testing.T) {
+	d, _ := pausedPagerankDelta(t, "powerlaw:n=64,m=512,seed=5")
+	prog, line := d.Process().VM.Prog, d.SelectedFrame().Line()
+	avg := measureAllocs(t, 200, func() error {
+		if !strings.Contains(prog.SourceLine(line), "atomic_add") {
+			return fmt.Errorf("SourceLine(%d) = %q, not the stop line", line, prog.SourceLine(line))
+		}
+		return nil
+	})
+	if avg > sourceLineAllocBudget {
+		t.Errorf("SourceLine = %.1f allocs/op, budget %d", avg, sourceLineAllocBudget)
 	}
 }

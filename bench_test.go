@@ -335,7 +335,7 @@ func benchOverhead(b *testing.B, withD2X bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vm := minic.NewVM(build.Program, nil)
-		if err := vm.Start(); err != nil { // __init (table building) runs here
+		if err := vm.Start(); err != nil {
 			b.Fatal(err)
 		}
 		startSteps := vm.Steps

@@ -126,11 +126,10 @@ func Link(filename, genSource string, ctx *d2xc.Context, opts LinkOptions) (*Bui
 }
 
 // handlerEffects runs the effect-and-termination analysis over the
-// generated source (before the D2X tables are appended — the tables'
-// own __init constructors are not handlers) and returns one summary row
-// per registered rtv handler, in first-registration order. Analysis
-// failures are swallowed: a genSource that does not check here will
-// fail the real compile just below with a better error.
+// generated source (before the D2X tables are appended) and returns one
+// summary row per registered rtv handler, in first-registration order.
+// Analysis failures are swallowed: a genSource that does not check here
+// will fail the real compile just below with a better error.
 func handlerEffects(filename, genSource string, ctx *d2xc.Context, nats *minic.Natives) []d2xenc.HandlerEffect {
 	var names []string
 	seen := map[string]bool{}

@@ -2,13 +2,17 @@ package d2x
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"d2x/internal/d2x/d2xc"
+	"d2x/internal/d2x/d2xenc"
+	"d2x/internal/d2x/d2xr"
 	"d2x/internal/d2xverify"
 	"d2x/internal/debugger"
 	"d2x/internal/loc"
+	"d2x/internal/minic"
 )
 
 // The DSL input the fake compiler below pretends to have compiled: a
@@ -435,13 +439,33 @@ func TestDebuggerHasNoD2XKnowledge(t *testing.T) {
 }
 
 func TestTablesSurviveSourceRoundTrip(t *testing.T) {
-	// The emitted tables are genuine generated code: recompiling the
-	// emitted source text from scratch yields a working D2X build.
+	// The emitted tables are genuine generated source, array-literal
+	// data: recompiling the source text from scratch decodes to the same
+	// records.
 	b := buildPower(t, true)
-	if !strings.Contains(b.Source, "__init_d2x_0") {
-		t.Fatal("emitted source lacks the D2X constructor")
+	for _, decl := range []string{"global string[] __d2x_strtab = {", "global int[] __d2x_rec_line = {"} {
+		if !strings.Contains(b.Source, decl) {
+			t.Fatalf("emitted source lacks %q", decl)
+		}
 	}
-	if !strings.Contains(b.Source, "__d2x_strtab") {
-		t.Fatal("emitted source lacks the string table")
+	if strings.Contains(b.Source, "__init") {
+		t.Fatal("emitted source has table constructors")
+	}
+	nats := minic.NewNatives()
+	d2xr.New().Register(nats)
+	prog, err := minic.Compile(b.Program.SourceName, b.Source, nats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := d2xenc.Decode(minic.NewVM(prog, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := d2xenc.Decode(minic.NewVM(b.Program, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Records) == 0 || !reflect.DeepEqual(got.Records, want.Records) {
+		t.Errorf("recompiled tables decode to %+v, want %+v", got.Records, want.Records)
 	}
 }

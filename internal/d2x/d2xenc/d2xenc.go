@@ -4,16 +4,19 @@
 // and generates them into the C++ file specified") and how the D2X runtime
 // reads it back out of the paused debuggee's memory.
 //
-// The tables are ordinary globals of the generated program, populated by
-// generated __init_d2x_* constructor functions. Nothing about the
-// debugger, the debug-info format, or the VM knows they exist; they are
-// data the program carries about itself.
+// The tables are ordinary globals of the generated program, each column
+// one array global initialised with an array literal: data, like the
+// paper's C arrays, that the VM lays out when it loads the program, with
+// no code to run before main. Nothing about the debugger, the
+// debug-info format, or the VM knows they exist; they are data the
+// program carries about itself.
 package d2xenc
 
 import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"d2x/internal/d2x/d2xc"
@@ -23,7 +26,7 @@ import (
 )
 
 // Global names of the emitted tables. A string pool keeps the emitted
-// code compact: all string-valued columns store pool indices.
+// tables compact: all string-valued columns store pool indices.
 const (
 	GStrtab    = "__d2x_strtab"
 	GRecLine   = "__d2x_rec_line"
@@ -38,8 +41,6 @@ const (
 	GVarKind   = "__d2x_var_kind"
 	GVarVal    = "__d2x_var_val"
 	GRecCount  = "__d2x_rec_count"
-	initPrefix = "__init_d2x_"
-	chunkStmts = 3000
 
 	// Effect-summary columns (one row per rtv handler): the link step
 	// records what the effects analysis proved about each handler, so the
@@ -62,9 +63,10 @@ type HandlerEffect struct {
 }
 
 // EmitTables serialises every closed section of ctx as mini-C source:
-// global declarations plus constructor functions filling them. Append the
-// output to the generated program before compiling it. This is the
-// package-level form of the paper's d2x_context::emit_section_info.
+// one global per table column, initialised with an array literal.
+// Append the output to the generated program before compiling it. This
+// is the package-level form of the paper's
+// d2x_context::emit_section_info.
 func EmitTables(ctx *d2xc.Context, w io.Writer) error {
 	return EmitTablesFX(ctx, nil, w)
 }
@@ -76,102 +78,81 @@ func EmitTablesFX(ctx *d2xc.Context, fx []HandlerEffect, w io.Writer) error {
 	records := ctx.Records()
 
 	pool := newStrPool()
-	type flatVar struct{ key, kind, val int }
-	type flatSrc struct{ file, line, fn int }
-	var srcs []flatSrc
-	var vars []flatVar
-	type flatRec struct{ line, so, sc, vo, vc int }
-	recs := make([]flatRec, 0, len(records))
+	var recLine, recSrcOff, recSrcCnt, recVarOff, recVarCnt []int64
+	var srcFile, srcLine, srcFunc, varKey, varKind, varVal []int64
 	for _, r := range records {
-		fr := flatRec{line: r.GenLine, so: len(srcs), vo: len(vars)}
+		recLine = append(recLine, int64(r.GenLine))
+		recSrcOff = append(recSrcOff, int64(len(srcFile)))
+		recSrcCnt = append(recSrcCnt, int64(len(r.Stack)))
+		recVarOff = append(recVarOff, int64(len(varKey)))
+		recVarCnt = append(recVarCnt, int64(len(r.Vars)))
 		for _, loc := range r.Stack {
-			srcs = append(srcs, flatSrc{file: pool.idx(loc.File), line: loc.Line, fn: pool.idx(loc.Function)})
+			srcFile = append(srcFile, pool.idx(loc.File))
+			srcLine = append(srcLine, int64(loc.Line))
+			srcFunc = append(srcFunc, pool.idx(loc.Function))
 		}
 		for _, v := range r.Vars {
-			vars = append(vars, flatVar{key: pool.idx(v.Key), kind: int(v.Kind), val: pool.idx(v.Val)})
+			varKey = append(varKey, pool.idx(v.Key))
+			varKind = append(varKind, int64(v.Kind))
+			varVal = append(varVal, pool.idx(v.Val))
 		}
-		fr.sc = len(r.Stack)
-		fr.vc = len(r.Vars)
-		recs = append(recs, fr)
 	}
-
-	var b strings.Builder
-	b.WriteString("// ---- D2X debug tables (generated by d2xenc; read by the D2X runtime) ----\n")
-	fmt.Fprintf(&b, "global string[] %s;\n", GStrtab)
-	for _, g := range []string{GRecLine, GRecSrcOff, GRecSrcCnt, GRecVarOff, GRecVarCnt, GSrcFile, GSrcLine, GSrcFunc, GVarKey, GVarKind, GVarVal} {
-		fmt.Fprintf(&b, "global int[] %s;\n", g)
-	}
-	fmt.Fprintf(&b, "global int %s = %d;\n", GRecCount, len(recs))
-	fmt.Fprintf(&b, "global string[] %s;\n", GFxName)
-	fmt.Fprintf(&b, "global int[] %s;\n", GFxMask)
-	fmt.Fprintf(&b, "global int[] %s;\n", GFxLoop)
-	fmt.Fprintf(&b, "global int %s = %d;\n", GFxCount, len(fx))
-
-	// Constructor statements, chunked into multiple functions so no
-	// single function grows unboundedly.
-	var stmts []string
-	add := func(format string, args ...any) {
-		stmts = append(stmts, fmt.Sprintf(format, args...))
-	}
-	add("%s = new string[%d];", GStrtab, len(pool.list))
-	for i, s := range pool.list {
-		add("%s[%d] = %s;", GStrtab, i, minic.Quote(s))
-	}
-	alloc := func(name string, n int) { add("%s = new int[%d];", name, n) }
-	alloc(GRecLine, len(recs))
-	alloc(GRecSrcOff, len(recs))
-	alloc(GRecSrcCnt, len(recs))
-	alloc(GRecVarOff, len(recs))
-	alloc(GRecVarCnt, len(recs))
-	alloc(GSrcFile, len(srcs))
-	alloc(GSrcLine, len(srcs))
-	alloc(GSrcFunc, len(srcs))
-	alloc(GVarKey, len(vars))
-	alloc(GVarKind, len(vars))
-	alloc(GVarVal, len(vars))
-	for i, r := range recs {
-		add("%s[%d] = %d;", GRecLine, i, r.line)
-		add("%s[%d] = %d;", GRecSrcOff, i, r.so)
-		add("%s[%d] = %d;", GRecSrcCnt, i, r.sc)
-		add("%s[%d] = %d;", GRecVarOff, i, r.vo)
-		add("%s[%d] = %d;", GRecVarCnt, i, r.vc)
-	}
-	for i, s := range srcs {
-		add("%s[%d] = %d;", GSrcFile, i, s.file)
-		add("%s[%d] = %d;", GSrcLine, i, s.line)
-		add("%s[%d] = %d;", GSrcFunc, i, s.fn)
-	}
-	for i, v := range vars {
-		add("%s[%d] = %d;", GVarKey, i, v.key)
-		add("%s[%d] = %d;", GVarKind, i, v.kind)
-		add("%s[%d] = %d;", GVarVal, i, v.val)
-	}
-	add("%s = new string[%d];", GFxName, len(fx))
-	add("%s = new int[%d];", GFxMask, len(fx))
-	add("%s = new int[%d];", GFxLoop, len(fx))
+	fxName := make([]string, len(fx))
+	fxMask := make([]int64, len(fx))
+	fxLoop := make([]int64, len(fx))
 	for i, h := range fx {
-		add("%s[%d] = %s;", GFxName, i, minic.Quote(h.Handler))
-		add("%s[%d] = %d;", GFxMask, i, h.Mask)
-		add("%s[%d] = %d;", GFxLoop, i, h.Loop)
+		fxName[i], fxMask[i], fxLoop[i] = h.Handler, h.Mask, h.Loop
 	}
 
-	for chunk := 0; chunk*chunkStmts < len(stmts) || chunk == 0; chunk++ {
-		lo := chunk * chunkStmts
-		hi := min(len(stmts), lo+chunkStmts)
-		fmt.Fprintf(&b, "func void %s%d() {\n", initPrefix, chunk)
-		for _, s := range stmts[lo:hi] {
-			b.WriteString("\t")
-			b.WriteString(s)
-			b.WriteString("\n")
-		}
-		b.WriteString("}\n")
-		if hi == len(stmts) {
-			break
-		}
+	b := []byte("// ---- D2X debug tables (generated by d2xenc; read by the D2X runtime) ----\n")
+	b = appendStrings(b, GStrtab, pool.list)
+	for _, c := range [...]struct {
+		name string
+		vals []int64
+	}{
+		{GRecLine, recLine}, {GRecSrcOff, recSrcOff}, {GRecSrcCnt, recSrcCnt},
+		{GRecVarOff, recVarOff}, {GRecVarCnt, recVarCnt},
+		{GSrcFile, srcFile}, {GSrcLine, srcLine}, {GSrcFunc, srcFunc},
+		{GVarKey, varKey}, {GVarKind, varKind}, {GVarVal, varVal},
+	} {
+		b = appendInts(b, c.name, c.vals)
 	}
+	b = fmt.Appendf(b, "global int %s = %d;\n", GRecCount, len(records))
+	b = appendStrings(b, GFxName, fxName)
+	b = appendInts(b, GFxMask, fxMask)
+	b = appendInts(b, GFxLoop, fxLoop)
+	b = fmt.Appendf(b, "global int %s = %d;\n", GFxCount, len(fx))
 
-	_, err := io.WriteString(w, b.String())
+	_, err := w.Write(b)
 	return err
+}
+
+// appendInts appends the declaration of one int column.
+func appendInts(b []byte, name string, vals []int64) []byte {
+	b = append(b, "global int[] "...)
+	b = append(b, name...)
+	b = append(b, " = {"...)
+	for i, v := range vals {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = strconv.AppendInt(b, v, 10)
+	}
+	return append(b, "};\n"...)
+}
+
+// appendStrings appends the declaration of one string column.
+func appendStrings(b []byte, name string, vals []string) []byte {
+	b = append(b, "global string[] "...)
+	b = append(b, name...)
+	b = append(b, " = {"...)
+	for i, s := range vals {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(b, minic.Quote(s)...)
+	}
+	return append(b, "};\n"...)
 }
 
 type strPool struct {
@@ -181,14 +162,14 @@ type strPool struct {
 
 func newStrPool() *strPool { return &strPool{byS: map[string]int{}} }
 
-func (p *strPool) idx(s string) int {
+func (p *strPool) idx(s string) int64 {
 	if i, ok := p.byS[s]; ok {
-		return i
+		return int64(i)
 	}
 	i := len(p.list)
 	p.list = append(p.list, s)
 	p.byS[s] = i
-	return i
+	return int64(i)
 }
 
 // Tables is the decoded, queryable form of the D2X tables read back from

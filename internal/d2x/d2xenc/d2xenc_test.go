@@ -12,8 +12,9 @@ import (
 	"d2x/internal/minic"
 )
 
-// roundTrip emits tables, compiles them with a stub main, runs the init
-// functions, and decodes the tables back.
+// roundTrip emits tables, compiles them with a stub main, and decodes
+// them back out of a fresh VM: the tables are data, so no code runs
+// first.
 func roundTrip(t testing.TB, ctx *d2xc.Context) *Tables {
 	t.Helper()
 	var b strings.Builder
@@ -25,11 +26,7 @@ func roundTrip(t testing.TB, ctx *d2xc.Context) *Tables {
 	if err != nil {
 		t.Fatalf("emitted tables do not compile: %v\n%s", err, b.String())
 	}
-	vm := minic.NewVM(prog, nil)
-	if err := vm.Run(); err != nil {
-		t.Fatal(err)
-	}
-	tables, err := Decode(vm)
+	tables, err := Decode(minic.NewVM(prog, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,24 +149,21 @@ func TestDecodeWithoutTables(t *testing.T) {
 	}
 }
 
-// corruptTablesSrc is a program that declares the table globals and
-// fills them with one constructor: count records declared, each column
-// allocated with the length lens gives it (0 when absent), then the
-// element stores in body.
-func corruptTablesSrc(count int, lens map[string]int, body string) string {
-	cols := []string{GRecLine, GRecSrcOff, GRecSrcCnt, GRecVarOff, GRecVarCnt, GSrcFile, GSrcLine, GSrcFunc, GVarKey, GVarKind, GVarVal}
+// corruptTablesSrc is a program that declares the table globals as array
+// literals: count records declared, the string table one empty string,
+// and each int column the elements cols gives it (empty when absent).
+func corruptTablesSrc(count int, cols map[string][]int64) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "global string[] %s;\n", GStrtab)
-	for _, c := range cols {
-		fmt.Fprintf(&b, "global int[] %s;\n", c)
+	fmt.Fprintf(&b, "global string[] %s = {\"\"};\n", GStrtab)
+	for _, c := range []string{GRecLine, GRecSrcOff, GRecSrcCnt, GRecVarOff, GRecVarCnt, GSrcFile, GSrcLine, GSrcFunc, GVarKey, GVarKind, GVarVal} {
+		elems := make([]string, len(cols[c]))
+		for i, v := range cols[c] {
+			elems[i] = fmt.Sprint(v)
+		}
+		fmt.Fprintf(&b, "global int[] %s = {%s};\n", c, strings.Join(elems, ", "))
 	}
 	fmt.Fprintf(&b, "global int %s = %d;\n", GRecCount, count)
-	fmt.Fprintf(&b, "func void __init_d2x_0() {\n\t%s = new string[%d];\n", GStrtab, lens[GStrtab])
-	for _, c := range cols {
-		fmt.Fprintf(&b, "\t%s = new int[%d];\n", c, lens[c])
-	}
-	b.WriteString(body)
-	b.WriteString("}\nfunc int main() { return 0; }\n")
+	b.WriteString("func int main() { return 0; }\n")
 	return b.String()
 }
 
@@ -177,40 +171,31 @@ func corruptTablesSrc(count int, lens map[string]int, body string) string {
 // Inconsistent columns must make the decoder return a "corrupt" error,
 // never panic.
 func TestDecodeCorruptTables(t *testing.T) {
-	// One record, one string, no source or var entries; each case
-	// overrides some column lengths and stores some elements.
-	oneRecord := map[string]int{GStrtab: 1, GRecLine: 1, GRecSrcOff: 1, GRecSrcCnt: 1, GRecVarOff: 1, GRecVarCnt: 1}
+	// One record with no source or var entries; each case overrides
+	// some columns.
+	oneRecord := map[string][]int64{GRecLine: {0}, GRecSrcOff: {0}, GRecSrcCnt: {0}, GRecVarOff: {0}, GRecVarCnt: {0}}
 	cases := []struct {
 		name  string
 		count int
-		lens  map[string]int
-		body  string
+		cols  map[string][]int64
 	}{
-		{"source count past the source columns", 1, nil,
-			"\t__d2x_rec_src_cnt[0] = 99;\n"},
-		{"fewer records than declared", 2, nil, ""},
-		{"rec_src_off shorter than count", 1, map[string]int{GRecSrcOff: 0}, ""},
-		{"rec_var_cnt shorter than count", 1, map[string]int{GRecVarCnt: 0}, ""},
-		{"src_func shorter than src_file", 1, map[string]int{GSrcFile: 1, GSrcLine: 1},
-			"\t__d2x_rec_src_cnt[0] = 1;\n"},
-		{"var_val shorter than var_key", 1, map[string]int{GVarKey: 1, GVarKind: 1},
-			"\t__d2x_rec_var_cnt[0] = 1;\n"},
-		{"string index out of range", 1, map[string]int{GSrcFile: 1, GSrcLine: 1, GSrcFunc: 1},
-			"\t__d2x_rec_src_cnt[0] = 1;\n\t__d2x_src_file[0] = 7;\n"},
+		{"source count past the source columns", 1, map[string][]int64{GRecSrcCnt: {99}}},
+		{"fewer records than declared", 2, nil},
+		{"rec_src_off shorter than count", 1, map[string][]int64{GRecSrcOff: nil}},
+		{"rec_var_cnt shorter than count", 1, map[string][]int64{GRecVarCnt: nil}},
+		{"src_func shorter than src_file", 1, map[string][]int64{GSrcFile: {0}, GSrcLine: {0}, GRecSrcCnt: {1}}},
+		{"var_val shorter than var_key", 1, map[string][]int64{GVarKey: {0}, GVarKind: {0}, GRecVarCnt: {1}}},
+		{"string index out of range", 1, map[string][]int64{GSrcFile: {7}, GSrcLine: {0}, GSrcFunc: {0}, GRecSrcCnt: {1}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			lens := maps.Clone(oneRecord)
-			maps.Copy(lens, tc.lens)
-			prog, err := minic.Compile("corrupt.c", corruptTablesSrc(tc.count, lens, tc.body), nil)
+			cols := maps.Clone(oneRecord)
+			maps.Copy(cols, tc.cols)
+			prog, err := minic.Compile("corrupt.c", corruptTablesSrc(tc.count, cols), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			vm := minic.NewVM(prog, nil)
-			if err := vm.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Decode(vm); err == nil || !strings.Contains(err.Error(), "corrupt") {
+			if _, err := Decode(minic.NewVM(prog, nil)); err == nil || !strings.Contains(err.Error(), "corrupt") {
 				t.Errorf("decode of corrupt tables: %v", err)
 			}
 		})
@@ -255,8 +240,9 @@ func TestEmptyContextEmits(t *testing.T) {
 	}
 }
 
-func TestChunkedInitFunctions(t *testing.T) {
-	// Enough records to force multiple __init_d2x_* chunks.
+// TestLargeTablesRoundTrip: 700 records emit as one array-literal global
+// per column and no code, and decode back.
+func TestLargeTablesRoundTrip(t *testing.T) {
 	ctx := d2xc.NewContext()
 	if err := ctx.BeginSectionAt(1); err != nil {
 		t.Fatal(err)
@@ -273,12 +259,26 @@ func TestChunkedInitFunctions(t *testing.T) {
 	if err := EmitTables(ctx, &b); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Count(b.String(), "func void __init_d2x_") < 2 {
-		t.Errorf("expected multiple init chunks")
+	src := b.String()
+	if strings.Contains("\n"+src, "\nfunc ") {
+		t.Errorf("emitted tables contain code:\n%.400s", src)
+	}
+	for _, g := range []string{GStrtab, GFxName} {
+		if n := strings.Count(src, "global string[] "+g+" = {"); n != 1 {
+			t.Errorf("%d array-literal declarations of %s, want 1", n, g)
+		}
+	}
+	for _, g := range []string{GRecLine, GRecSrcOff, GRecSrcCnt, GRecVarOff, GRecVarCnt, GSrcFile, GSrcLine, GSrcFunc, GVarKey, GVarKind, GVarVal, GFxMask, GFxLoop} {
+		if n := strings.Count(src, "global int[] "+g+" = {"); n != 1 {
+			t.Errorf("%d array-literal declarations of %s, want 1", n, g)
+		}
 	}
 	tables := roundTrip(t, ctx)
 	if len(tables.Records) != 700 {
-		t.Errorf("records = %d, want 700", len(tables.Records))
+		t.Fatalf("records = %d, want 700", len(tables.Records))
+	}
+	if r := tables.RecordForLine(700); r == nil || r.Stack[0].File != "file4.dsl" || r.Vars[0].Val != "v699" {
+		t.Errorf("record 700 = %+v", r)
 	}
 }
 

@@ -364,8 +364,8 @@ func (r *Runtime) recordAt(vm *minic.VM, rip int64) (*d2xc.Record, int, error) {
 	}
 	fu, err := r.svc.Fused(vm, r.info)
 	if err != nil {
-		// The shared tables are unavailable (program carries none, or
-		// its constructors have not run). Report with the two-stage
+		// The shared tables are unavailable (the program carries none,
+		// or they do not decode). Report with the two-stage
 		// mapping's precedence: a stage-1 miss outranks the table error.
 		_, genLine, ok := r.info.LineFor(dwarfish.DecodeAddr(rip))
 		if !ok {

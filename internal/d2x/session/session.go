@@ -286,8 +286,9 @@ func (s *Service) shardFor(vm *minic.VM) *shard {
 
 // Tables returns the build's decoded D2X tables, decoding them out of
 // vm's memory on first use. Every session shares the same immutable
-// decode. Failures are not cached: a VM that has not yet run the table
-// constructors must not poison sessions that ask later.
+// decode. Failures are not cached: one VM's tables, which its program
+// or a debugger user may have overwritten, must not poison sessions that
+// ask later.
 //
 //d2x:noalloc
 func (s *Service) Tables(vm *minic.VM) (*d2xenc.Tables, error) {

@@ -250,21 +250,15 @@ func (in *Input) HasD2XTables() bool {
 	return ok
 }
 
-// Tables lazily decodes the D2X tables by running the program's
-// constructor phase in a scratch VM and reading the populated globals —
-// exactly the path the D2X runtime uses on the debuggee, so decoding
+// Tables lazily decodes the D2X tables from the globals of a scratch VM
+// — exactly the path the D2X runtime uses on the debuggee, so decoding
 // here exercises the real wire format. Returns (nil, nil) when the
 // program carries no tables.
 func (in *Input) Tables() (*d2xenc.Tables, error) {
 	if !in.tablesDone {
 		in.tablesDone = true
 		if in.HasD2XTables() {
-			vm := minic.NewVM(in.Program, nil)
-			if err := vm.Start(); err != nil {
-				in.tablesErr = fmt.Errorf("d2xverify: running table constructors: %w", err)
-			} else {
-				in.tables, in.tablesErr = d2xenc.Decode(vm)
-			}
+			in.tables, in.tablesErr = d2xenc.Decode(minic.NewVM(in.Program, nil))
 		}
 	}
 	return in.tables, in.tablesErr

@@ -473,15 +473,15 @@ func (d *Debugger) cmdList(rest string) error {
 		}
 		center = line
 	}
-	lines := d.proc.VM.Prog.SourceLines()
+	prog := d.proc.VM.Prog
 	lo := max(1, center-4)
-	hi := min(len(lines), center+5)
+	hi := min(strings.Count(prog.SourceText, "\n")+1, center+5)
 	for n := lo; n <= hi; n++ {
 		marker := " "
 		if n == center {
 			marker = ">"
 		}
-		d.printf("%s%-5d %s\n", marker, n, lines[n-1])
+		d.printf("%s%-5d %s\n", marker, n, prog.SourceLine(n))
 	}
 	return nil
 }

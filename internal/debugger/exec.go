@@ -20,8 +20,7 @@ const (
 const defaultMaxSteps = 500_000_000
 
 // Run starts the program and continues to the first stop. It mirrors GDB's
-// `run`: module initialisers (__init*) execute before the first possible
-// stop, like ELF constructors.
+// `run`.
 func (d *Debugger) Run() (Stop, error) {
 	if d.started {
 		return Stop{}, fmt.Errorf("the program is already running")

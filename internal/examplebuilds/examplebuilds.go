@@ -23,37 +23,39 @@ func Names() []string {
 
 // Build constructs the named example.
 func Build(name string) (*d2x.Build, error) {
-	return buildMode(name, false)
+	return buildMode(name, false, true)
 }
 
 // BuildOptimized constructs the named example with the mini-C optimiser
 // enabled — the staging is identical, only the link mode differs, so a
 // Build/BuildOptimized pair is a differential-testing fixture.
 func BuildOptimized(name string) (*d2x.Build, error) {
-	return buildMode(name, true)
+	return buildMode(name, true, true)
 }
 
-func buildMode(name string, optimize bool) (*d2x.Build, error) {
+// buildMode stages the named example, with the D2X compile-time context
+// or, for the overhead baseline, as a D2X-less compiler would.
+func buildMode(name string, optimize, withD2X bool) (*d2x.Build, error) {
 	switch name {
 	case "pagerankdelta":
-		return pagerankDelta(optimize)
+		return pagerankDelta(optimize, withD2X)
 	case "power":
-		return power(optimize)
+		return power(optimize, withD2X)
 	case "einsum":
-		return einsumBuild(optimize)
+		return einsumBuild(optimize, withD2X)
 	case "quickstart":
-		return quickstart(optimize)
+		return quickstart(optimize, withD2X)
 	}
 	return nil, fmt.Errorf("examplebuilds: unknown pipeline %q", name)
 }
 
 // PagerankDelta compiles the GraphIt PageRankDelta case study (paper §2,
 // Fig. 6) with D2X enabled.
-func PagerankDelta() (*d2x.Build, error) { return pagerankDelta(false) }
+func PagerankDelta() (*d2x.Build, error) { return pagerankDelta(false, true) }
 
-func pagerankDelta(optimize bool) (*d2x.Build, error) {
+func pagerankDelta(optimize, withD2X bool) (*d2x.Build, error) {
 	art, err := graphit.CompileToC("pagerankdelta.gt", graphit.PageRankDeltaSrc,
-		"pagerankdelta.sched", graphit.PageRankDeltaSchedule, graphit.CompileOptions{D2X: true})
+		"pagerankdelta.sched", graphit.PageRankDeltaSchedule, graphit.CompileOptions{D2X: withD2X})
 	if err != nil {
 		return nil, err
 	}
@@ -62,11 +64,10 @@ func pagerankDelta(optimize bool) (*d2x.Build, error) {
 
 // Power stages the BuildIt power_15 example (paper Fig. 8): a
 // specialised exponentiation with the exponent erased at staging time.
-func Power() (*d2x.Build, error) { return power(false) }
+func Power() (*d2x.Build, error) { return power(false, true) }
 
-func power(optimize bool) (*d2x.Build, error) {
-	bb := buildit.NewBuilder()
-	buildit.EnableD2X(bb)
+func power(optimize, withD2X bool) (*d2x.Build, error) {
+	bb := newBuilder(withD2X)
 	f := bb.Func("power_15", []buildit.Param{{Name: "base", Type: minic.IntType}}, minic.IntType)
 	exp := buildit.NewStatic(f, "exponent", 15)
 	res := f.Decl("res", f.IntLit(1))
@@ -89,12 +90,11 @@ func power(optimize bool) (*d2x.Build, error) {
 }
 
 // Einsum stages the matrix-vector einsum example (paper Fig. 11).
-func Einsum() (*d2x.Build, error) { return einsumBuild(false) }
+func Einsum() (*d2x.Build, error) { return einsumBuild(false, true) }
 
-func einsumBuild(optimize bool) (*d2x.Build, error) {
+func einsumBuild(optimize, withD2X bool) (*d2x.Build, error) {
 	const M, N = 16, 8
-	bb := buildit.NewBuilder()
-	buildit.EnableD2X(bb)
+	bb := newBuilder(withD2X)
 	f := bb.Func("m_v_mul", []buildit.Param{
 		{Name: "output", Type: einsum.IntArrayType},
 		{Name: "matrix", Type: einsum.IntArrayType},
@@ -123,11 +123,10 @@ func einsumBuild(optimize bool) (*d2x.Build, error) {
 
 // Quickstart replicates the staging of examples/quickstart: an unrolled
 // sum_squares with an erased static, the smallest D2X build.
-func Quickstart() (*d2x.Build, error) { return quickstart(false) }
+func Quickstart() (*d2x.Build, error) { return quickstart(false, true) }
 
-func quickstart(optimize bool) (*d2x.Build, error) {
-	bb := buildit.NewBuilder()
-	buildit.EnableD2X(bb)
+func quickstart(optimize, withD2X bool) (*d2x.Build, error) {
+	bb := newBuilder(withD2X)
 	f := bb.Func("sum_squares", []buildit.Param{{Name: "n", Type: minic.IntType}}, minic.IntType)
 	unroll := buildit.NewStatic(f, "unroll", 4)
 	total := f.Decl("total", f.IntLit(0))
@@ -140,4 +139,12 @@ func quickstart(optimize bool) (*d2x.Build, error) {
 	m.Printf("%d\n", m.Call("sum_squares", minic.IntType, m.IntLit(5)))
 	m.Return(m.IntLit(0))
 	return bb.Link("quickstart_gen.c", d2x.LinkOptions{Optimize: optimize})
+}
+
+func newBuilder(withD2X bool) *buildit.Builder {
+	bb := buildit.NewBuilder()
+	if withD2X {
+		buildit.EnableD2X(bb)
+	}
+	return bb
 }

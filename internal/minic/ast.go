@@ -196,6 +196,14 @@ type StringLit struct {
 // NullLit is `null`.
 type NullLit struct{ exprBase }
 
+// ArrayLit is `{e0, e1, ...}`, the initialiser of an array global. The
+// parser builds it only there, and the checker requires every element to
+// be a constant literal assignable to the array's element type.
+type ArrayLit struct {
+	exprBase
+	Elems []Expr
+}
+
 // Ident is a reference to a local, parameter, global, or function.
 type Ident struct {
 	exprBase

@@ -133,6 +133,10 @@ type FuncCode struct {
 	// the function, computed at compile time. Each frame's stack is
 	// allocated once at this capacity, so pushes never grow it.
 	MaxStack int
+	// reuseFrames marks a function whose slots nothing can reach once a
+	// frame returns: no OpAddrLocal, no OpParFor, and not a parallel_for
+	// helper. The VM recycles such a function's returned frames.
+	reuseFrames bool
 }
 
 // LineOf returns the source line of the instruction at pc, or 0.

@@ -13,7 +13,25 @@ func CompileCode(prog *Program) error {
 		}
 		prog.Code[i] = fc
 	}
+	// A parallel_for helper's slots alias its spawner's captured cells.
+	for _, fc := range prog.Code {
+		for _, pf := range fc.ParFors {
+			prog.Code[pf.Helper].reuseFrames = false
+		}
+	}
 	return nil
+}
+
+// slotsPrivate reports whether nothing can reach a frame's slots of fc
+// once the frame returns: the code takes no local's address and runs no
+// parallel_for, whose workers capture slots by reference.
+func slotsPrivate(fc *FuncCode) bool {
+	for _, in := range fc.Instrs {
+		if in.Op == OpAddrLocal || in.Op == OpParFor {
+			return false
+		}
+	}
+	return true
 }
 
 // fnCompiler lowers one function body.
@@ -53,6 +71,7 @@ func compileFunc(prog *Program, fd *FuncDecl) (*FuncCode, error) {
 		c.emit(OpRetVal, 0, 0)
 	}
 	c.fc.MaxStack = maxStack(prog, c.fc)
+	c.fc.reuseFrames = slotsPrivate(c.fc)
 	return c.fc, nil
 }
 

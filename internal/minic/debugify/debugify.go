@@ -501,6 +501,8 @@ func setExprLine(e minic.Expr, id int) {
 		x.Line = id
 	case *minic.NullLit:
 		x.Line = id
+	case *minic.ArrayLit:
+		x.Line = id
 	case *minic.Ident:
 		x.Line = id
 	case *minic.BinaryExpr:

@@ -135,9 +135,8 @@ type Journal struct {
 }
 
 // Attach starts recording vm. The VM must be started: the base snapshot
-// is taken after module initialisers (__init*) have run, so table
-// constructors are part of the base state rather than of history, and
-// restoring to step 0 lands exactly where a debugger's first stop does.
+// is the state at attach, so restoring to step 0 lands exactly where a
+// debugger's first stop does.
 func Attach(vm *minic.VM, opts Options) (*Journal, error) {
 	if !vm.Started() {
 		return nil, fmt.Errorf("journal: VM not started")

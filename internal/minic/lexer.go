@@ -303,7 +303,9 @@ func (lx *lexer) next() (Token, error) {
 // lexAll scans the entire source, returning the token stream ending in EOF.
 func lexAll(file, src string) ([]Token, error) {
 	lx := newLexer(file, src)
-	var toks []Token
+	// Generated code, tables included, runs about three bytes a token;
+	// sizing for that spares most of the regrowth of a large slice.
+	toks := make([]Token, 0, len(src)/3)
 	for {
 		t, err := lx.next()
 		if err != nil {

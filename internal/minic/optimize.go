@@ -278,6 +278,10 @@ func (o *optimizer) expr(e Expr) Expr {
 		if x.Count != nil {
 			x.Count = o.expr(x.Count)
 		}
+	case *ArrayLit:
+		for i := range x.Elems {
+			x.Elems[i] = o.expr(x.Elems[i])
+		}
 	case *CastExpr:
 		x.X = o.expr(x.X)
 		if o.cfg.fold {

@@ -1,6 +1,6 @@
 package minic
 
-import "fmt"
+import "strconv"
 
 // parser builds the AST from the token stream. It is a conventional
 // recursive-descent parser with one token of (occasionally multi-token,
@@ -125,7 +125,12 @@ func (p *parser) parseGlobal() (*GlobalDecl, error) {
 	g := &GlobalDecl{Name: name.Text, Type: typ, Line: kw.Line}
 	if p.at(Assign) {
 		p.advance()
-		init, err := p.parseExpr()
+		var init Expr
+		if p.at(LBrace) {
+			init, err = p.parseArrayLit()
+		} else {
+			init, err = p.parseExpr()
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -135,6 +140,30 @@ func (p *parser) parseGlobal() (*GlobalDecl, error) {
 		return nil, err
 	}
 	return g, nil
+}
+
+// parseArrayLit parses `{}` or `{e0, e1, ...}`, without a trailing comma.
+func (p *parser) parseArrayLit() (*ArrayLit, error) {
+	lb := p.advance()
+	lit := &ArrayLit{exprBase: exprBase{Line: lb.Line}}
+	for !p.at(RBrace) {
+		e, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		lit.Elems = append(lit.Elems, e)
+		if !p.at(Comma) {
+			break
+		}
+		p.advance()
+		if p.at(RBrace) { // a trailing comma
+			return nil, p.errHere("expected expression, found %s", p.cur())
+		}
+	}
+	if _, err := p.expect(RBrace); err != nil {
+		return nil, err
+	}
+	return lit, nil
 }
 
 func (p *parser) parseFunc() (*FuncDecl, error) {
@@ -647,15 +676,15 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch t.Kind {
 	case INTLIT:
 		p.advance()
-		var v int64
-		if _, err := fmt.Sscanf(t.Text, "%d", &v); err != nil {
+		v, err := strconv.ParseInt(t.Text, 10, 64)
+		if err != nil {
 			return nil, errf(p.file, t.Line, t.Col, "bad integer literal %q", t.Text)
 		}
 		return &IntLit{exprBase: exprBase{Line: t.Line}, Value: v}, nil
 	case FLOATLIT:
 		p.advance()
-		var v float64
-		if _, err := fmt.Sscanf(t.Text, "%g", &v); err != nil {
+		v, err := strconv.ParseFloat(t.Text, 64)
+		if err != nil {
 			return nil, errf(p.file, t.Line, t.Col, "bad float literal %q", t.Text)
 		}
 		return &FloatLit{exprBase: exprBase{Line: t.Line}, Value: v}, nil

@@ -226,6 +226,12 @@ func exprStringRaw(e Expr) (string, int) {
 		return quoteMiniC(x.Value), 8
 	case *NullLit:
 		return "null", 8
+	case *ArrayLit:
+		elems := make([]string, len(x.Elems))
+		for i, e := range x.Elems {
+			elems[i] = exprString(e)
+		}
+		return "{" + strings.Join(elems, ", ") + "}", 8
 	case *Ident:
 		return x.Name, 8
 	case *BinaryExpr:
@@ -234,7 +240,12 @@ func exprStringRaw(e Expr) (string, int) {
 		return fmt.Sprintf("%s %s %s",
 			exprStringPrec(x.X, prec), x.Op, exprStringPrec(x.Y, prec+1)), prec
 	case *UnaryExpr:
-		return fmt.Sprintf("%s%s", x.Op, exprStringPrec(x.X, 7)), 7
+		op, operand := x.Op.String(), exprStringPrec(x.X, 7)
+		// "- -x" and "& &x" must not print as the tokens "--" and "&&".
+		if (x.Op == Minus || x.Op == Amp) && strings.HasPrefix(operand, op) {
+			operand = "(" + operand + ")"
+		}
+		return op + operand, 7
 	case *IndexExpr:
 		return fmt.Sprintf("%s[%s]", exprStringPrec(x.X, 8), exprString(x.Index)), 8
 	case *FieldExpr:

@@ -32,35 +32,34 @@ func (p *Program) FuncIndex(name string) int {
 	return -1
 }
 
-// InitFuncs returns, in declaration order, the names of functions that the
-// VM runs automatically before main. By convention these are all functions
-// whose name starts with "__init". The D2X table emitter uses this hook to
-// populate its tables inside the debuggee before execution begins.
-func (p *Program) InitFuncs() []string {
-	var names []string
-	for _, f := range p.Funcs {
-		if strings.HasPrefix(f.Name, "__init") {
-			names = append(names, f.Name)
-		}
-	}
-	return names
-}
-
 // SourceLines returns the program text split into lines (1-based access via
-// SourceLine). The debugger's `list` command and D2X's xlist both read
-// generated source through this.
+// SourceLine).
 func (p *Program) SourceLines() []string {
 	return strings.Split(p.SourceText, "\n")
 }
 
 // SourceLine returns the 1-based line of the generated source, or "" when
-// out of range.
+// out of range. The debugger reads generated source through it at every
+// stop and in `list`, so it scans SourceText in place and returns a
+// substring of it, without allocating.
+//
+//d2x:noalloc
 func (p *Program) SourceLine(n int) string {
-	lines := p.SourceLines()
-	if n < 1 || n > len(lines) {
+	if n < 1 {
 		return ""
 	}
-	return lines[n-1]
+	text := p.SourceText
+	for ; n > 1; n-- {
+		i := strings.IndexByte(text, '\n')
+		if i < 0 {
+			return ""
+		}
+		text = text[i+1:]
+	}
+	if i := strings.IndexByte(text, '\n'); i >= 0 {
+		return text[:i]
+	}
+	return text
 }
 
 // NativeHandler is the Go implementation of a native (host-linked)

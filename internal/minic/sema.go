@@ -66,9 +66,16 @@ func Check(file *File, natives *Natives) (*Program, error) {
 	}
 
 	// Global initialisers must be literal constants (negated literals
-	// allowed); anything richer belongs in an __init function.
+	// allowed), or array literals of them; anything richer is code and
+	// belongs in a function.
 	for _, g := range file.Globals {
 		if g.Init == nil {
+			continue
+		}
+		if lit, ok := g.Init.(*ArrayLit); ok {
+			if err := c.checkArrayLit(g, lit); err != nil {
+				return nil, err
+			}
 			continue
 		}
 		if err := c.checkExpr(g.Init); err != nil {
@@ -106,6 +113,29 @@ func (c *checker) validType(t *Type, line int) error {
 			return c.err(line, "unknown type %q", t.Name)
 		}
 	}
+	return nil
+}
+
+// checkArrayLit checks the array-literal initialiser of global g: g is
+// an array, and every element is a constant literal assignable to its
+// element type.
+func (c *checker) checkArrayLit(g *GlobalDecl, lit *ArrayLit) error {
+	if g.Type.Kind != TArray {
+		return c.err(g.Line, "array literal cannot initialise %s global %q", g.Type, g.Name)
+	}
+	for i, e := range lit.Elems {
+		if err := c.checkExpr(e); err != nil {
+			return err
+		}
+		if !isConstExpr(e) {
+			return c.err(e.Pos(), "element %d of global %q must be a constant literal", i, g.Name)
+		}
+		if !assignable(g.Type.Elem, e.Type()) {
+			return c.err(e.Pos(), "cannot initialise element %d of %s global %q with %s",
+				i, g.Type, g.Name, e.Type())
+		}
+	}
+	lit.typ = g.Type
 	return nil
 }
 

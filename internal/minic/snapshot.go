@@ -53,6 +53,10 @@ func (vm *VM) RestoreSnapshot(s *Snapshot) error {
 	}
 	threads := copyVMState(s.globals, s.threads, vm.Globals)
 	vm.threads = threads
+	// The restored frames are new copies that join the free lists as
+	// they return, so drop the frames parked before: repeated restores
+	// must not grow the lists beyond the frames one run keeps live.
+	clear(vm.frameFree)
 	clear(vm.runq)
 	vm.runq = vm.runq[:0]
 	vm.fault, vm.picked = nil, nil

@@ -327,3 +327,52 @@ func int main() {
 		t.Errorf("budget 1 executed %d instructions, want 1", one.Steps)
 	}
 }
+
+// TestRestoreBoundsFrameFreeLists: restoring a snapshot drops the frames
+// parked for reuse, so rewinding again and again leaves no more parked
+// frames than one run keeps live.
+func TestRestoreBoundsFrameFreeLists(t *testing.T) {
+	prog := compileForTest(t, `
+func int leaf(int x) {
+	return x + 1;
+}
+func int mid(int x) {
+	return leaf(x) * 2;
+}
+func int main() {
+	int s = 0;
+	for (int i = 0; i < 50; i++) {
+		s = s + mid(i);
+	}
+	return s;
+}`)
+	vm := NewVM(prog, nil)
+	if err := vm.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for vm.threads[0].Top().Fn.Name != "leaf" {
+		vm.StepInstr()
+	}
+	snap := vm.TakeSnapshot()
+	for r := 0; r < 20; r++ {
+		if err := vm.RunToCompletion(0); err != nil {
+			t.Fatal(err)
+		}
+		if got := vm.threads[0].Result.I; got != 2550 {
+			t.Fatalf("run %d returned %d, want 2550", r, got)
+		}
+		if err := vm.RestoreSnapshot(snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := vm.RunToCompletion(0); err != nil {
+		t.Fatal(err)
+	}
+	parked := 0
+	for _, free := range vm.frameFree {
+		parked += len(free)
+	}
+	if parked > len(prog.Funcs) {
+		t.Errorf("%d frames parked after 20 restores, want at most one per function (%d)", parked, len(prog.Funcs))
+	}
+}

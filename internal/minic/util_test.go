@@ -137,10 +137,6 @@ func int main() { return 0; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	inits := prog.InitFuncs()
-	if len(inits) != 2 || inits[0] != "__init_a" || inits[1] != "__init_b" {
-		t.Errorf("InitFuncs = %v", inits)
-	}
 	if prog.FuncIndex("helper") < 0 || prog.FuncIndex("ghost") != -1 {
 		t.Error("FuncIndex broken")
 	}
@@ -149,6 +145,20 @@ func int main() { return 0; }
 	}
 	if !strings.Contains(prog.SourceLine(2), "__init_a") {
 		t.Errorf("SourceLine(2) = %q", prog.SourceLine(2))
+	}
+	// SourceLine agrees with splitting the whole text, at both ends too.
+	for _, text := range []string{"", "\n", "a", "a\n", "a\nb", "\n\nc\n", prog.SourceText} {
+		p := &Program{SourceText: text}
+		lines := p.SourceLines()
+		for n := -1; n <= len(lines)+1; n++ {
+			want := ""
+			if n >= 1 && n <= len(lines) {
+				want = lines[n-1]
+			}
+			if got := p.SourceLine(n); got != want {
+				t.Errorf("SourceLine(%d) of %q = %q, want %q", n, text, got, want)
+			}
+		}
 	}
 }
 

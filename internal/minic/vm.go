@@ -33,7 +33,9 @@ func (s ThreadState) String() string {
 
 // Frame is one function activation. Slots are individually heap-allocated
 // cells so that pointers into frames (and parallel_for's by-reference
-// captures) stay valid for the frame's lifetime.
+// captures) stay valid for the frame's lifetime. After the frame returns,
+// the VM may recycle it, cells included, for a later call of the same
+// function (see FuncCode.reuseFrames), like a reused stack slot.
 type Frame struct {
 	ID        int
 	FuncIndex int
@@ -146,6 +148,10 @@ type VM struct {
 	// natFree recycles NativeCall frames. A handler may re-enter the VM
 	// and call further natives, so it is a freelist, not a single slot.
 	natFree []*NativeCall
+	// frameFree holds, per function index, returned frames with re-zeroed
+	// slots that newFrame recycles. Only functions whose FuncCode has
+	// reuseFrames set put frames here.
+	frameFree [][]*Frame
 
 	// onStep, when set, observes every scheduled statement-start
 	// instruction just before it executes (the execution journal records
@@ -157,7 +163,8 @@ type VM struct {
 	onStep func(*Thread)
 }
 
-// NewVM prepares a VM for the program with zero-initialised globals.
+// NewVM prepares a VM for the program with its globals at their initial
+// values.
 func NewVM(prog *Program, output io.Writer) *VM {
 	if output == nil {
 		output = io.Discard
@@ -168,19 +175,43 @@ func NewVM(prog *Program, output io.Writer) *VM {
 		NumWorkers:  4,
 		SynthBudget: 200_000_000,
 		frameByID:   map[int]*Frame{},
+		frameFree:   make([][]*Frame, len(prog.Funcs)),
 	}
 	vm.Globals = make([]Cell, len(prog.Globals))
 	for i, g := range prog.Globals {
-		if g.Init != nil {
-			vm.Globals[i].V = constValue(g.Init)
-		} else {
-			vm.Globals[i].V = ZeroValue(g.Type)
-		}
+		vm.Globals[i].V = initValue(g)
 	}
 	return vm
 }
 
-func constValue(e Expr) Value {
+// initValue is the value global g holds when a VM starts. An array
+// literal gives every VM an array of its own.
+func initValue(g *GlobalDecl) Value {
+	switch x := g.Init.(type) {
+	case nil:
+		return ZeroValue(g.Type)
+	case *ArrayLit:
+		a := &ArrayObj{Elem: g.Type.Elem, Cells: make([]Cell, len(x.Elems))}
+		for i, e := range x.Elems {
+			a.Cells[i].V = constValue(e, g.Type.Elem)
+		}
+		return ArrVal(a)
+	}
+	return constValue(g.Init, g.Type)
+}
+
+// constValue evaluates a checked constant literal stored to a location
+// of type t, converting an int to float as castIfNeeded does for locals.
+func constValue(e Expr, t *Type) Value {
+	v := literalValue(e)
+	if t.Kind == TFloat && v.Kind == VInt {
+		return FloatVal(float64(v.I))
+	}
+	return v
+}
+
+// literalValue evaluates a literal, or a negated one, as written.
+func literalValue(e Expr) Value {
 	switch x := e.(type) {
 	case *IntLit:
 		return IntVal(x.Value)
@@ -193,7 +224,7 @@ func constValue(e Expr) Value {
 	case *NullLit:
 		return NullVal()
 	case *UnaryExpr:
-		v := constValue(x.X)
+		v := literalValue(x.X)
 		switch v.Kind {
 		case VInt:
 			return IntVal(-v.I)
@@ -244,33 +275,54 @@ func (vm *VM) ThreadByID(id int) *Thread {
 // value) to the live frame, or nil after the frame has returned.
 func (vm *VM) FrameByID(id int) *Frame { return vm.frameByID[id] }
 
+// newFrame activates function funcIndex with args in its first slots. It
+// recycles a returned frame of the function when one is free, which
+// returnFrame left with re-zeroed slots and an empty operand stack.
 func (vm *VM) newFrame(funcIndex int, args []Value) (*Frame, error) {
 	fd := vm.Prog.Funcs[funcIndex]
 	fc := vm.Prog.Code[funcIndex]
 	if len(args) != len(fd.Params) {
 		return nil, fmt.Errorf("call to %s with %d args, want %d", fd.Name, len(args), len(fd.Params))
 	}
-	f := &Frame{
-		ID:        vm.nextFrameID,
-		FuncIndex: funcIndex,
-		Fn:        fd,
-		Code:      fc,
-		Slots:     make([]*Cell, fc.NumSlots),
-		stack:     make([]Value, 0, fc.MaxStack),
-	}
-	vm.nextFrameID++
-	backing := make([]Cell, fc.NumSlots)
-	for i := range f.Slots {
-		f.Slots[i] = &backing[i]
-		if i < len(fd.SlotTypes) {
-			f.Slots[i].V = ZeroValue(fd.SlotTypes[i])
+	var f *Frame
+	if free := vm.frameFree[funcIndex]; len(free) > 0 {
+		f = free[len(free)-1]
+		free[len(free)-1] = nil
+		vm.frameFree[funcIndex] = free[:len(free)-1]
+		f.PC = 0
+	} else {
+		f = &Frame{
+			FuncIndex: funcIndex,
+			Fn:        fd,
+			Code:      fc,
+			Slots:     make([]*Cell, fc.NumSlots),
+			stack:     make([]Value, 0, fc.MaxStack),
 		}
+		backing := make([]Cell, fc.NumSlots)
+		for i := range f.Slots {
+			f.Slots[i] = &backing[i]
+		}
+		zeroSlots(f)
 	}
+	f.ID = vm.nextFrameID
+	vm.nextFrameID++
 	for i, a := range args {
 		f.Slots[i].V = a
 	}
 	vm.frameByID[f.ID] = f
 	return f, nil
+}
+
+// zeroSlots gives every slot of f the zero value of its declared type.
+func zeroSlots(f *Frame) {
+	types := f.Fn.SlotTypes
+	for i, c := range f.Slots {
+		if i < len(types) {
+			c.V = ZeroValue(types[i])
+		} else {
+			c.V = Value{}
+		}
+	}
 }
 
 func (vm *VM) newThread(parent *Thread, synth bool) *Thread {
@@ -279,11 +331,8 @@ func (vm *VM) newThread(parent *Thread, synth bool) *Thread {
 	return t
 }
 
-// Start sets up the main thread. Functions whose name begins with "__init"
-// run to completion first (module constructors — the D2X table emitter
-// registers its table-building code this way); they execute synchronously
-// and are not visible to the debugger, like ELF constructors run before
-// the first stop at main.
+// Start sets up the main thread. No code runs before main: globals,
+// array-literal tables included, already hold their initial values.
 func (vm *VM) Start() error {
 	if vm.started {
 		return fmt.Errorf("minic: VM already started")
@@ -291,11 +340,6 @@ func (vm *VM) Start() error {
 	mainIdx := vm.Prog.FuncIndex("main")
 	if mainIdx < 0 {
 		return fmt.Errorf("minic: program has no main function")
-	}
-	for _, name := range vm.Prog.InitFuncs() {
-		if _, err := vm.CallFunction(name, nil); err != nil {
-			return fmt.Errorf("minic: running %s: %w", name, err)
-		}
 	}
 	frame, err := vm.newFrame(mainIdx, nil)
 	if err != nil {
@@ -931,11 +975,20 @@ func (vm *VM) CallNative(nat *Native, t *Thread, args []Value) (Value, error) {
 }
 
 // returnFrame pops the top frame; pushes the result into the caller or
-// finishes the thread (continuing its parallel_for range, if any).
+// finishes the thread (continuing its parallel_for range, if any). A
+// frame whose slots nothing can reach any more goes to the free list,
+// its slots and operand stack cleared now so that it keeps nothing they
+// held alive.
 func (vm *VM) returnFrame(t *Thread, v Value, hasValue bool) {
 	top := t.Top()
 	delete(vm.frameByID, top.ID)
 	t.Frames = t.Frames[:len(t.Frames)-1]
+	if top.Code.reuseFrames {
+		zeroSlots(top)
+		clear(top.stack[:cap(top.stack)])
+		top.stack = top.stack[:0]
+		vm.frameFree[top.FuncIndex] = append(vm.frameFree[top.FuncIndex], top)
+	}
 	if len(t.Frames) > 0 {
 		if hasValue {
 			t.Top().push(v)

@@ -152,7 +152,7 @@ func int main() {
 }
 
 func TestRecursion(t *testing.T) {
-	_, out := runProgram(t, `
+	vm, out := runProgram(t, `
 func int fib(int n) {
 	if (n < 2) {
 		return n;
@@ -165,6 +165,95 @@ func int main() {
 }`)
 	if out != "610\n" {
 		t.Errorf("fib output = %q, want 610", out)
+	}
+	// Recycling fib's returned frames must not change the instruction
+	// count.
+	if vm.Steps != 19732 {
+		t.Errorf("Steps = %d, want 19732", vm.Steps)
+	}
+	if n := len(vm.frameFree[vm.Prog.FuncIndex("fib")]); n == 0 {
+		t.Error("fib's returned frames were not kept for reuse")
+	}
+}
+
+// TestReusedFrameIsFresh: the second call of a function gets the first
+// call's frame back, with a new ID and its slots zeroed, so a local not
+// yet assigned reads as zero, not as the last call's value.
+func TestReusedFrameIsFresh(t *testing.T) {
+	prog, err := Compile("test.c", `
+func int sq(int x) {
+	int y = x * x;
+	return y;
+}
+func int main() {
+	int a = sq(3);
+	int b = sq(4);
+	return a + b;
+}`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := NewVM(prog, nil)
+	if err := vm.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var first *Frame
+	var firstID int
+	for !vm.Done() {
+		top := vm.NextThread().Top()
+		if top.Fn.Name == "sq" && top.PC == 0 {
+			if first == nil {
+				first, firstID = top, top.ID
+			} else {
+				if top != first || top.ID == firstID {
+					t.Errorf("second call: frame %p ID %d, first %p ID %d; want the same frame with a new ID", top, top.ID, first, firstID)
+				}
+				if y := top.SlotByName("y").V; y != IntVal(0) {
+					t.Errorf("unassigned local y = %+v on the reused frame, want 0", y)
+				}
+				if x := top.SlotByName("x").V; x != IntVal(4) {
+					t.Errorf("argument x = %+v, want 4", x)
+				}
+			}
+		}
+		vm.StepInstr()
+	}
+	if got := vm.threads[0].Result.I; got != 25 {
+		t.Errorf("main returned %d, want 25", got)
+	}
+}
+
+// TestFrameReuseSparesAddressedLocals: a function that takes a local's
+// address never has its frames recycled, so the pointer it returns
+// keeps reading the local's last value across later calls.
+func TestFrameReuseSparesAddressedLocals(t *testing.T) {
+	vm, out := runProgram(t, `
+global int* p;
+global int* q;
+func int* keep(int v) {
+	int x = v;
+	x = x + 1;
+	return &x;
+}
+func int other(int a) {
+	int y = a * 2;
+	return y;
+}
+func int main() {
+	p = keep(41);
+	q = keep(99);
+	int s = 0;
+	for (int i = 0; i < 10; i++) {
+		s = s + other(i);
+	}
+	printf("%d %d %d\n", *p, *q, s);
+	return 0;
+}`)
+	if want := "42 100 90\n"; out != want {
+		t.Errorf("output = %q, want %q", out, want)
+	}
+	if n := len(vm.frameFree[vm.Prog.FuncIndex("keep")]); n != 0 {
+		t.Errorf("%d frames of keep kept for reuse, want none", n)
 	}
 }
 
@@ -266,15 +355,9 @@ func int main() {
 	}
 }
 
-func TestInitFunctionsRunBeforeMain(t *testing.T) {
+func TestArrayLiteralGlobalBeforeMain(t *testing.T) {
 	vm, _ := runProgram(t, `
-global int[] table;
-func void __init_tables() {
-	table = new int[3];
-	table[0] = 10;
-	table[1] = 20;
-	table[2] = 30;
-}
+global int[] table = {10, 20, 30};
 global int sum = 0;
 func int main() {
 	sum = table[0] + table[1] + table[2];
@@ -323,6 +406,11 @@ func TestCompileErrors(t *testing.T) {
 		{"bad-field", `struct s { int a; } func int main() { s* p = new s; return p->b; }`, "no field"},
 		{"void-var", `func int main() { void v; return 0; }`, "cannot have type void"},
 		{"string-mod", `func int main() { string s = "a"; s = s % "b"; return 0; }`, "must be int"},
+		{"arraylit-non-array", `global int x = {1}; func int main() { return 0; }`, "array literal cannot initialise int global"},
+		{"arraylit-non-literal", `global int y = 1; global int[] x = {1, y}; func int main() { return 0; }`, "element 1 of global \"x\" must be a constant literal"},
+		{"arraylit-wrong-type", `global int[] x = {1, "a"}; func int main() { return 0; }`, "cannot initialise element 1 of int[] global \"x\" with string"},
+		{"arraylit-local", `func int main() { int[] a = {1}; return 0; }`, "expected expression, found {"},
+		{"arraylit-trailing-comma", `global int[] x = {1,}; func int main() { return 0; }`, "expected expression, found }"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -404,16 +492,67 @@ func TestStepsCounterAdvances(t *testing.T) {
 
 func TestImplicitIntToFloat(t *testing.T) {
 	_, out := runProgram(t, `
+global float g = 1;
+global float[] w = {1, 2.5, -3};
 func float halve(float x) {
 	return x / 2;
 }
 func int main() {
 	float a = 3;
 	printf("%f %f\n", a / 2, halve(5));
+	printf("%f %f %f %f\n", g / 2, w[0] / 2, w[1], w[2] / 2);
 	return 0;
 }`)
-	if out != "1.5 2.5\n" {
-		t.Errorf("output = %q, want %q", out, "1.5 2.5\n")
+	if want := "1.5 2.5\n0.5 0.5 2.5 -1.5\n"; out != want {
+		t.Errorf("output = %q, want %q", out, want)
+	}
+}
+
+// TestArrayLiteralGlobalsPerVM: every VM of a Program starts from its own
+// copy of an array literal, and a snapshot restore brings back an element
+// written after the snapshot.
+func TestArrayLiteralGlobalsPerVM(t *testing.T) {
+	prog, err := Compile("test.c", `
+global int[] t = {1, 2, 3};
+global string[] names = {"a", "b\n"};
+func int main() {
+	t[1] = 99;
+	names[0] = "z";
+	return 0;
+}`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := NewVM(prog, nil), NewVM(prog, nil)
+	if err := a.Run(); err != nil {
+		t.Fatal(err)
+	}
+	elem := func(vm *VM, name string, i int) Value { return vm.GlobalCell(name).V.Arr.Cells[i].V }
+	if got := elem(a, "t", 1).I; got != 99 {
+		t.Errorf("t[1] after the run = %d, want 99", got)
+	}
+	if got, got2 := elem(b, "t", 1).I, elem(b, "names", 0).S; got != 2 || got2 != "a" {
+		t.Errorf("the other VM's t[1], names[0] = %d, %q; want 2, \"a\"", got, got2)
+	}
+	if got := elem(b, "names", 1).S; got != "b\n" {
+		t.Errorf("names[1] = %q", got)
+	}
+
+	if err := b.Start(); err != nil {
+		t.Fatal(err)
+	}
+	snap := b.TakeSnapshot()
+	if err := b.RunToCompletion(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := elem(b, "t", 1).I; got != 99 {
+		t.Fatalf("t[1] after the run = %d, want 99", got)
+	}
+	if err := b.RestoreSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	if got, got2 := elem(b, "t", 1).I, elem(b, "names", 0).S; got != 2 || got2 != "a" {
+		t.Errorf("t[1], names[0] after restore = %d, %q; want 2, \"a\"", got, got2)
 	}
 }
 

@@ -106,5 +106,9 @@ func InspectExpr(e Expr, fn func(Expr)) {
 		InspectExpr(x.Count, fn)
 	case *CastExpr:
 		InspectExpr(x.X, fn)
+	case *ArrayLit:
+		for _, el := range x.Elems {
+			InspectExpr(el, fn)
+		}
 	}
 }
