@@ -328,9 +328,6 @@ func (c *Context) PopScope() error {
 	return nil
 }
 
-// Sections returns all closed sections (for the emitter and for tests).
-func (c *Context) Sections() []*Section { return c.sections }
-
 // Records returns every record across all closed sections.
 func (c *Context) Records() []Record {
 	var out []Record

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"errors"
 	"net"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -136,6 +138,42 @@ func TestBatchOversizedRejectedClientSide(t *testing.T) {
 		t.Fatalf("oversized batch: got %v, want a frame-limit error", err)
 	}
 	mustDo(t, c, wire.CmdBreak, &wire.Args{Spec: "power_15"})
+}
+
+// TestBatchOversizedResponseKeepsConnection: a batch whose response would
+// exceed MaxFrameBytes (about 8,600 xbt on power) gets an error response
+// naming the response's size and the limit, and the connection and its
+// session stay usable.
+func TestBatchOversizedResponseKeepsConnection(t *testing.T) {
+	_, addr := startServer(t)
+	c := dial(t, addr)
+	mustDo(t, c, wire.CmdLaunch, &wire.Args{Example: "power"})
+	mustDo(t, c, wire.CmdBreak, &wire.Args{Spec: "power_15"})
+	mustDo(t, c, wire.CmdRun, nil)
+	c.Events()
+
+	// xbt names files by absolute path, so size the batch from one result.
+	one := mustDo(t, c, wire.CmdXBT, nil).Body.Output
+	subs := make([]wire.SubRequest, wire.MaxFrameBytes/len(one)+1)
+	for i := range subs {
+		subs[i] = wire.SubRequest{Command: wire.CmdXBT}
+	}
+	_, err := c.DoBatch(subs)
+	var re *wire.RemoteError
+	if !errors.As(err, &re) {
+		t.Fatalf("batch of %d xbt: got %v, want a remote error", len(subs), err)
+	}
+	m := regexp.MustCompile(`(\d+) bytes exceeds the (\d+)-byte limit`).FindStringSubmatch(re.Message)
+	if m == nil || m[2] != strconv.Itoa(wire.MaxFrameBytes) {
+		t.Fatalf("error %q does not name the response size and the %d-byte limit", re.Message, wire.MaxFrameBytes)
+	}
+	if size, _ := strconv.Atoi(m[1]); size <= wire.MaxFrameBytes {
+		t.Fatalf("error names a %d-byte response, want one over the limit", size)
+	}
+
+	if xbt := mustDo(t, c, wire.CmdXBT, nil); xbt.Body.Output != one {
+		t.Fatalf("xbt after the refused batch: %q, want %q", xbt.Body.Output, one)
+	}
 }
 
 // TestBatchOversizedRejectedServerSide: a peer that streams a request

@@ -6,15 +6,15 @@
 // build it launches, while every session of a build shares the build's
 // D2X runtime — one table decode, one fused rip index, a sharded session
 // registry — which is exactly the multiplexing the registry work exists
-// for. A connection is served by two goroutines: a reader that decodes
-// and executes requests one at a time, and a writer that owns the socket
-// and drains an outbound queue. Responses are never dropped; events ride
-// a bounded segment of the queue and are shed oldest-first when a client
-// reads too slowly, with the cumulative shed count attached to every
-// event (Body.Dropped) and mirrored in obs under serve.events.dropped.
+// for. A connection is served by one goroutine. It decodes a request,
+// executes it, writes the request's events and then its response, and
+// flushes them before it decodes the next request. No frame is queued
+// between requests and none is ever dropped: a client that stops reading
+// stalls only its own connection, through TCP flow control.
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -30,17 +30,12 @@ import (
 	"d2x/internal/obs"
 )
 
-// maxQueuedEvents bounds the droppable (event) portion of a connection's
-// outbound queue. Responses do not count against it.
-const maxQueuedEvents = 256
-
 var (
 	srvConns        = obs.GetGauge("serve.conns")
 	srvSessions     = obs.GetCounter("serve.sessions")
 	srvRequests     = obs.GetCounter("serve.requests")
 	srvErrors       = obs.GetCounter("serve.request_errors")
 	srvBadFrames    = obs.GetCounter("serve.bad_frames")
-	srvDropped      = obs.GetCounter("serve.events.dropped")
 	srvEvents       = obs.GetCounter("serve.events.sent")
 	srvCmdLatency   = obs.GetHistogram("serve.cmd.latency")
 	srvWriteErrors  = obs.GetCounter("serve.write_errors")
@@ -125,8 +120,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		}
 		s.conns[cn] = struct{}{}
 		s.connMu.Unlock()
-		s.wg.Add(2)
-		go cn.writeLoop()
+		s.wg.Add(1)
 		go cn.readLoop()
 	}
 }
@@ -145,7 +139,9 @@ func (s *Server) ListenAndServe(addr string, ready func(net.Addr)) error {
 }
 
 // Close shuts the server down: stops accepting, closes every live
-// connection, and waits for their goroutines to drain.
+// connection's socket, and waits for their goroutines to return. A
+// goroutine blocked writing to a client that stopped reading returns as
+// soon as its socket closes.
 func (s *Server) Close() error {
 	s.connMu.Lock()
 	if s.closed {
@@ -163,7 +159,7 @@ func (s *Server) Close() error {
 		ln.Close()
 	}
 	for _, cn := range conns {
-		cn.shutdown()
+		cn.c.Close()
 	}
 	s.wg.Wait()
 	return nil
@@ -175,153 +171,35 @@ func (s *Server) dropConn(cn *conn) {
 	s.connMu.Unlock()
 }
 
-// outQueue is a connection's outbound frame queue: a FIFO whose event
-// frames are droppable (bounded, shed oldest-first) and whose response
-// frames are not. One writer goroutine drains it onto the socket.
-type outQueue struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	items   []outItem
-	nEvents int
-	dropped int64 // cumulative sheds, attached to outgoing events
-	closed  bool
-}
-
-type outItem struct {
-	f         *wire.Frame
-	droppable bool
-}
-
-func newOutQueue() *outQueue {
-	q := &outQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-// push enqueues a frame. Droppable frames shed the oldest droppable
-// entry when the event segment is full; non-droppable frames always
-// enter the queue (the reader executes one command at a time, so at most
-// one response is ever pending).
-func (q *outQueue) push(f *wire.Frame, droppable bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return
-	}
-	if droppable && q.nEvents >= maxQueuedEvents {
-		for i, it := range q.items {
-			if it.droppable {
-				q.items = append(q.items[:i], q.items[i+1:]...)
-				q.nEvents--
-				q.dropped++
-				srvDropped.Inc()
-				break
-			}
-		}
-	}
-	if droppable {
-		q.nEvents++
-	}
-	q.items = append(q.items, outItem{f: f, droppable: droppable})
-	q.cond.Signal()
-}
-
-// pop blocks for the next frame; ok is false once the queue is closed
-// and drained. Events leave with the cumulative shed count stamped on.
-func (q *outQueue) pop() (*wire.Frame, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.items) == 0 {
-		return nil, false
-	}
-	it := q.items[0]
-	q.items = q.items[1:]
-	if it.droppable {
-		q.nEvents--
-		if q.dropped > 0 {
-			if it.f.Body == nil {
-				it.f.Body = &wire.Body{}
-			}
-			it.f.Body.Dropped = q.dropped
-		}
-	}
-	return it.f, true
-}
-
-// close stops the queue accepting new frames. Already-queued frames stay
-// and are still drained by pop — a clean disconnect flushes its final
-// response; abortive shutdown relies on the socket close failing the
-// writes instead.
-func (q *outQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-// conn is one client connection: its socket, its outbound queue, and —
-// after a successful launch — its debug session.
+// conn is one client connection: its socket, the frames its current
+// request produced, and — after a successful launch — its debug session.
+// One goroutine serves it (readLoop), so none of its fields are shared.
 type conn struct {
 	srv *Server
 	c   net.Conn
-	q   *outQueue
+	bw  *bufio.Writer
+	enc *wire.Encoder
 
 	dbg       *debugger.Debugger
 	sessionID int64
 
-	progOut    bytes.Buffer // debuggee output, drained into output events
-	transcript bytes.Buffer // debugger transcript, returned in responses
-	seq        int64        // server-side frame sequence
-
-	writerDone chan struct{}
+	progOut    bytes.Buffer  // debuggee output, drained into output events
+	transcript bytes.Buffer  // debugger transcript, returned in responses
+	seq        int64         // server-side frame sequence
+	frames     []*wire.Frame // the current request's events, then its response
 }
 
 func newConn(s *Server, c net.Conn) *conn {
-	return &conn{srv: s, c: c, q: newOutQueue(), writerDone: make(chan struct{})}
+	bw := bufio.NewWriter(c)
+	return &conn{srv: s, c: c, bw: bw, enc: wire.NewEncoder(bw)}
 }
 
-// shutdown force-closes the connection from the server side.
-func (cn *conn) shutdown() {
-	cn.q.close()
-	cn.c.Close()
-}
-
-// writeLoop owns all socket writes: it drains the queue until the queue
-// closes or a write fails.
-func (cn *conn) writeLoop() {
-	defer cn.srv.wg.Done()
-	defer close(cn.writerDone)
-	enc := wire.NewEncoder(cn.c)
-	for {
-		f, ok := cn.q.pop()
-		if !ok {
-			return
-		}
-		if err := enc.Encode(f); err != nil {
-			srvWriteErrors.Inc()
-			cn.q.close()
-			cn.c.Close()
-			return
-		}
-		if f.Type == wire.TypeEvent {
-			srvEvents.Inc()
-		}
-	}
-}
-
-// readLoop decodes and executes requests one at a time until the client
-// disconnects or sends garbage.
+// readLoop serves the connection: it decodes one request, executes it,
+// and writes the request's frames before it decodes the next, until the
+// client disconnects, sends garbage or stops taking writes.
 func (cn *conn) readLoop() {
 	defer cn.srv.wg.Done()
 	defer func() {
-		cn.q.close()
-		// Let the writer drain queued frames (a clean disconnect's final
-		// response) before the socket goes away; if the peer is gone the
-		// writes fail and the writer exits immediately.
-		<-cn.writerDone
 		cn.c.Close()
 		if cn.dbg != nil {
 			cn.dbg.Close()
@@ -339,19 +217,48 @@ func (cn *conn) readLoop() {
 			}
 			return
 		}
+		disconnect := false
 		if req.Type != wire.TypeRequest {
 			srvBadFrames.Inc()
 			cn.respondErr(req, fmt.Errorf("expected a request frame, got %q", req.Type))
-			continue
+		} else {
+			srvRequests.Inc()
+			start := obs.Now()
+			disconnect = cn.handle(req)
+			srvCmdLatency.Since(start)
 		}
-		srvRequests.Inc()
-		start := obs.Now()
-		disconnect := cn.handle(req)
-		srvCmdLatency.Since(start)
+		if err := cn.flush(req); err != nil {
+			srvWriteErrors.Inc()
+			return
+		}
 		if disconnect {
 			return
 		}
 	}
+}
+
+// flush encodes the frames req produced, in order, and flushes the
+// connection's writer once. A response over wire.MaxFrameBytes is
+// replaced by an error response that says so, and the connection stays
+// usable; any other failure ends the connection. A client that stops
+// reading blocks the flush, and with it only its own connection.
+func (cn *conn) flush(req *wire.Frame) error {
+	for _, f := range cn.frames {
+		err := cn.enc.Encode(f)
+		if errors.Is(err, wire.ErrFrameTooLarge) && f.Type == wire.TypeResponse {
+			srvErrors.Inc()
+			err = cn.enc.Encode(wire.ErrorResponse(f.Seq, req, fmt.Errorf("response not sent: %w", err)))
+		}
+		if err != nil {
+			return err
+		}
+		if f.Type == wire.TypeEvent {
+			srvEvents.Inc()
+		}
+	}
+	clear(cn.frames)
+	cn.frames = cn.frames[:0]
+	return cn.bw.Flush()
 }
 
 func (cn *conn) nextSeq() int64 {
@@ -360,19 +267,19 @@ func (cn *conn) nextSeq() int64 {
 }
 
 func (cn *conn) respond(req *wire.Frame, body *wire.Body) {
-	cn.q.push(wire.Response(cn.nextSeq(), req, body), false)
+	cn.frames = append(cn.frames, wire.Response(cn.nextSeq(), req, body))
 }
 
 func (cn *conn) respondErr(req *wire.Frame, err error) {
 	srvErrors.Inc()
-	cn.q.push(wire.ErrorResponse(cn.nextSeq(), req, err), false)
+	cn.frames = append(cn.frames, wire.ErrorResponse(cn.nextSeq(), req, err))
 }
 
 func (cn *conn) event(name string, body *wire.Body) {
-	cn.q.push(wire.Event(cn.nextSeq(), name, body), true)
+	cn.frames = append(cn.frames, wire.Event(cn.nextSeq(), name, body))
 }
 
-// handle executes one request and enqueues its events and response. It
+// handle executes one request and collects its events and response. It
 // reports whether the connection should close (disconnect).
 func (cn *conn) handle(req *wire.Frame) (disconnect bool) {
 	if !wire.KnownCommand(req.Command) {
@@ -407,7 +314,7 @@ func (cn *conn) handle(req *wire.Frame) (disconnect bool) {
 }
 
 // execOne maps one command onto the session's debugger and executes it,
-// pushing any events it produces, and returns the response body. It is
+// collecting any events it produces, and returns the response body. It is
 // the shared execution core of standalone requests and batch
 // sub-commands, which is what keeps the two protocols byte-identical.
 func (cn *conn) execOne(command string, args *wire.Args) (*wire.Body, error) {

@@ -1,12 +1,18 @@
 package serve
 
 import (
+	"bytes"
+	"io"
 	"net"
+	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"d2x/internal/d2x/wire"
+	"d2x/internal/obs"
 )
 
 // startServer runs a Server on a loopback listener and tears it down with
@@ -250,38 +256,158 @@ func (e strErr) Error() string { return string(e) }
 
 const errEmptyBacktrace = strErr("xbt output missing staging frames")
 
-func TestOutQueueShedsOldestEventsOnly(t *testing.T) {
-	q := newOutQueue()
-	for i := 0; i < maxQueuedEvents+10; i++ {
-		q.push(wire.Event(int64(i+1), wire.EventOutput, &wire.Body{}), true)
+// TestReadmeTranscript sends README's nc transcript as one write on a raw
+// connection and checks every frame the server answers with: each
+// request's events come before its response, every request_seq matches,
+// seq strictly increases, and the server closes after disconnect.
+func TestReadmeTranscript(t *testing.T) {
+	_, addr := startServer(t)
+	readme, err := os.ReadFile("../../../README.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-	q.push(wire.Response(9999, wire.Request(1, wire.CmdRun, nil), nil), false)
+	_, script, _ := strings.Cut(string(readme), "nc 127.0.0.1 4711 <<'EOF'\n")
+	script, _, ok := strings.Cut(script, "\nEOF\n")
+	if !ok {
+		t.Fatal("README has no nc transcript")
+	}
+	if n := strings.Count(script, "\n") + 1; n != 6 {
+		t.Fatalf("README's nc transcript has %d request lines, want 6", n)
+	}
 
-	var events []*wire.Frame
-	var resp *wire.Frame
-	for i := 0; i < maxQueuedEvents+1; i++ { // cap events + 1 response
-		f, ok := q.pop()
-		if !ok {
-			t.Fatal("queue closed early")
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer raw.Close()
+	raw.SetDeadline(time.Now().Add(30 * time.Second))
+	if _, err := raw.Write([]byte(script + "\n")); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+
+	dec := wire.NewDecoder(raw)
+	var lastSeq int64
+	next := func() *wire.Frame {
+		t.Helper()
+		f, err := dec.Decode()
+		if err != nil {
+			t.Fatalf("decode after seq %d: %v", lastSeq, err)
 		}
-		if f.Type == wire.TypeResponse {
-			resp = f
-		} else {
-			events = append(events, f)
+		if f.Seq <= lastSeq {
+			t.Fatalf("seq %d follows seq %d", f.Seq, lastSeq)
+		}
+		lastSeq = f.Seq
+		return f
+	}
+	response := func(reqSeq int64, cmd string) *wire.Frame {
+		t.Helper()
+		f := next()
+		if f.Type != wire.TypeResponse || f.RequestSeq != reqSeq || f.Command != cmd || !f.Success {
+			t.Fatalf("want a successful %s response to request %d, got %+v", cmd, reqSeq, f)
+		}
+		return f
+	}
+	event := func(name string) *wire.Frame {
+		t.Helper()
+		f := next()
+		if f.Type != wire.TypeEvent || f.Event != name || f.Body == nil {
+			t.Fatalf("want a %s event, got %+v", name, f)
+		}
+		return f
+	}
+
+	if f := response(1, wire.CmdLaunch); f.Body == nil || f.Body.Session == 0 {
+		t.Fatalf("launch response has no session: %+v", f.Body)
+	}
+	response(2, wire.CmdBreak)
+	if f := event(wire.EventStopped); f.Body.Reason != "breakpoint" {
+		t.Fatalf("run stopped for %q, want breakpoint", f.Body.Reason)
+	}
+	response(3, wire.CmdRun)
+	if f := response(4, wire.CmdXBT); f.Body == nil || !strings.Contains(f.Body.Output, "examplebuilds.go") {
+		t.Fatalf("xbt response lacks the staging frames: %+v", f.Body)
+	}
+	if f := event(wire.EventOutput); !strings.Contains(f.Body.Output, "14348907") {
+		t.Fatalf("output event lacks power(3,15): %q", f.Body.Output)
+	}
+	if f := event(wire.EventStopped); f.Body.Reason != "exited" || !f.Body.Exited {
+		t.Fatalf("continue stopped with %+v, want exited", f.Body)
+	}
+	response(5, wire.CmdContinue)
+	response(6, wire.CmdDisconnect)
+	if f, err := dec.Decode(); err != io.EOF {
+		t.Fatalf("want EOF after the disconnect response, got %+v, %v", f, err)
+	}
+}
+
+// TestStalledClientHoldsNoFrames: a client that pipelines requests and
+// reads nothing stalls its own connection through TCP flow control. The
+// server keeps no backlog of responses for it, and Close returns while
+// the connection's goroutine is blocked writing to it.
+func TestStalledClientHoldsNoFrames(t *testing.T) {
+	const requests = 20000
+	goroutines := runtime.NumGoroutine()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	srv := New()
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+
+	var reqs bytes.Buffer
+	enc := wire.NewEncoder(&reqs)
+	for i := 1; i <= requests; i++ {
+		if err := enc.Encode(wire.Request(int64(i), wire.CmdStats, nil)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if len(events) != maxQueuedEvents {
-		t.Fatalf("queue held %d events, want cap %d", len(events), maxQueuedEvents)
+	raw, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
 	}
-	if resp == nil {
-		t.Fatal("response frame was shed")
+	handled := obs.GetCounter("serve.requests")
+	handled0, heap0 := handled.Value(), liveHeap()
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		raw.Write(reqs.Bytes()) // blocks once the server stops reading; fails when it closes
+	}()
+
+	time.Sleep(2 * time.Second)
+	if grown := float64(liveHeap()-heap0) / (1 << 20); grown >= 8 {
+		t.Errorf("live heap grew by %.1f MiB while the client read nothing, want < 8 MiB", grown)
 	}
-	// Oldest shed first: first surviving event is seq 11.
-	if events[0].Seq != 11 {
-		t.Fatalf("first surviving event seq = %d, want 11", events[0].Seq)
+	if n := handled.Value() - handled0; n >= requests {
+		t.Errorf("the server handled all %d requests of a client that reads nothing", n)
 	}
-	// Every surviving event carries the cumulative shed count.
-	if events[0].Body.Dropped != 10 {
-		t.Fatalf("Dropped = %d, want 10", events[0].Body.Dropped)
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Close did not return within 1 s of a blocked write")
 	}
+	if err := <-served; err != nil {
+		t.Errorf("Serve returned %v", err)
+	}
+	raw.Close()
+	<-wrote
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, want the baseline %d", runtime.NumGoroutine(), goroutines)
+		}
+	}
+}
+
+// liveHeap returns the bytes of live heap objects after a full GC.
+func liveHeap() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
 }

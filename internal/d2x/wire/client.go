@@ -8,9 +8,10 @@ import (
 	"time"
 )
 
-// maxBufferedEvents bounds the events a Client holds between Do calls.
-// Like the server's queue the client sheds oldest-first: a client that
-// never drains events must not grow without bound either.
+// maxBufferedEvents bounds the events a Client holds between Do calls,
+// shed oldest-first: a caller that never drains events must not grow the
+// client without bound. The server never drops a frame, so these sheds
+// are the only way a session's events can go missing.
 const maxBufferedEvents = 1024
 
 // Client is a minimal blocking protocol client: one request in flight at
@@ -126,8 +127,8 @@ func (c *Client) Events() []*Frame {
 	return ev
 }
 
-// DroppedLocally reports how many buffered events the client itself shed
-// (distinct from Body.Dropped, which counts server-side sheds).
+// DroppedLocally reports how many buffered events the client has shed
+// because Events was not called often enough.
 func (c *Client) DroppedLocally() int64 { return c.dropped }
 
 // Close closes the underlying stream.

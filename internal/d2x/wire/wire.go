@@ -8,9 +8,9 @@
 // service — executes them against one debug session per connection and
 // replies with the command transcript. Execution commands additionally
 // produce asynchronous "stopped" events, and debuggee output streams out
-// as "output" events; both ride a bounded per-connection queue on the
-// server, so a slow client sheds events instead of stalling the session
-// (responses are never shed).
+// as "output" events. The server writes a request's events before its
+// response and never drops a frame; a client that stops reading stalls
+// only its own connection.
 //
 // Framing is one JSON object per line, terminated by '\n'. Blank lines
 // are ignored, so a human can drive a server from nc(1). A frame is at
@@ -26,6 +26,7 @@ package wire
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -94,6 +95,10 @@ func KnownCommand(cmd string) bool {
 // largest legitimate frame; 4 MiB leaves two orders of magnitude slack).
 const MaxFrameBytes = 4 << 20
 
+// ErrFrameTooLarge is wrapped by the error Encode returns for a frame over
+// MaxFrameBytes. Nothing was written, so the stream stays usable.
+var ErrFrameTooLarge = errors.New("wire: frame too large")
+
 // Args carries a request's arguments. One flat struct instead of
 // per-command payload types: the protocol has three argument shapes
 // (a build name, a location/id spec, a variable name) and a flat struct
@@ -143,10 +148,6 @@ type Body struct {
 	Exited bool `json:"exited,omitempty"`
 	// Session is the server-side debug session ID (launch responses).
 	Session int64 `json:"session,omitempty"`
-	// Dropped is the cumulative count of events this connection has shed
-	// under backpressure, attached to every event so a client can detect
-	// gaps without another round trip.
-	Dropped int64 `json:"dropped,omitempty"`
 	// Results carries the per-sub-command outcomes of a batch response,
 	// in request order, one entry per SubRequest.
 	Results []SubResult `json:"results,omitempty"`
@@ -196,9 +197,9 @@ func Event(seq int64, name string, body *Body) *Frame {
 	return &Frame{Seq: seq, Type: TypeEvent, Event: name, Body: body}
 }
 
-// Encoder writes frames as newline-delimited JSON. It does no locking:
-// callers that interleave writers (the server's response path and event
-// queue) serialise around it.
+// Encoder writes frames as newline-delimited JSON. It does no locking and
+// no buffering: the server and Client each give it a bufio.Writer and
+// flush once per request.
 type Encoder struct {
 	w io.Writer
 }
@@ -213,7 +214,7 @@ func (e *Encoder) Encode(f *Frame) error {
 		return fmt.Errorf("wire: encode: %w", err)
 	}
 	if len(b)+1 > MaxFrameBytes {
-		return fmt.Errorf("wire: frame of %d bytes exceeds the %d-byte limit", len(b)+1, MaxFrameBytes)
+		return fmt.Errorf("%w: %d bytes exceeds the %d-byte limit", ErrFrameTooLarge, len(b)+1, MaxFrameBytes)
 	}
 	b = append(b, '\n')
 	_, err = e.w.Write(b)

@@ -18,7 +18,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		Response(7, Request(3, CmdXBT, nil), &Body{Output: "#0 ...\n"}),
 		ErrorResponse(8, Request(4, CmdStep, nil), errors.New("no program running")),
 		Event(9, EventStopped, &Body{Reason: "breakpoint"}),
-		Event(10, EventOutput, &Body{Output: "hello\n", Dropped: 3}),
+		Event(10, EventOutput, &Body{Output: "hello\n"}),
 	}
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf)
@@ -100,10 +100,13 @@ func TestDecoderMalformedInput(t *testing.T) {
 }
 
 func TestEncoderRejectsOversizedFrame(t *testing.T) {
-	enc := NewEncoder(io.Discard)
+	var buf bytes.Buffer
 	f := Event(1, EventOutput, &Body{Output: strings.Repeat("y", MaxFrameBytes)})
-	if err := enc.Encode(f); err == nil || !strings.Contains(err.Error(), "exceeds") {
+	if err := NewEncoder(&buf).Encode(f); !errors.Is(err, ErrFrameTooLarge) || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("expected an oversize error, got %v", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("a refused frame wrote %d bytes", buf.Len())
 	}
 }
 

@@ -8,11 +8,11 @@
 // exists to find bugs is where correctness bugs hide, because its own
 // invariants are checked last. This repo's service layer now carries
 // several such invariants — atomically published immutable tables, the
-// refcounted Checkout/Checkin pin protocol, the allocation-free steady
-// state of the command path, shard-lock scope discipline — and every one
-// of them fails silently at first: a torn table copy, a leaked pin or a
-// stray allocation ships and waits for a -race run or a budget test to
-// notice. d2xvet moves those contracts to analysis time.
+// allocation-free steady state of the command path, shard-lock scope
+// discipline — and every one of them fails silently at first: a torn
+// table copy, a lock held across a blocking call or a stray allocation
+// ships and waits for a -race run or a budget test to notice. d2xvet
+// moves those contracts to analysis time.
 //
 // The suite is built directly on go/parser and go/types (the module has
 // no third-party dependencies, so golang.org/x/tools/go/analysis is
@@ -28,14 +28,12 @@
 //     never copied, atomic fields are accessed only through their
 //     methods, and types annotated //d2x:immutable are written only by
 //     their //d2x:ctor constructors.
-//   - pinpair: every session-registry Checkout is matched by a Checkin
-//     on all paths out of the function, including early error returns.
 //   - noalloc: functions annotated //d2x:noalloc contain no allocating
 //     operations and call only other noalloc (or known alloc-free)
 //     functions; error paths are excused, everything else needs an
 //     inline //d2xvet:ignore with a reason.
-//   - lockscope: no blocking operation, registry re-entry or second
-//     mutex acquisition while a mutex is held.
+//   - lockscope: no blocking operation or second mutex acquisition
+//     while a mutex is held.
 //   - obssample: hot-path functions (//d2x:noalloc or //d2x:hotpath)
 //     use the cheap monotonic/sampled obs variants, never the
 //     wall-clock ones, and gate histogram observations on a sampling
@@ -138,7 +136,6 @@ func (p *Pass) ReportAt(pos token.Position, format string, args ...any) {
 func All() []*Analyzer {
 	return []*Analyzer{
 		AtomicFieldAnalyzer,
-		PinPairAnalyzer,
 		NoAllocAnalyzer,
 		LockScopeAnalyzer,
 		ObsSampleAnalyzer,

@@ -21,7 +21,6 @@ func runFixture(t *testing.T, name string, a *Analyzer) {
 }
 
 func TestAtomicFieldFixture(t *testing.T) { runFixture(t, "atomicfield", AtomicFieldAnalyzer) }
-func TestPinPairFixture(t *testing.T)     { runFixture(t, "pinpair", PinPairAnalyzer) }
 func TestNoAllocFixture(t *testing.T)     { runFixture(t, "noalloc", NoAllocAnalyzer) }
 func TestLockScopeFixture(t *testing.T)   { runFixture(t, "lockscope", LockScopeAnalyzer) }
 func TestObsSampleFixture(t *testing.T)   { runFixture(t, "obssample", ObsSampleAnalyzer) }
@@ -35,7 +34,7 @@ func TestSuppressionFilter(t *testing.T) {
 	src := "package p\n" + // line 1
 		"var a = 1 //d2xvet:ignore noalloc pooled buffer, measured zero\n" + // 2
 		"var b = 2 //d2xvet:ignore noalloc\n" + // 3
-		"//d2xvet:ignore pinpair handed off to the reaper goroutine\n" + // 4
+		"//d2xvet:ignore atomicfield copied before first use\n" + // 4
 		"var c = 3\n" + // 5
 		"var d = 4\n" // 6
 	path := filepath.Join(dir, "f.go")
@@ -46,11 +45,11 @@ func TestSuppressionFilter(t *testing.T) {
 		return Diagnostic{Pass: pass, Pos: token.Position{Filename: path, Line: line, Column: 5}, Message: "finding"}
 	}
 	got := Filter([]Diagnostic{
-		mk("noalloc", 2),   // suppressed: reasoned directive on the line
-		mk("noalloc", 3),   // directive without reason: becomes a finding
-		mk("pinpair", 5),   // suppressed: reasoned directive on the line above
-		mk("noalloc", 6),   // not suppressed
-		mk("lockscope", 2), // directive names a different pass
+		mk("noalloc", 2),     // suppressed: reasoned directive on the line
+		mk("noalloc", 3),     // directive without reason: becomes a finding
+		mk("atomicfield", 5), // suppressed: reasoned directive on the line above
+		mk("noalloc", 6),     // not suppressed
+		mk("lockscope", 2),   // directive names a different pass
 	})
 	var msgs []string
 	for _, d := range got {
@@ -73,7 +72,7 @@ func TestSuppressionFilter(t *testing.T) {
 // TestByName pins the analyzer registry: every pass is addressable by
 // the name //d2xvet:ignore directives use.
 func TestByName(t *testing.T) {
-	for _, name := range []string{"atomicfield", "pinpair", "noalloc", "lockscope", "obssample", "arch/import-graph", "arch/markers"} {
+	for _, name := range []string{"atomicfield", "noalloc", "lockscope", "obssample", "arch/import-graph", "arch/markers"} {
 		if ByName(name) == nil {
 			t.Errorf("ByName(%q) = nil", name)
 		}
@@ -81,7 +80,7 @@ func TestByName(t *testing.T) {
 	if ByName("nope") != nil {
 		t.Error("ByName(nope) should be nil")
 	}
-	if len(All()) != 7 {
-		t.Errorf("All() has %d analyzers, want 7", len(All()))
+	if len(All()) != 6 {
+		t.Errorf("All() has %d analyzers, want 6", len(All()))
 	}
 }

@@ -315,20 +315,3 @@ func GoDirs(root string) ([]string, error) {
 	sort.Strings(dirs)
 	return dirs, nil
 }
-
-// LoadAll loads every analysis unit of the module.
-func (l *Loader) LoadAll() ([]*Package, error) {
-	dirs, err := GoDirs(l.Root)
-	if err != nil {
-		return nil, err
-	}
-	var out []*Package
-	for _, dir := range dirs {
-		pkgs, err := l.LoadDir(dir)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pkgs...)
-	}
-	return out, nil
-}

@@ -7,12 +7,11 @@ import (
 
 // LockScopeAnalyzer enforces shard-lock scope discipline: while a mutex
 // is held, a function must not perform a channel operation, select,
-// known-blocking call (time.Sleep, WaitGroup.Wait), registry Checkout,
-// or a second Lock on a different mutex. Each of those either parks the
-// goroutine while every other session contending for the shard spins,
-// or opens a lock-order inversion. sync.Cond.Wait is deliberately not
-// flagged: waiting with the lock held is the condition-variable
-// contract (the serve-layer output queue relies on it).
+// known-blocking call (time.Sleep, WaitGroup.Wait), or a second Lock on
+// a different mutex. Each of those either parks the goroutine while
+// every other session contending for the shard spins, or opens a
+// lock-order inversion. sync.Cond.Wait is deliberately not flagged:
+// waiting with the lock held is the condition-variable contract.
 //
 // The region tracking is syntactic and intra-function: a statement
 // `x.mu.Lock()` opens the region for the lock expression `x.mu` until a
@@ -22,7 +21,7 @@ import (
 // invoked ones.
 var LockScopeAnalyzer = &Analyzer{
 	Name: "lockscope",
-	Doc:  "no blocking operation, Checkout, or second Lock while a mutex is held",
+	Doc:  "no blocking operation or second Lock while a mutex is held",
 	Run:  runLockScope,
 }
 
@@ -186,8 +185,8 @@ func anyHeld(held map[string]bool) string {
 	return "?"
 }
 
-// checkExpr scans an expression for receives, blocking calls and
-// Checkouts performed with locks held. Function literals inside the
+// checkExpr scans an expression for receives and blocking calls
+// performed with locks held. Function literals inside the
 // expression are walked with an empty held set.
 func (w *lockWalker) checkExpr(e ast.Expr, held map[string]bool) {
 	if e == nil || len(held) == 0 {
@@ -204,10 +203,6 @@ func (w *lockWalker) checkExpr(e ast.Expr, held map[string]bool) {
 				w.reportHeld(held, n.Pos(), "channel receive")
 			}
 		case *ast.CallExpr:
-			if isPinCall(n, "Checkout") {
-				w.reportHeld(held, n.Pos(), "registry Checkout")
-				return true
-			}
 			if fn := staticCallee(w.p.Info, n); fn != nil {
 				switch FuncKey(fn) {
 				case "time.Sleep", "sync.WaitGroup.Wait":

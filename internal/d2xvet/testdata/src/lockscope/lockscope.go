@@ -1,6 +1,6 @@
-// Fixture for the lockscope pass: blocking operations, registry
-// re-entry and nested acquisition inside mutex-held regions, plus the
-// clean shapes (release-then-block, condition variables).
+// Fixture for the lockscope pass: blocking operations and nested
+// acquisition inside mutex-held regions, plus the clean shapes
+// (release-then-block, condition variables).
 package lockscope
 
 import (
@@ -13,10 +13,6 @@ type shard struct {
 	ch chan int
 	n  int
 }
-
-type reg struct{}
-
-func (r *reg) Checkout(id int) int { return id }
 
 func sleeps(s *shard) {
 	s.mu.Lock()
@@ -52,12 +48,6 @@ func nests(a, b *shard) {
 	a.mu.Unlock()
 }
 
-func reenters(s *shard, r *reg) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_ = r.Checkout(1) // want "registry Checkout while s.mu is held"
-}
-
 func waits(s *shard, wg *sync.WaitGroup) {
 	s.mu.Lock()
 	wg.Wait() // want "sync.WaitGroup.Wait while s.mu is held"
@@ -65,13 +55,12 @@ func waits(s *shard, wg *sync.WaitGroup) {
 }
 
 // Clean: blocking work happens after the release.
-func releasesFirst(s *shard, r *reg) {
+func releasesFirst(s *shard) {
 	s.mu.Lock()
 	s.n++
 	s.mu.Unlock()
 	s.ch <- s.n
 	time.Sleep(time.Millisecond)
-	_ = r.Checkout(1)
 }
 
 // Clean: waiting on a condition variable with its lock held is the

@@ -215,9 +215,6 @@ func (d *Debugger) Close() {
 	d.closeHooks = nil
 }
 
-// Closed reports whether the session has been closed.
-func (d *Debugger) Closed() bool { return d.closed }
-
 // Process returns the debuggee.
 func (d *Debugger) Process() *Process { return d.proc }
 

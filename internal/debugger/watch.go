@@ -38,9 +38,6 @@ func (d *Debugger) AddWatchpoint(expr string) (*Watchpoint, error) {
 	return w, nil
 }
 
-// Watchpoints returns the installed watchpoints.
-func (d *Debugger) Watchpoints() []*Watchpoint { return d.watchpoints }
-
 // DeleteWatchpoint removes a watchpoint by ID.
 func (d *Debugger) DeleteWatchpoint(id int) error {
 	for i, w := range d.watchpoints {

@@ -7,7 +7,6 @@ import (
 	"os"
 
 	"d2x/internal/d2x"
-	"d2x/internal/minic"
 )
 
 // Link assembles a debuggable build from a compiled artifact: the
@@ -39,27 +38,6 @@ func (a *Artifact) LinkOptimizing(optimize bool) (*d2x.Build, error) {
 		build.ExtraMacros = XGraphMacro
 	}
 	return build, nil
-}
-
-// LinkWithNatives is Link with additional host natives (used by tests to
-// inject probes).
-func (a *Artifact) LinkWithNatives(extra func(*minic.Natives)) (*d2x.Build, error) {
-	return d2x.Link(genFileName(a.GTFile), a.Source, a.Ctx, d2x.LinkOptions{
-		WithoutD2X: a.Ctx == nil,
-		Natives: func(n *minic.Natives) {
-			RegisterGraphNatives(n)
-			if extra != nil {
-				extra(n)
-			}
-		},
-		FileResolver: func(path string) (string, error) {
-			if path == a.GTFile {
-				return a.GTSource, nil
-			}
-			b, err := os.ReadFile(path)
-			return string(b), err
-		},
-	})
 }
 
 // genFileName derives the generated-code file name: pagerankdelta.gt ->

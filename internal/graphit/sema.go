@@ -46,9 +46,6 @@ type Info struct {
 // ConstByName returns the const declaration, or nil.
 func (in *Info) ConstByName(name string) *ConstDecl { return in.constByName[name] }
 
-// LocalTypes returns the local symbol table of a function.
-func (in *Info) LocalTypes(f *FuncDef) map[string]*GType { return in.localTypes[f] }
-
 // checker performs name resolution and type checking.
 type checker struct {
 	info *Info

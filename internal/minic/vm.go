@@ -575,11 +575,6 @@ func (vm *VM) CallFunctionGuarded(name string, args []Value, g *Guard) (Value, e
 	return vm.callSynthetic(fi, args, g)
 }
 
-// CallFunctionByIndex is CallFunction addressed by function index.
-func (vm *VM) CallFunctionByIndex(fi int, args []Value) (Value, error) {
-	return vm.callSynthetic(fi, args, nil)
-}
-
 // callSynthetic runs a function to completion on a synthetic thread
 // pool, enforcing the guard (if any) instruction by instruction.
 func (vm *VM) callSynthetic(fi int, args []Value, g *Guard) (Value, error) {

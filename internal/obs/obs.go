@@ -33,7 +33,6 @@
 package obs
 
 import (
-	"io"
 	"sync/atomic"
 	"time"
 )
@@ -126,10 +125,6 @@ func Emit(e Event) {
 // histogram, plus trace-ring occupancy. Marshal it with MarshalJSON /
 // MarshalIndent for export.
 func Snapshot() *Snap { return Default.Snapshot() }
-
-// WriteTrace dumps the default registry's event ring as JSONL, oldest
-// event first.
-func WriteTrace(w io.Writer) error { return Default.Ring().WriteJSONL(w) }
 
 // Reset zeroes every metric value and clears the trace ring of the
 // default registry, in place: handles cached by instrumented packages

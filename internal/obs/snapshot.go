@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"sort"
 	"time"
 )
 
@@ -89,15 +88,4 @@ func (r *Registry) Snapshot() *Snap {
 // (encoding/json sorts map keys, so output is diff-stable).
 func (s *Snap) MarshalIndent() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
-}
-
-// CounterNames returns the sorted counter names, a convenience for
-// tests and text UIs.
-func (s *Snap) CounterNames() []string {
-	names := make([]string, 0, len(s.Counters))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
