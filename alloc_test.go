@@ -7,8 +7,10 @@ import (
 	"sync"
 	"testing"
 
+	"d2x/internal/debugger"
 	"d2x/internal/graphit"
 	"d2x/internal/minic"
+	"d2x/internal/minic/journal"
 )
 
 // Steady-state allocation budgets for the hot D2X-R command path. These
@@ -16,9 +18,8 @@ import (
 // the path allocates today so runtime-internal noise (a map rehash, a
 // pool refill after GC) cannot flake the test, while any real regression
 // — a fmt call is ≥3 allocations, a dropped pool is dozens — trips it
-// immediately. CI runs these alongside the ns/op gate in
-// benchjson_test.go, so a change can't trade allocations for latency
-// unnoticed.
+// immediately. They run beside the paired timing gates in gates_test.go,
+// so a change can't trade allocations for latency unnoticed.
 const (
 	// xbtAllocBudget bounds one `xbt` after warmup. Measured at the
 	// time of writing: 0 allocs/op — stage 1+2 resolve through the
@@ -68,6 +69,15 @@ const (
 	// sourceLineAllocBudget bounds one Program.SourceLine, which every
 	// breakpoint stop calls to print the stop line. Measured: 0.
 	sourceLineAllocBudget = 0
+
+	// journalRecordAllocBudget bounds what a journal adds to one
+	// recorded VM instruction. A statement record is a slot in a pooled
+	// 4096-record chunk, so recording allocates one chunk every few
+	// thousand statements and nothing per statement. Measured: 0.
+	// TestGateRecording collects before each side, so it sees the cost
+	// of an allocation but not the GC cycles its garbage brings on; this
+	// budget holds the allocations themselves.
+	journalRecordAllocBudget = 0
 )
 
 func measureAllocs(t *testing.T, runs int, f func() error) float64 {
@@ -93,11 +103,31 @@ func measureAllocs(t *testing.T, runs int, f func() error) float64 {
 	return avg
 }
 
+// TestXBTAllocSteadyState holds xbt's budget in a build's only session
+// and in the second session of a shared build, which reuses the first
+// session's table decode.
 func TestXBTAllocSteadyState(t *testing.T) {
-	d, _ := pausedPagerankDelta(t, "powerlaw:n=64,m=512,seed=5")
-	avg := measureAllocs(t, 200, func() error { return d.Execute("xbt") })
-	if avg > xbtAllocBudget {
-		t.Errorf("xbt steady state = %.1f allocs/op, budget %d", avg, xbtAllocBudget)
+	for _, tc := range []struct {
+		name    string
+		session func(t *testing.T) *debugger.Debugger
+	}{
+		{"fig4", func(t *testing.T) *debugger.Debugger {
+			d, _ := pausedPagerankDelta(t, "powerlaw:n=64,m=512,seed=5")
+			return d
+		}},
+		{"second_session", func(t *testing.T) *debugger.Debugger {
+			build := pagerankBuild(t)
+			mustExec(t, pausedSession(t, build), "xbt") // the shared decode
+			return pausedSession(t, build)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := tc.session(t)
+			avg := measureAllocs(t, 200, func() error { return d.Execute("xbt") })
+			if avg > xbtAllocBudget {
+				t.Errorf("xbt steady state = %.1f allocs/op, budget %d", avg, xbtAllocBudget)
+			}
+		})
 	}
 }
 
@@ -265,6 +295,19 @@ func int viaPtr(int x) {
 	}
 	if avg < 1 {
 		t.Errorf("OpCall = %.2f allocs/call: the frames of a callee that takes a local's address must not be recycled", avg)
+	}
+}
+
+func TestJournalRecordAllocs(t *testing.T) {
+	vm := loopVM(t, "", "acc = acc + i * 3 - (i / 2);")
+	j, err := journal.Attach(vm, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Stop()
+	avg := vmAllocsPer(t, vm, func() int64 { return vm.Steps })
+	if avg > journalRecordAllocBudget {
+		t.Errorf("recorded call-free loop = %.4f allocs/instruction, budget %d", avg, journalRecordAllocBudget)
 	}
 }
 

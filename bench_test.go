@@ -17,12 +17,10 @@ import (
 	"d2x/internal/d2x/d2xc"
 	"d2x/internal/d2x/d2xenc"
 	"d2x/internal/debugger"
-	"d2x/internal/dwarfish"
 	"d2x/internal/einsum"
 	"d2x/internal/graphit"
 	"d2x/internal/loc"
 	"d2x/internal/minic"
-	"d2x/internal/obs"
 )
 
 func lineOf(src, needle string) int {
@@ -366,36 +364,14 @@ func BenchmarkAblation_InferiorTables_XBT(b *testing.B) {
 func BenchmarkAblation_HostSideTables_XBT(b *testing.B) {
 	d, _ := pausedPagerankDelta(b, "powerlaw:n=64,m=512,seed=5")
 	// Host side: decode the tables once into the debugger process and
-	// serve the backtrace from the map directly, bypassing the call into
+	// serve the backtrace from them directly, bypassing the call into
 	// the debuggee entirely.
-	tables, err := d2xenc.Decode(d.Process().VM)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rip, ok := d.RegisterRIP()
-	if !ok {
-		b.Fatal("no rip")
-	}
-	info := d.Process().Info
-	var sink string
+	ref := newTwoStageXBT(b, d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, line, ok := info.LineFor(dwarfish.DecodeAddr(rip))
-		if !ok {
-			b.Fatal("no line")
+		if err := ref.render(io.Discard); err != nil {
+			b.Fatal(err)
 		}
-		rec := tables.RecordForLine(line)
-		if rec == nil {
-			b.Fatal("no record")
-		}
-		var sb strings.Builder
-		for j, loc := range rec.Stack {
-			fmt.Fprintf(&sb, "#%d in %s at %s:%d\n", j, loc.Function, loc.File, loc.Line)
-		}
-		sink = sb.String()
-	}
-	if sink == "" {
-		b.Fatal("empty backtrace")
 	}
 }
 
@@ -450,28 +426,6 @@ func benchVarStrategy(b *testing.B, live bool) {
 		tableBytes = sb.Len()
 	}
 	b.ReportMetric(float64(tableBytes), "table-bytes")
-}
-
-// ---- Observability overhead (DESIGN.md §Observability) ----
-
-// The obs pair runs the identical xbt command with the observability
-// layer enabled and disabled. The instrumentation budget for the whole
-// debug stack is <5% on this path (a handful of atomic increments and
-// clock reads per command); the pair measures what is actually paid.
-func BenchmarkObsOverhead_XBT_On(b *testing.B)  { benchObsOverhead(b, true) }
-func BenchmarkObsOverhead_XBT_Off(b *testing.B) { benchObsOverhead(b, false) }
-
-func benchObsOverhead(b *testing.B, on bool) {
-	d, _ := pausedPagerankDelta(b, "powerlaw:n=64,m=512,seed=5")
-	prev := obs.Enabled()
-	obs.SetEnabled(on)
-	defer obs.SetEnabled(prev)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := d.Execute("xbt"); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // ---- D2X-R command path: xbreak and multi-session table sharing ----

@@ -389,6 +389,12 @@ func Decode(data []byte) (*Info, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Build numbers functions by their position, so an index past
+		// the count is corrupt, and rejecting it bounds the dense
+		// FuncIndex table ensureIndex allocates.
+		if fi >= uint64(nf) {
+			return nil, fmt.Errorf("dwarfish: corrupt function index %d", fi)
+		}
 		f.FuncIndex = int(fi)
 		dl, err := readUvarint(r)
 		if err != nil {

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -18,52 +16,20 @@ import (
 	"d2x/internal/minic"
 )
 
-// satJSONFile is the committed machine-readable saturation record: the
-// 8-goroutine mixed-workload run's throughput in both protocols, and the
-// batch-over-sequential speedup.
-const satJSONFile = "BENCH_pr10.json"
-
-// satGoroutines is the concurrency of the recorded experiment: enough to
+// satGoroutines is the concurrency of the saturation run: enough to
 // contend on the shared tables and the sharded counters, small enough to
 // fit CI runners.
 const satGoroutines = 8
-
-// satGatePct is how far sequential commands/sec/core may fall below the
-// committed baseline before the gate fails. Throughput on shared CI
-// hardware swings with the neighbours, so the band is generous — the
-// gate exists to catch a serialized command path (a lock where the
-// sharded counters were, a re-decode per command), not scheduler noise.
-const satGatePct = 60
-
-// satMinSpeedup is the required batch-over-sequential advantage at
-// satGoroutines, per core. The typed batch path exists to shed the
-// string protocol's per-command overhead; if it cannot double the mixed
-// workload's throughput, it has quietly reabsorbed that overhead.
-const satMinSpeedup = 2.0
 
 // satCycleLen is the commands per workload cycle: six frame queries
 // (xbt/xvars alternating) plus one xbreak+xdel breakpoint churn pair.
 const satCycleLen = 8
 
+// satMode is one saturation run's throughput.
 type satMode struct {
-	Mode                  string  `json:"mode"`
-	Goroutines            int     `json:"goroutines"`
-	Commands              int64   `json:"commands"`
-	ElapsedMS             float64 `json:"elapsed_ms"`
-	CommandsPerSec        float64 `json:"commands_per_sec"`
-	CommandsPerSecPerCore float64 `json:"commands_per_sec_per_core"`
-}
-
-type satReport struct {
-	PR         string  `json:"pr"`
-	Go         string  `json:"go"`
-	OS         string  `json:"os"`
-	Arch       string  `json:"arch"`
-	Cores      int     `json:"cores"`
-	Sequential satMode `json:"sequential"`
-	Batch      satMode `json:"batch"`
-	// Speedup is batch over sequential commands/sec/core.
-	Speedup float64 `json:"speedup"`
+	Commands              int64
+	CommandsPerSec        float64
+	CommandsPerSecPerCore float64
 }
 
 // satSession is one goroutine's paused debug session plus the typed
@@ -73,6 +39,9 @@ type satSession struct {
 	rt       *d2xr.Runtime
 	vm       *minic.VM
 	rip, rsp int64
+	// id is the number of DSL breakpoints the session has created: each
+	// cycle's xbreak takes the next ID and its xdel deletes it.
+	id int
 }
 
 func newSatSession(tb testing.TB, build *d2x.Build) *satSession {
@@ -91,7 +60,6 @@ func newSatSession(tb testing.TB, build *d2x.Build) *satSession {
 // every command goes through the macro layer, expression evaluation, and
 // a native call, exactly as an interactive debugger would issue it.
 func satSequential(s *satSession, cycles int, xbreakCmd string) error {
-	id := 0
 	scratch := make([]byte, 0, 16)
 	for c := 0; c < cycles; c++ {
 		for _, cmd := range [...]string{"xbt", "xvars", "xbt", "xvars", "xbt", "xvars"} {
@@ -102,9 +70,9 @@ func satSequential(s *satSession, cycles int, xbreakCmd string) error {
 		if err := s.d.Execute(xbreakCmd); err != nil {
 			return err
 		}
-		id++
+		s.id++
 		scratch = append(scratch[:0], "xdel "...)
-		scratch = strconv.AppendInt(scratch, int64(id), 10)
+		scratch = strconv.AppendInt(scratch, int64(s.id), 10)
 		if err := s.d.Execute(string(scratch)); err != nil {
 			return err
 		}
@@ -127,11 +95,10 @@ func satBatch(s *satSession, cycles int, spec string) error {
 		ops[i] = d2xr.BatchOp{Kind: kind, RIP: s.rip, RSP: s.rsp}
 	}
 	ops[6] = d2xr.BatchOp{Kind: d2xr.BatchXBreak, RIP: s.rip, Arg: spec}
-	id := 0
 	scratch := make([]byte, 0, 16)
 	for c := 0; c < cycles; c++ {
-		id++
-		scratch = strconv.AppendInt(scratch[:0], int64(id), 10)
+		s.id++
+		scratch = strconv.AppendInt(scratch[:0], int64(s.id), 10)
 		ops[7] = d2xr.BatchOp{Kind: d2xr.BatchXDel, Arg: string(scratch)}
 		s.rt.ExecBatch(s.vm, ops, &res)
 		for i := range res.Ops {
@@ -166,25 +133,32 @@ func satRunScript(d *debugger.Debugger, script string) error {
 	return nil
 }
 
-// runSaturation drives `goroutines` fresh sessions of one shared build
-// through `cycles` rounds of the mixed workload concurrently and
-// returns aggregate throughput.
-func runSaturation(tb testing.TB, build *d2x.Build, goroutines, cycles int, batch bool) satMode {
+// satSessions attaches n fresh sessions to one shared build, paused in
+// the specialised UDF. The test closes them when it ends.
+func satSessions(tb testing.TB, build *d2x.Build, n int) []*satSession {
 	tb.Helper()
-	sessions := make([]*satSession, goroutines)
+	sessions := make([]*satSession, n)
 	for i := range sessions {
 		sessions[i] = newSatSession(tb, build)
 	}
-	defer func() {
+	tb.Cleanup(func() {
 		for _, s := range sessions {
 			s.d.Close()
 		}
-	}()
+	})
+	return sessions
+}
+
+// runSaturation drives each session on a goroutine of its own through
+// `cycles` rounds of the mixed workload and returns the aggregate
+// throughput.
+func runSaturation(tb testing.TB, sessions []*satSession, cycles int, batch bool) satMode {
+	tb.Helper()
 	dslLine := lineOf(graphit.PageRankDeltaSrc, "new_rank[dst] +=")
 	spec := fmt.Sprintf("pagerankdelta.gt:%d", dslLine)
 
 	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
+	errs := make(chan error, len(sessions))
 	start := time.Now()
 	for _, s := range sessions {
 		wg.Add(1)
@@ -208,104 +182,25 @@ func runSaturation(tb testing.TB, build *d2x.Build, goroutines, cycles int, batc
 		tb.Fatal(err)
 	}
 
-	mode := satMode{Mode: "sequential", Goroutines: goroutines}
-	if batch {
-		mode.Mode = "batch"
-	}
-	mode.Commands = int64(goroutines) * int64(cycles) * satCycleLen
-	mode.ElapsedMS = float64(elapsed.Nanoseconds()) / 1e6
+	mode := satMode{Commands: int64(len(sessions)) * int64(cycles) * satCycleLen}
 	mode.CommandsPerSec = float64(mode.Commands) / elapsed.Seconds()
 	mode.CommandsPerSecPerCore = mode.CommandsPerSec / float64(runtime.GOMAXPROCS(0))
 	return mode
 }
 
 // TestSaturationSmoke keeps the harness itself honest on every ordinary
-// `go test ./...`: both modes run a small slice of the workload on
-// shared tables without errors and agree on the command count.
+// `go test ./...`: both modes run a small slice of the workload on the
+// same sessions of shared tables without errors and agree on the command
+// count.
 func TestSaturationSmoke(t *testing.T) {
-	build := pagerankBuild(t)
-	seq := runSaturation(t, build, 2, 5, false)
-	bat := runSaturation(t, build, 2, 5, true)
+	sessions := satSessions(t, pagerankBuild(t), 2)
+	seq := runSaturation(t, sessions, 5, false)
+	bat := runSaturation(t, sessions, 5, true)
 	want := int64(2 * 5 * satCycleLen)
 	if seq.Commands != want || bat.Commands != want {
 		t.Fatalf("commands: sequential %d, batch %d, want %d", seq.Commands, bat.Commands, want)
 	}
 	if seq.CommandsPerSec <= 0 || bat.CommandsPerSec <= 0 {
 		t.Fatalf("throughput not measured: sequential %+v, batch %+v", seq, bat)
-	}
-}
-
-// TestEmitSaturationJSON runs the full saturation A/B and writes
-// BENCH_pr10.json. Gated behind an env var so ordinary `go test ./...`
-// stays fast:
-//
-//	D2X_SAT_JSON=1 go test -run TestEmitSaturationJSON .
-//
-// D2X_SAT_CYCLES overrides the per-goroutine cycle count. With
-// D2X_SAT_GATE=1 the test fails if (a) the batch path's per-core
-// throughput advantage falls below satMinSpeedup, or (b) sequential
-// commands/sec/core falls more than satGatePct percent below the
-// committed baseline (read before the file is rewritten).
-func TestEmitSaturationJSON(t *testing.T) {
-	if os.Getenv("D2X_SAT_JSON") == "" {
-		t.Skipf("set D2X_SAT_JSON=1 to emit %s", satJSONFile)
-	}
-	cycles := 4000
-	if s := os.Getenv("D2X_SAT_CYCLES"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n <= 0 {
-			t.Fatalf("bad D2X_SAT_CYCLES %q", s)
-		}
-		cycles = n
-	}
-
-	var baseline satReport
-	haveBaseline := false
-	if b, err := os.ReadFile(satJSONFile); err == nil {
-		if json.Unmarshal(b, &baseline) == nil && baseline.Sequential.CommandsPerSecPerCore > 0 {
-			haveBaseline = true
-		}
-	}
-
-	build := pagerankBuild(t)
-	seq := runSaturation(t, build, satGoroutines, cycles, false)
-	bat := runSaturation(t, build, satGoroutines, cycles, true)
-	rep := satReport{
-		PR: "pr10", Go: runtime.Version(), OS: runtime.GOOS, Arch: runtime.GOARCH,
-		Cores: runtime.GOMAXPROCS(0), Sequential: seq, Batch: bat,
-		Speedup: bat.CommandsPerSecPerCore / seq.CommandsPerSecPerCore,
-	}
-	t.Logf("sequential: %d goroutines, %.0f cmd/s (%.0f cmd/s/core)",
-		seq.Goroutines, seq.CommandsPerSec, seq.CommandsPerSecPerCore)
-	t.Logf("batch:      %d goroutines, %.0f cmd/s (%.0f cmd/s/core), speedup %.2fx",
-		bat.Goroutines, bat.CommandsPerSec, bat.CommandsPerSecPerCore, rep.Speedup)
-
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(satJSONFile, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", satJSONFile)
-
-	if os.Getenv("D2X_SAT_GATE") == "" {
-		return
-	}
-	if rep.Speedup < satMinSpeedup {
-		t.Errorf("batch speedup %.2fx below the %.1fx floor: the typed path has reabsorbed protocol overhead",
-			rep.Speedup, satMinSpeedup)
-	}
-	if !haveBaseline {
-		t.Logf("no committed baseline in %s yet; throughput gate is a no-op", satJSONFile)
-		return
-	}
-	floor := baseline.Sequential.CommandsPerSecPerCore * (100 - satGatePct) / 100
-	if seq.CommandsPerSecPerCore < floor {
-		t.Errorf("sequential throughput regressed more than %d%%: baseline %.0f cmd/s/core, now %.0f (floor %.0f)",
-			satGatePct, baseline.Sequential.CommandsPerSecPerCore, seq.CommandsPerSecPerCore, floor)
-	} else {
-		t.Logf("gate ok: %.0f cmd/s/core vs baseline %.0f (floor %.0f)",
-			seq.CommandsPerSecPerCore, baseline.Sequential.CommandsPerSecPerCore, floor)
 	}
 }
