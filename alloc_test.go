@@ -78,6 +78,15 @@ const (
 	// of an allocation but not the GC cycles its garbage brings on; this
 	// budget holds the allocations themselves.
 	journalRecordAllocBudget = 0
+
+	// synthCallAllocBudget bounds one CallFunctionGuarded of a small
+	// handler, a loop over its locals that reads a global, with no
+	// guard, with fuel, and with fuel and the write barrier. Measured:
+	// 6 — the synthetic root thread and its frame stack, and the
+	// handler's frame, whose four objects are not recycled because its
+	// loop counter's ++ takes the local's address. The call's scheduler
+	// comes from the VM's freelist.
+	synthCallAllocBudget = 6
 )
 
 func measureAllocs(t *testing.T, runs int, f func() error) float64 {
@@ -322,5 +331,51 @@ func TestSourceLineAllocs(t *testing.T) {
 	})
 	if avg > sourceLineAllocBudget {
 		t.Errorf("SourceLine = %.1f allocs/op, budget %d", avg, sourceLineAllocBudget)
+	}
+}
+
+// TestSynthCallAllocs holds a debugger `call`'s allocations: the paused
+// debuggee calls a handler synchronously, as D2X-R does for every
+// rtv_handler and the debugger for every implicit evaluation.
+func TestSynthCallAllocs(t *testing.T) {
+	prog, err := minic.Compile("handler.c", `
+global int g = 3;
+func int handler(int x) {
+	int s = 0;
+	for (int i = 0; i < 10; i++) {
+		s = s + i * x;
+	}
+	return s + g;
+}
+func int main() { return 0; }`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := minic.NewVM(prog, nil)
+	if err := vm.Start(); err != nil {
+		t.Fatal(err)
+	}
+	args := []minic.Value{minic.IntVal(2)}
+	for _, c := range []struct {
+		name  string
+		guard *minic.Guard
+	}{
+		{"no guard", nil},
+		{"fuel", &minic.Guard{Fuel: 1000}},
+		{"fuel and barrier", &minic.Guard{Fuel: 1000, BlockWrites: true}},
+	} {
+		avg := measureAllocs(t, 200, func() error {
+			v, err := vm.CallFunctionGuarded("handler", args, c.guard)
+			if err != nil {
+				return err
+			}
+			if v.I != 93 {
+				return fmt.Errorf("handler(2) = %d, want 93", v.I)
+			}
+			return nil
+		})
+		if avg > synthCallAllocBudget {
+			t.Errorf("%s: CallFunctionGuarded = %.2f allocs/call, budget %d", c.name, avg, synthCallAllocBudget)
+		}
 	}
 }

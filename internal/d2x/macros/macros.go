@@ -37,7 +37,7 @@ end
 `
 
 // Install loads the D2X macros into a debugger session, the equivalent of
-// `source d2x.gdbinit`.
+// sourcing a GDB macro file; GDBInit is that file's text.
 func Install(d *debugger.Debugger) error {
 	return d.LoadMacros(GDBInit)
 }

@@ -126,10 +126,6 @@ type Debugger struct {
 	skipAddr   dwarfish.Addr
 	skipValid  bool
 
-	// maxSteps bounds one resume, so a runaway debuggee cannot hang the
-	// host test suite. 0 means the default of 500M instructions.
-	maxSteps int64
-
 	// evalGuard, when set, constrains debuggee function calls made while
 	// evaluating expressions (CallValue applies it). The debugger sets it
 	// around *implicit* evaluations — watchpoint checks and auto-display

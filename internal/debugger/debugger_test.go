@@ -2,6 +2,7 @@ package debugger
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -313,30 +314,66 @@ func TestBreakpointHitCount(t *testing.T) {
 	}
 }
 
+// TestFaultInspection stops at a fault and inspects it post mortem. The
+// error, the fault banner and bt all name the faulting line, not the
+// line of the statement after it.
 func TestFaultInspection(t *testing.T) {
-	src := `func int crash(int[] a, int i) {
+	for _, c := range []struct {
+		name  string
+		src   string
+		fault string // in the fault banner
+		fn    string // the faulting frame's function
+		line  int    // the faulting line
+		local string // a local of the faulting frame ...
+		value int64  // ... and its value at the fault
+	}{
+		{"index out of range", `func int crash(int[] a, int i) {
 	return a[i];
 }
 func int main() {
 	int[] arr = new int[2];
 	return crash(arr, 10);
 }
-`
-	d, out := attach(t, src)
-	mustExec(t, d, "run")
-	stop := d.LastStop()
-	if stop.Reason != StopFault {
-		t.Fatalf("stop = %v, want fault", stop.Reason)
-	}
-	if !strings.Contains(out.String(), "out of range") {
-		t.Errorf("fault banner:\n%s", out.String())
-	}
-	// Post-mortem: frame and variables are inspectable.
-	if f := d.SelectedFrame(); f == nil || f.Fn.Name != "crash" {
-		t.Fatalf("fault frame = %v", f)
-	}
-	if v, err := d.EvalExpr("i"); err != nil || v.I != 10 {
-		t.Errorf("i at fault = %v err=%v", v, err)
+`, "out of range", "crash", 2, "i", 10},
+		{"failed assert", `func int main() {
+int x = 0;
+assert(x > 0, "x positive");
+x = 5;
+return x;
+}
+`, "assert: assertion failed: x positive", "main", 3, "x", 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d, out := attach(t, c.src)
+			mustExec(t, d, "run")
+			stop := d.LastStop()
+			if stop.Reason != StopFault {
+				t.Fatalf("stop = %v, want fault", stop.Reason)
+			}
+			banner := out.String()
+			if !strings.Contains(banner, c.fault) {
+				t.Errorf("fault banner:\n%s", banner)
+			}
+			at := fmt.Sprintf("gen.c:%d", c.line)
+			if !strings.Contains(stop.Fault.Error(), at+": in "+c.fn+": ") {
+				t.Errorf("fault %q does not name %s", stop.Fault, at)
+			}
+			if !strings.Contains(banner, "#0  "+c.fn+" (") || !strings.Contains(banner, " at "+at+"\n") {
+				t.Errorf("fault banner does not show frame #0 in %s at %s:\n%s", c.fn, at, banner)
+			}
+			out.Reset()
+			mustExec(t, d, "bt")
+			if bt := out.String(); !strings.HasPrefix(bt, "#0  "+c.fn+" (") || !strings.Contains(strings.SplitN(bt, "\n", 2)[0], " at "+at) {
+				t.Errorf("bt does not start in %s at %s:\n%s", c.fn, at, bt)
+			}
+			// Post-mortem: frame and variables are inspectable.
+			if f := d.SelectedFrame(); f == nil || f.Fn.Name != c.fn {
+				t.Fatalf("fault frame = %v", f)
+			}
+			if v, err := d.EvalExpr(c.local); err != nil || v.I != c.value {
+				t.Errorf("%s at fault = %v err=%v", c.local, v, err)
+			}
+		})
 	}
 }
 

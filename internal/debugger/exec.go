@@ -79,12 +79,10 @@ func (d *Debugger) checkRunning() error {
 	return nil
 }
 
-// resume is the scheduler loop. All threads advance in the VM's
-// deterministic round-robin; stop conditions are evaluated before each
-// statement-start instruction, the same granularity a line-table-driven
-// native debugger achieves. Each instruction asks the scheduler once:
-// Faulted is a field read, and the StepInstr after NextThread runs the
-// thread NextThread picked without searching again.
+// resume runs the debuggee through the VM's run loop. All threads
+// advance in the VM's deterministic round-robin; stop conditions are
+// evaluated before each statement-start instruction, the same
+// granularity a line-table-driven native debugger achieves.
 func (d *Debugger) resume(mode resumeMode) (Stop, error) {
 	vm := d.proc.VM
 
@@ -95,88 +93,80 @@ func (d *Debugger) resume(mode resumeMode) (Stop, error) {
 		_, startLine, _ = d.lineAt(0)
 	}
 
-	limit := d.maxSteps
-	if limit <= 0 {
-		limit = defaultMaxSteps
+	stopped := false
+	n := vm.RunUntil(defaultMaxSteps, func(t *minic.Thread) bool {
+		stopped = d.stopHere(t, mode, stepThread, startDepth, startLine)
+		return stopped
+	})
+	if stopped {
+		return d.lastStop, nil
+	}
+	switch ft := vm.Faulted(); {
+	case ft != nil:
+		d.selThreadID = ft.ID
+		d.selFrame = 0
+		d.skipValid = false
+		d.lastStop = Stop{Reason: StopFault, Thread: ft, Fault: ft.Fault}
+		return d.lastStop, nil
+	case vm.Done():
+		d.skipValid = false
+		d.lastStop = Stop{Reason: StopExited}
+		return d.lastStop, nil
+	case n == defaultMaxSteps:
+		return Stop{}, fmt.Errorf("debugger: resume exceeded %d instructions", defaultMaxSteps)
+	}
+	return Stop{}, fmt.Errorf("debugger: deadlock: no runnable threads")
+}
+
+// stopHere is resume's stop callback: it decides, before thread t runs
+// the statement-start instruction it is at, whether execution stops
+// there, and if so records the stop.
+func (d *Debugger) stopHere(t *minic.Thread, mode resumeMode, stepThread *minic.Thread, startDepth, startLine int) bool {
+	top := t.Top()
+	addr := dwarfish.Addr{FuncIndex: top.FuncIndex, PC: top.PC}
+
+	// Skip exactly one re-check at the address we stopped at.
+	if d.skipValid && t.ID == d.skipThread && addr == d.skipAddr {
+		d.skipValid = false
+		return false
 	}
 
-	for steps := int64(0); ; steps++ {
-		if steps > limit {
-			return Stop{}, fmt.Errorf("debugger: resume exceeded %d instructions", limit)
+	if bp := d.breakpointAt(addr); bp != nil {
+		if bp.Cond != "" && !d.condTrue(t, bp.Cond) {
+			// Condition false: execute past the site silently.
+			return false
 		}
-		if ft := vm.Faulted(); ft != nil {
-			d.selThreadID = ft.ID
-			d.selFrame = 0
-			d.skipValid = false
-			d.lastStop = Stop{Reason: StopFault, Thread: ft, Fault: ft.Fault}
-			return d.lastStop, nil
-		}
-		t := vm.NextThread()
-		if t == nil {
-			if vm.Done() {
-				d.skipValid = false
-				d.lastStop = Stop{Reason: StopExited}
-				return d.lastStop, nil
-			}
-			return Stop{}, fmt.Errorf("debugger: deadlock: no runnable threads")
-		}
-		top := t.Top()
-		if top == nil {
-			vm.StepInstr()
-			continue
-		}
-		addr := dwarfish.Addr{FuncIndex: top.FuncIndex, PC: top.PC}
-		in := top.Code.Instrs[top.PC]
-
-		// Skip exactly one re-check at the address we stopped at.
-		if d.skipValid && t.ID == d.skipThread && addr == d.skipAddr {
-			d.skipValid = false
-			vm.StepInstr()
-			continue
-		}
-
-		if in.StmtStart {
-			if bp := d.breakpointAt(addr); bp != nil {
-				if bp.Cond != "" && !d.condTrue(t, bp.Cond) {
-					// Condition false: execute past the site silently.
-					d.skipThread = t.ID
-					d.skipAddr = addr
-					d.skipValid = true
-					continue
-				}
-				bp.Hits++
-				d.stopAt(t, StopBreakpoint, bp, addr)
-				return d.lastStop, nil
-			}
-			if len(d.watchpoints) > 0 {
-				if w, old, now := d.watchInContext(t); w != nil {
-					d.stopAt(t, StopWatchpoint, nil, addr)
-					d.lastStop.Watch = w
-					d.lastStop.WatchOld = old
-					d.lastStop.WatchNew = now
-					return d.lastStop, nil
-				}
-			}
-			if mode != modeContinue && t == stepThread {
-				depth := len(t.Frames)
-				_, line, _ := d.proc.Info.LineFor(addr)
-				stopped := false
-				switch mode {
-				case modeStepInto:
-					stopped = depth != startDepth || line != startLine
-				case modeStepOver:
-					stopped = (depth == startDepth && line != startLine) || depth < startDepth
-				case modeStepOut:
-					stopped = depth < startDepth
-				}
-				if stopped {
-					d.stopAt(t, StopStep, nil, addr)
-					return d.lastStop, nil
-				}
-			}
-		}
-		vm.StepInstr()
+		bp.Hits++
+		d.stopAt(t, StopBreakpoint, bp, addr)
+		return true
 	}
+	if len(d.watchpoints) > 0 {
+		if w, old, now := d.watchInContext(t); w != nil {
+			d.stopAt(t, StopWatchpoint, nil, addr)
+			d.lastStop.Watch = w
+			d.lastStop.WatchOld = old
+			d.lastStop.WatchNew = now
+			return true
+		}
+	}
+	if mode != modeContinue && t == stepThread {
+		depth := len(t.Frames)
+		_, line, _ := d.proc.Info.LineFor(addr)
+		stopped := false
+		switch mode {
+		case modeStepInto:
+			stopped = depth != startDepth || line != startLine
+		case modeStepOver:
+			stopped = (depth == startDepth && line != startLine) || depth < startDepth
+		case modeStepOut:
+			stopped = depth < startDepth
+		}
+		if stopped {
+			d.stopAt(t, StopStep, nil, addr)
+			return true
+		}
+	}
+	return false
 }
 
 // condTrue evaluates a breakpoint condition in the context of the thread

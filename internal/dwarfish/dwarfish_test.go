@@ -182,7 +182,7 @@ func TestVarShadowingPrefersInnermost(t *testing.T) {
 		if rec.Name == "x" {
 			count++
 			if rec.Slot > v.Slot {
-				t.Errorf("VarByName picked slot %d, a later one %d exists", v.Slot, rec.Slot)
+				t.Errorf("VarByName returned slot %d, a later one %d exists", v.Slot, rec.Slot)
 			}
 		}
 	}

@@ -40,7 +40,6 @@ const (
 	OpCastFloat          // pop; push float conversion
 	OpCastBool           // pop; push bool conversion
 	OpParFor             // pop hi, lo; run ParFors[A] across logical threads
-	OpHalt               // stop the thread (used by synthetic drivers)
 )
 
 var opNames = [...]string{
@@ -53,7 +52,7 @@ var opNames = [...]string{
 	OpCallNative: "callnat", OpRet: "ret", OpRetVal: "retval", OpPop: "pop",
 	OpDup: "dup", OpNewArr: "newarr", OpNewStruct: "newstruct",
 	OpCastInt: "casti", OpCastFloat: "castf", OpCastBool: "castb",
-	OpParFor: "parfor", OpHalt: "halt",
+	OpParFor: "parfor",
 }
 
 func (o OpCode) String() string {
@@ -67,7 +66,7 @@ func (o OpCode) String() string {
 // OpCallNative pop their argument count B instead. The VM checks it once
 // per instruction before touching the stack, and the compiler's
 // stack-depth analysis reads it with opPushes.
-var opPops = [OpHalt + 1]int{
+var opPops = [OpParFor + 1]int{
 	OpStoreLocal: 1, OpStoreGlobal: 1, OpLoadInd: 1, OpStoreInd: 2,
 	OpIndexLoad: 2, OpIndexAddr: 2, OpFieldLoad: 1, OpFieldAddr: 1,
 	OpBin: 2, OpUn: 1, OpJmpFalse: 1, OpJmpTrue: 1, OpRetVal: 1, OpPop: 1,
@@ -77,7 +76,7 @@ var opPops = [OpHalt + 1]int{
 
 // opPushes is the number of values each opcode pushes; calls push one
 // only when the callee returns a value (see maxStack).
-var opPushes = [OpHalt + 1]int{
+var opPushes = [OpParFor + 1]int{
 	OpConst: 1, OpLoadLocal: 1, OpAddrLocal: 1, OpLoadGlobal: 1,
 	OpAddrGlobal: 1, OpLoadInd: 1, OpIndexLoad: 1, OpIndexAddr: 1,
 	OpFieldLoad: 1, OpFieldAddr: 1, OpBin: 1, OpUn: 1, OpDup: 2,

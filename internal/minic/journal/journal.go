@@ -258,12 +258,12 @@ func (j *Journal) before(pos int64) int {
 
 // RestoreTo rewinds (or fast-forwards within history) the VM to its
 // exact state after `target` scheduled instructions: the nearest
-// snapshot at or before target is restored and the gap re-executed with
-// program output suppressed, so replay emits nothing the forward run
-// already printed. History beyond target is discarded — resuming forward
-// from there deterministically regenerates it (and its output), unless
-// the caller mutates the debuggee first, which is the point of
-// rewinding.
+// snapshot at or before target is restored and the gap re-executed by
+// the VM's forward run loop (RunUntil) with program output suppressed,
+// so replay emits nothing the forward run already printed. History
+// beyond target is discarded — resuming forward from there
+// deterministically regenerates it (and its output), unless the caller
+// mutates the debuggee first, which is the point of rewinding.
 func (j *Journal) RestoreTo(target int64) error {
 	if !j.active {
 		return fmt.Errorf("journal: not recording")
@@ -307,10 +307,8 @@ func (j *Journal) RestoreTo(target int64) error {
 	out := vm.Output
 	vm.Output = io.Discard
 	err := vm.RestoreSnapshot(cp.snap)
-	for err == nil && j.Step() < target {
-		if vm.StepInstr() == nil {
-			err = fmt.Errorf("journal: replay stalled at step %d of %d", j.Step(), target)
-		}
+	if gap := target - j.Step(); err == nil && gap > 0 && vm.RunUntil(gap, nil) < gap {
+		err = fmt.Errorf("journal: replay stalled at step %d of %d", j.Step(), target)
 	}
 	vm.Output = out
 	vm.SetStepHook(j.record)

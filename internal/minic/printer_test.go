@@ -146,7 +146,7 @@ func TestPrinterPreservesEvaluation(t *testing.T) {
 			t.Logf("seed %d: run error: %v", seed, err)
 			return false
 		}
-		got := vm.threads[0].Result.I
+		got := vm.sched.threads[0].Result.I
 		if got != want {
 			t.Logf("seed %d: got %d want %d\nsrc: %s", seed, got, want, src)
 			return false

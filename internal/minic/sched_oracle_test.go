@@ -8,8 +8,8 @@ import (
 	"d2x/internal/progen"
 )
 
-// Scheduler oracle. The run queue must pick exactly the thread the old
-// scan over every scheduled thread picked, and leave the same cursor
+// Scheduler oracle. The run queue must choose exactly the thread the old
+// scan over every scheduled thread chose, and leave the same cursor
 // behind, at every step. TestSchedulerDeterminism cannot see a
 // reordering — it compares two VMs running the same scheduler — so these
 // tests compare the scheduler against refSchedule, the old scan, on the
@@ -52,9 +52,10 @@ func refFaulted(vm *minic.VM) *minic.Thread {
 
 // checkedSteps drives vm for up to max steps (0: until nothing is
 // runnable), comparing every pick against the reference scan. Even steps
-// peek with NextThread first, odd ones call StepInstr cold, so both the
-// cached and the searching paths are checked. It returns the number of
-// steps run.
+// run through StepInstr. Odd ones run through RunUntil's loop, one
+// instruction at a time, unless a thread has faulted, since RunUntil
+// stops at a fault; the cursor it leaves names the thread that ran. It
+// returns the number of steps run.
 func checkedSteps(t *testing.T, vm *minic.VM, max int) int {
 	t.Helper()
 	for step := 0; max == 0 || step < max; step++ {
@@ -65,20 +66,31 @@ func checkedSteps(t *testing.T, vm *minic.VM, max int) int {
 		if got, ref := vm.Faulted(), refFaulted(vm); got != ref {
 			t.Fatalf("step %d: Faulted() = %v, reference %v", step, threadID(got), threadID(ref))
 		}
-		if step%2 == 0 {
-			if got := vm.NextThread(); got != want {
-				t.Fatalf("step %d: NextThread() = thread %d, reference thread %d", step, threadID(got), threadID(want))
+		if got := vm.NextThread(); got != want {
+			t.Fatalf("step %d: NextThread() = thread %d, reference thread %d", step, threadID(got), threadID(want))
+		}
+		if step%2 == 1 && vm.Faulted() == nil {
+			n := vm.RunUntil(1, nil)
+			if want == nil {
+				if n != 0 {
+					t.Fatalf("step %d: RunUntil ran %d instructions with nothing ready", step, n)
+				}
+				return step
+			}
+			if n != 1 {
+				t.Fatalf("step %d: RunUntil(1) ran %d instructions, reference thread %d", step, n, want.ID)
+			}
+		} else {
+			ran := vm.StepInstr()
+			if ran != want {
+				t.Fatalf("step %d: StepInstr ran thread %d, reference thread %d", step, threadID(ran), threadID(want))
+			}
+			if ran == nil {
+				return step
 			}
 		}
-		ran := vm.StepInstr()
-		if ran != want {
-			t.Fatalf("step %d: StepInstr ran thread %d, reference thread %d", step, threadID(ran), threadID(want))
-		}
-		if ran == nil {
-			return step
-		}
 		if got := vm.SchedCursor(); got != wantIdx {
-			t.Fatalf("step %d: cursor = %d after thread %d, reference %d", step, got, ran.ID, wantIdx)
+			t.Fatalf("step %d: cursor = %d after thread %d, reference %d", step, got, want.ID, wantIdx)
 		}
 	}
 	return max
@@ -167,7 +179,7 @@ func int main() {
 // TestSchedulerOracleSnapshotMidParallelFor restores a snapshot taken
 // while the workers of a nested parallel_for are live and checks the
 // rebuilt run queue against the reference on the way to the end, twice,
-// once right after a NextThread peek at a later state.
+// once right after a NextThread query at a later state.
 func TestSchedulerOracleSnapshotMidParallelFor(t *testing.T) {
 	total := checkedSteps(t, startOracleVM(t, nestedParFor), 0)
 	vm := startOracleVM(t, nestedParFor)
@@ -187,7 +199,7 @@ func TestSchedulerOracleSnapshotMidParallelFor(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkedSteps(t, vm, total/4+1)
-		// A peek before a restore must not leak into the restored state.
+		// A query before a restore must not leak into the restored state.
 		if vm.NextThread() == nil {
 			t.Fatal("nothing runnable three quarters of the way through")
 		}
@@ -233,5 +245,93 @@ func TestSchedulerOracleProgenCorpus(t *testing.T) {
 			t.Fatalf("%s: %v", spec.Name(), err)
 		}
 		checkedSteps(t, vm, 0)
+	}
+}
+
+// racyCallee's parallel_for workers race on x, so its result depends on
+// the exact interleaving: 92962 with 2 or 3 workers, 563 with 4.
+const racyCallee = `
+global int x = 1;
+func int f() {
+	parallel_for (int i = 0; i < 4; i++) {
+		if (i == 3) {
+			parallel_for (int j = 0; j < 4; j++) { x = x * 3 + j; x = x % 1000003; }
+		} else {
+			x = x * 5 + i; x = x % 1000003; x = x * 7 + i; x = x % 1000003; x = x * 11 + i; x = x % 1000003;
+		}
+	}
+	return x;
+}
+func int main() { return f(); }`
+
+// TestCallMatchesRun is the differential oracle for synthetic calls. A
+// debugger `call` runs generated code in the paused debuggee, so it must
+// interleave its threads exactly as the program's own run does: f called
+// on a started VM must return what main's call of f returns and leave
+// every global the same, racy parallel_for included.
+func TestCallMatchesRun(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		src     string
+		workers []int
+		want    map[int]int64 // f's result in the program's run, by workers
+	}{
+		{"racy nested parallel_for", racyCallee, []int{2, 3, 4}, map[int]int64{2: 92962, 3: 92962, 4: 563}},
+		{"atomic nested parallel_for", `
+global int total = 0;
+global int racy = 0;
+func int f() {
+	parallel_for (int i = 0; i < 7; i++) {
+		parallel_for (int j = 0; j < 3; j++) {
+			atomic_add(&total, i * j);
+			racy = racy * 3 + i - j;
+		}
+	}
+	return total * 1000 + racy % 1000;
+}
+func int main() { return f(); }`, []int{1, 2, 3, 4}, nil},
+		{"serial calls", `
+global int n = 0;
+func int sq(int v) { n = n + 1; return v * v; }
+func int f() {
+	int s = 0;
+	for (int i = 0; i < 20; i++) { s = s + sq(i); }
+	return s + n;
+}
+func int main() { return f(); }`, []int{4}, map[int]int64{4: 2490}},
+	} {
+		prog, err := minic.Compile("call.c", c.src, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, w := range c.workers {
+			run := minic.NewVM(prog, nil)
+			run.NumWorkers = w
+			if err := run.Run(); err != nil {
+				t.Fatalf("%s, %d workers: run: %v", c.name, w, err)
+			}
+			want := run.Threads()[0].Result
+
+			call := minic.NewVM(prog, nil)
+			call.NumWorkers = w
+			if err := call.Start(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := call.CallFunction("f", nil)
+			if err != nil {
+				t.Fatalf("%s, %d workers: call: %v", c.name, w, err)
+			}
+			if !minic.ValuesEqual(got, want) {
+				t.Errorf("%s, %d workers: call f() = %s, the program's run returns %s", c.name, w, minic.FormatValue(got), minic.FormatValue(want))
+			}
+			if v, ok := c.want[w]; ok && want.I != v {
+				t.Errorf("%s, %d workers: the program's run returns %d, want %d", c.name, w, want.I, v)
+			}
+			for i, g := range prog.Globals {
+				if a, b := run.Globals[i].V, call.Globals[i].V; !minic.ValuesEqual(a, b) {
+					t.Errorf("%s, %d workers: global %s = %s after the call, %s after the run", c.name, w, g.Name, minic.FormatValue(b), minic.FormatValue(a))
+				}
+			}
+		}
 	}
 }

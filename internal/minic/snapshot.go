@@ -12,7 +12,7 @@ import "fmt"
 type Snapshot struct {
 	steps        int64
 	sched        int64
-	schedIdx     int
+	cursor       int
 	nextThreadID int
 	nextFrameID  int
 	started      bool
@@ -31,13 +31,13 @@ func (vm *VM) TakeSnapshot() *Snapshot {
 	dst := make([]Cell, len(vm.Globals))
 	return &Snapshot{
 		steps:        vm.Steps,
-		sched:        vm.sched,
-		schedIdx:     vm.schedIdx,
+		sched:        vm.sched.steps,
+		cursor:       vm.sched.cursor,
 		nextThreadID: vm.nextThreadID,
 		nextFrameID:  vm.nextFrameID,
 		started:      vm.started,
 		globals:      dst,
-		threads:      copyVMState(vm.Globals, vm.threads, dst),
+		threads:      copyVMState(vm.Globals, vm.sched.threads, dst),
 	}
 }
 
@@ -51,32 +51,28 @@ func (vm *VM) RestoreSnapshot(s *Snapshot) error {
 	if len(s.globals) != len(vm.Globals) {
 		return fmt.Errorf("minic: snapshot has %d globals, VM has %d", len(s.globals), len(vm.Globals))
 	}
-	threads := copyVMState(s.globals, s.threads, vm.Globals)
-	vm.threads = threads
+	sc := &vm.sched
+	sc.threads = copyVMState(s.globals, s.threads, vm.Globals)
 	// The restored frames are new copies that join the free lists as
 	// they return, so drop the frames parked before: repeated restores
 	// must not grow the lists beyond the frames one run keeps live.
 	clear(vm.frameFree)
-	clear(vm.runq)
-	vm.runq = vm.runq[:0]
-	vm.fault, vm.picked = nil, nil
-	vm.frameByID = make(map[int]*Frame, 2*len(threads))
-	for _, t := range threads {
-		for _, f := range t.Frames {
-			vm.frameByID[f.ID] = f
-		}
+	clear(sc.runq)
+	sc.runq = sc.runq[:0]
+	sc.fault = nil
+	for _, t := range sc.threads {
 		switch t.State {
 		case ThreadReady, ThreadWaiting:
-			vm.runq = append(vm.runq, t)
+			sc.runq = append(sc.runq, t)
 		case ThreadFaulted:
-			if vm.fault == nil {
-				vm.fault = t
+			if sc.fault == nil {
+				sc.fault = t
 			}
 		}
 	}
+	sc.steps = s.sched
+	sc.cursor = s.cursor
 	vm.Steps = s.steps
-	vm.sched = s.sched
-	vm.schedIdx = s.schedIdx
 	vm.nextThreadID = s.nextThreadID
 	vm.nextFrameID = s.nextFrameID
 	vm.started = s.started
@@ -191,7 +187,6 @@ func copyVMState(globals []Cell, threads []*Thread, dstGlobals []Cell) []*Thread
 		nt.Result = c.translate(t.Result)
 		nt.parent = tmap[t.parent] // nil maps to nil
 		nt.children = t.children
-		nt.synth = t.synth
 		nt.idx = t.idx
 		if t.par != nil {
 			pr := &parRange{next: t.par.next, end: t.par.end, helper: t.par.helper}

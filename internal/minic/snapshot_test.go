@@ -278,9 +278,10 @@ func int main() {
 }
 
 // TestRunToCompletionBudgetExact pins the step-budget semantics: a
-// program that finishes in exactly maxSteps succeeds, a budget one short
-// fails, and the failing run executes exactly maxSteps instructions —
-// not maxSteps+1 as the old `steps > maxSteps` check allowed.
+// program that finishes in exactly its budget succeeds, a budget one
+// short fails, and the failing run executes exactly the budget's
+// instructions — not one more, as the old `steps > budget` check
+// allowed.
 func TestRunToCompletionBudgetExact(t *testing.T) {
 	prog := compileForTest(t, `
 func int main() {
@@ -350,7 +351,7 @@ func int main() {
 	if err := vm.Start(); err != nil {
 		t.Fatal(err)
 	}
-	for vm.threads[0].Top().Fn.Name != "leaf" {
+	for vm.sched.threads[0].Top().Fn.Name != "leaf" {
 		vm.StepInstr()
 	}
 	snap := vm.TakeSnapshot()
@@ -358,7 +359,7 @@ func int main() {
 		if err := vm.RunToCompletion(0); err != nil {
 			t.Fatal(err)
 		}
-		if got := vm.threads[0].Result.I; got != 2550 {
+		if got := vm.sched.threads[0].Result.I; got != 2550 {
 			t.Fatalf("run %d returned %d, want 2550", r, got)
 		}
 		if err := vm.RestoreSnapshot(snap); err != nil {

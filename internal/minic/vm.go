@@ -80,8 +80,10 @@ type Thread struct {
 	parent   *Thread
 	children int
 	par      *parRange
-	synth    bool // synthetic thread (debugger `call`), not scheduled normally
-	idx      int  // position in VM.threads, the scheduler's program order
+	// guard is the Guard of the synthetic call the thread runs for, when
+	// that Guard blocks writes; the instructions that write check it.
+	guard *Guard
+	idx   int // position in its scheduler's threads, the program order
 }
 
 // Top returns the innermost frame, or nil for a finished thread.
@@ -98,15 +100,10 @@ func (t *Thread) Top() *Frame {
 // scheduled: logical threads interleave at instruction granularity in a
 // deterministic round-robin, so data races in generated code are
 // observable and reproducible — the property GraphIt's push schedule
-// (atomicAdd vs plain +=) depends on.
-//
-// The round-robin runs over a run queue: runq holds the unfinished
-// (ready or waiting) scheduled threads in program order, so picking the
-// next thread costs O(live threads) however many parallel_for workers
-// have come and gone. threads keeps every scheduled thread ever spawned,
-// finished ones included, for `info threads` and for the cursor:
-// schedIdx indexes threads, and the next thread to run is the first
-// ready one at or after it, wrapping around.
+// (atomicAdd vs plain +=) depends on. Every execution goes through one
+// run loop (run): the debuggee's on the VM's scheduler, a synthetic call
+// (debugger `call`) on a scheduler of its own, so a call interleaves its
+// threads exactly as the program would.
 type VM struct {
 	Prog    *Program
 	Globals []Cell
@@ -124,43 +121,51 @@ type VM struct {
 	// (debugger `call`), so a buggy rtv_handler cannot hang the debugger.
 	SynthBudget int64
 
-	threads      []*Thread
-	runq         []*Thread
+	// sched runs the debuggee's threads. Its instruction count is the
+	// position the execution journal records, which synthetic calls do
+	// not advance, and its hook the journal's recorder.
+	sched        scheduler
 	nextThreadID int
 	nextFrameID  int
-	frameByID    map[int]*Frame
-	schedIdx     int
 	started      bool
 
-	// sched counts scheduled instructions: the position the execution
-	// journal records, which synthetic calls do not advance.
-	sched int64
-	// fault is the first faulted scheduled thread in program order.
-	fault *Thread
-	// picked caches NextThread's answer (runq[pickedAt]) until the next
-	// StepInstr or restore, so the debugger's peek-then-step asks the
-	// scheduler once per instruction.
-	picked   *Thread
-	pickedAt int
 	// spawned collects the threads the executing instruction's
-	// parallel_for created; whoever drives execInstr drains it.
+	// parallel_for created; step drains it into the running scheduler.
 	spawned []*Thread
 	// natFree recycles NativeCall frames. A handler may re-enter the VM
 	// and call further natives, so it is a freelist, not a single slot.
 	natFree []*NativeCall
+	// schedFree recycles the schedulers of synthetic calls, which nest
+	// the same way.
+	schedFree []*scheduler
 	// frameFree holds, per function index, returned frames with re-zeroed
 	// slots that newFrame recycles. Only functions whose FuncCode has
 	// reuseFrames set put frames here.
 	frameFree [][]*Frame
+}
 
-	// onStep, when set, observes every scheduled statement-start
-	// instruction just before it executes (the execution journal records
-	// through it). It fires only for scheduled steps — synthetic calls
-	// (debugger `call`, rtv_handlers) run on their own pool and are
-	// invisible to it. The hook runs before schedIdx and the scheduled
-	// count advance, so a snapshot taken inside it captures a state from
-	// which the same thread is deterministically re-selected on replay.
-	onStep func(*Thread)
+// scheduler interleaves a set of threads round-robin. threads keeps every
+// thread added to it, finished ones included, in program order, for `info
+// threads` and for the cursor; runq holds the unfinished (ready or
+// waiting) ones in the same order, so a pick costs O(live threads)
+// however many parallel_for workers have come and gone. The next thread
+// to run is the first ready one at or after cursor in threads, wrapping
+// around.
+type scheduler struct {
+	threads []*Thread
+	runq    []*Thread
+	cursor  int
+	// fault is the first faulted thread in program order.
+	fault *Thread
+	// steps counts the instructions run on this scheduler.
+	steps int64
+	// hook, when set, observes every statement-start instruction just
+	// before it executes (the execution journal records through it).
+	// Only the debuggee's scheduler has one, so synthetic calls are
+	// invisible to it. The hook runs before the cursor and steps
+	// advance, so a snapshot taken inside it captures a state from which
+	// the same thread is deterministically re-selected on replay.
+	hook func(*Thread)
 }
 
 // NewVM prepares a VM for the program with its globals at their initial
@@ -174,7 +179,6 @@ func NewVM(prog *Program, output io.Writer) *VM {
 		Output:      output,
 		NumWorkers:  4,
 		SynthBudget: 200_000_000,
-		frameByID:   map[int]*Frame{},
 		frameFree:   make([][]*Frame, len(prog.Funcs)),
 	}
 	vm.Globals = make([]Cell, len(prog.Globals))
@@ -246,12 +250,12 @@ func (vm *VM) GlobalCell(name string) *Cell {
 
 // Threads returns every scheduled thread, finished ones included, in
 // program order.
-func (vm *VM) Threads() []*Thread { return vm.threads }
+func (vm *VM) Threads() []*Thread { return vm.sched.threads }
 
 // SchedCursor returns the round-robin cursor: the index into Threads at
 // which the scheduler starts looking for the next ready thread. The
 // scheduler oracle tests check it against the reference scan.
-func (vm *VM) SchedCursor() int { return vm.schedIdx }
+func (vm *VM) SchedCursor() int { return vm.sched.cursor }
 
 // Scheduled returns the number of scheduled instructions executed so
 // far. Unlike Steps it does not count synthetic calls, and a snapshot
@@ -259,11 +263,11 @@ func (vm *VM) SchedCursor() int { return vm.schedIdx }
 // it.
 //
 //d2x:noalloc
-func (vm *VM) Scheduled() int64 { return vm.sched }
+func (vm *VM) Scheduled() int64 { return vm.sched.steps }
 
 // ThreadByID returns the thread with the given ID, or nil.
 func (vm *VM) ThreadByID(id int) *Thread {
-	for _, t := range vm.threads {
+	for _, t := range vm.sched.threads {
 		if t.ID == id {
 			return t
 		}
@@ -272,8 +276,20 @@ func (vm *VM) ThreadByID(id int) *Thread {
 }
 
 // FrameByID resolves a frame ID (the VM's analogue of a stack pointer
-// value) to the live frame, or nil after the frame has returned.
-func (vm *VM) FrameByID(id int) *Frame { return vm.frameByID[id] }
+// value) to the live frame of a scheduled thread, or nil after the frame
+// has returned. It walks the threads' stacks: D2X-R resolves one frame
+// per handler call, far fewer lookups than the calls and returns a
+// registry would have to track.
+func (vm *VM) FrameByID(id int) *Frame {
+	for _, t := range vm.sched.threads {
+		for _, f := range t.Frames {
+			if f.ID == id {
+				return f
+			}
+		}
+	}
+	return nil
+}
 
 // newFrame activates function funcIndex with args in its first slots. It
 // recycles a returned frame of the function when one is free, which
@@ -309,7 +325,6 @@ func (vm *VM) newFrame(funcIndex int, args []Value) (*Frame, error) {
 	for i, a := range args {
 		f.Slots[i].V = a
 	}
-	vm.frameByID[f.ID] = f
 	return f, nil
 }
 
@@ -325,8 +340,8 @@ func zeroSlots(f *Frame) {
 	}
 }
 
-func (vm *VM) newThread(parent *Thread, synth bool) *Thread {
-	t := &Thread{ID: vm.nextThreadID, parent: parent, synth: synth}
+func (vm *VM) newThread(parent *Thread) *Thread {
+	t := &Thread{ID: vm.nextThreadID, parent: parent}
 	vm.nextThreadID++
 	return t
 }
@@ -345,20 +360,20 @@ func (vm *VM) Start() error {
 	if err != nil {
 		return err
 	}
-	t := vm.newThread(nil, false)
+	t := vm.newThread(nil)
 	t.Frames = []*Frame{frame}
-	vm.schedule(t)
+	vm.sched.add(t)
 	vm.started = true
 	return nil
 }
 
-// schedule appends a new scheduled thread to the program order and the
-// run queue. Threads are born ready and with the largest index, so the
-// run queue stays sorted by idx.
-func (vm *VM) schedule(t *Thread) {
-	t.idx = len(vm.threads)
-	vm.threads = append(vm.threads, t)
-	vm.runq = append(vm.runq, t)
+// add appends a new thread to the program order and the run queue.
+// Threads are born ready and with the largest index, so the run queue
+// stays sorted by idx.
+func (s *scheduler) add(t *Thread) {
+	t.idx = len(s.threads)
+	s.threads = append(s.threads, t)
+	s.runq = append(s.runq, t)
 }
 
 // Started reports whether Start has run (the main thread exists).
@@ -369,23 +384,23 @@ func (vm *VM) Started() bool { return vm.started }
 // source statement. At most one hook is supported; installing a new one
 // replaces the old. The hook must not run or mutate the VM — taking a
 // snapshot is the intended use.
-func (vm *VM) SetStepHook(fn func(*Thread)) { vm.onStep = fn }
+func (vm *VM) SetStepHook(fn func(*Thread)) { vm.sched.hook = fn }
 
 // Done reports whether every scheduled thread has finished.
-func (vm *VM) Done() bool { return len(vm.runq) == 0 }
+func (vm *VM) Done() bool { return len(vm.sched.runq) == 0 }
 
 // Faulted returns the first faulted thread in program order, or nil.
-func (vm *VM) Faulted() *Thread { return vm.fault }
+func (vm *VM) Faulted() *Thread { return vm.sched.fault }
 
 // pick returns the run-queue position of the thread the scheduler runs
 // next, or -1 when nothing is ready: the first ready thread at or after
-// schedIdx in program order, wrapping around.
+// the cursor in program order, wrapping around.
 //
 //d2x:noalloc
-func (vm *VM) pick() int {
-	rq := vm.runq
+func (s *scheduler) pick() int {
+	rq := s.runq
 	start := 0
-	for start < len(rq) && rq[start].idx < vm.schedIdx {
+	for start < len(rq) && rq[start].idx < s.cursor {
 		start++
 	}
 	for i := start; i < len(rq); i++ {
@@ -401,56 +416,86 @@ func (vm *VM) pick() int {
 	return -1
 }
 
-// NextThread returns the thread the scheduler would run next, or nil when
-// everything is blocked or finished. It does not advance any state: the
-// debugger uses it to inspect the instruction about to execute, and the
-// StepInstr that follows runs the same thread without searching again.
-//
-//d2x:hotpath
-//d2x:noalloc
+// NextThread returns the thread the debuggee's scheduler runs next, or
+// nil when every thread is finished or blocked. It advances no state.
 func (vm *VM) NextThread() *Thread {
-	if vm.picked == nil {
-		i := vm.pick()
-		if i < 0 {
-			return nil
-		}
-		vm.picked, vm.pickedAt = vm.runq[i], i
+	if at := vm.sched.pick(); at >= 0 {
+		return vm.sched.runq[at]
 	}
-	return vm.picked
+	return nil
 }
 
-// StepInstr executes exactly one instruction on the next runnable thread.
-// It returns the thread that ran (nil when nothing is runnable). Faults
-// mark the thread Faulted rather than returning an error, so a debugger
-// can inspect the fault site; RunToCompletion converts them to errors.
+// StepInstr executes exactly one instruction on the debuggee's next ready
+// thread: the step RunUntil repeats. It returns the thread that ran (nil
+// when nothing is ready). Faults mark the thread Faulted rather than
+// returning an error, so a debugger can inspect the fault site;
+// RunToCompletion converts them to errors.
+func (vm *VM) StepInstr() *Thread {
+	at := vm.sched.pick()
+	if at < 0 {
+		return nil
+	}
+	return vm.step(&vm.sched, at)
+}
+
+// RunUntil runs the debuggee until one of these happens, and returns the
+// number of instructions it ran:
+//   - stop, called before each statement-start instruction with the
+//     thread about to run it, returns true (that instruction has not run)
+//   - a thread faults
+//   - every thread is done or blocked
+//   - exactly budget instructions have run (a budget ≤ 0 is no limit)
+//
+// stop may be nil. It may make synthetic calls, but must not otherwise
+// run or mutate the VM.
+func (vm *VM) RunUntil(budget int64, stop func(*Thread) bool) int64 {
+	return vm.run(&vm.sched, budget, stop)
+}
+
+// run is the VM's one run loop: RunUntil on the scheduler s.
 //
 //d2x:hotpath
 //d2x:noalloc
-func (vm *VM) StepInstr() *Thread {
-	t, at := vm.picked, vm.pickedAt
-	if t == nil {
-		if at = vm.pick(); at < 0 {
-			return nil
+func (vm *VM) run(s *scheduler, budget int64, stop func(*Thread) bool) int64 {
+	start := s.steps
+	for s.fault == nil && (budget <= 0 || s.steps-start < budget) {
+		at := s.pick()
+		if at < 0 {
+			break
 		}
-		t = vm.runq[at]
+		if stop != nil {
+			t := s.runq[at]
+			if f := t.Top(); f != nil && f.PC >= 0 && f.PC < len(f.Code.Instrs) && f.Code.Instrs[f.PC].StmtStart && stop(t) {
+				break
+			}
+		}
+		vm.step(s, at)
 	}
-	vm.picked = nil
-	err := vm.execInstr(t, vm.onStep) //d2xvet:ignore noalloc calls allocate the callee frame, parallel_for its workers, natives what they build
-	vm.schedIdx = (t.idx + 1) % len(vm.threads)
+	return s.steps - start
+}
+
+// step executes one instruction on the thread at run-queue position at of
+// s and returns the thread.
+//
+//d2x:noalloc
+func (vm *VM) step(s *scheduler, at int) *Thread {
+	t := s.runq[at]
+	err := vm.execInstr(t, s.hook) //d2xvet:ignore noalloc calls allocate the callee frame, parallel_for its workers, natives what they build
+	s.cursor = (t.idx + 1) % len(s.threads)
+	s.steps++
 	vm.Steps++
-	vm.sched++
 	if err != nil {
 		t.State = ThreadFaulted
 		t.Fault = err
-		if vm.fault == nil || t.idx < vm.fault.idx {
-			vm.fault = t
+		if s.fault == nil || t.idx < s.fault.idx {
+			s.fault = t
 		}
 	}
 	if t.State == ThreadDone || t.State == ThreadFaulted {
-		vm.retire(at)
+		s.retire(at)
 	}
 	if len(vm.spawned) > 0 {
-		vm.adoptSpawned() //d2xvet:ignore noalloc a parallel_for's fan-out appends its workers once, not per instruction
+		vm.adoptSpawned(s) //d2xvet:ignore noalloc a parallel_for's fan-out appends its workers once, not per instruction
 	}
 	return t
 }
@@ -459,50 +504,40 @@ func (vm *VM) StepInstr() *Thread {
 // rest in program order.
 //
 //d2x:noalloc
-func (vm *VM) retire(at int) {
-	rq := vm.runq
+func (s *scheduler) retire(at int) {
+	rq := s.runq
 	copy(rq[at:], rq[at+1:])
 	rq[len(rq)-1] = nil
-	vm.runq = rq[:len(rq)-1]
+	s.runq = rq[:len(rq)-1]
 }
 
-// adoptSpawned schedules the workers the last instruction spawned.
-func (vm *VM) adoptSpawned() {
+// adoptSpawned schedules on s the workers the last instruction spawned,
+// emptying the spawn buffer without releasing its capacity.
+func (vm *VM) adoptSpawned(s *scheduler) {
 	for _, c := range vm.spawned {
-		vm.schedule(c)
+		s.add(c)
 	}
-	vm.takeSpawned()
-}
-
-// takeSpawned empties the spawn buffer without releasing its capacity.
-func (vm *VM) takeSpawned() {
 	clear(vm.spawned)
 	vm.spawned = vm.spawned[:0]
 }
 
 // RunToCompletion drives the scheduler until the program finishes or
-// faults. maxSteps of 0 means no limit; a positive budget is exact — the
-// error fires as soon as maxSteps instructions have executed with work
-// still pending, and a program that finishes in exactly maxSteps
-// succeeds. (The fuel guard in CallFunctionGuarded depends on budgets
-// being exact, and it used to be possible to slip one extra instruction
-// past the cap here.) Faulted and Done are field reads, so checking
-// them every step costs nothing.
-func (vm *VM) RunToCompletion(maxSteps int64) error {
-	for steps := int64(0); ; steps++ {
-		if t := vm.Faulted(); t != nil {
-			return fmt.Errorf("thread %d faulted: %w", t.ID, t.Fault)
-		}
-		if vm.Done() {
-			return nil
-		}
-		if maxSteps > 0 && steps >= maxSteps {
-			return fmt.Errorf("minic: step budget of %d exceeded", maxSteps)
-		}
-		if vm.StepInstr() == nil {
-			return fmt.Errorf("minic: deadlock: no runnable threads")
-		}
+// faults. A budget ≤ 0 means no limit; a positive budget is exact — the
+// error fires as soon as budget instructions have executed with work
+// still pending, and a program that finishes in exactly budget
+// instructions succeeds.
+func (vm *VM) RunToCompletion(budget int64) error {
+	n := vm.RunUntil(budget, nil)
+	if t := vm.Faulted(); t != nil {
+		return fmt.Errorf("thread %d faulted: %w", t.ID, t.Fault)
 	}
+	if vm.Done() {
+		return nil
+	}
+	if budget > 0 && n == budget {
+		return fmt.Errorf("minic: step budget of %d exceeded", budget)
+	}
+	return fmt.Errorf("minic: deadlock: no runnable threads")
 }
 
 // Run compiles the whole lifecycle: Start plus RunToCompletion.
@@ -550,7 +585,8 @@ type Guard struct {
 // no synchronisation is needed.
 type GuardStats struct {
 	// FuelUsed is the number of instructions the call executed before
-	// returning or being stopped.
+	// returning or being stopped, the one a fault or the write barrier
+	// stopped included.
 	FuelUsed int64
 	// WriteDenied reports that the write barrier stopped the call.
 	WriteDenied bool
@@ -575,127 +611,72 @@ func (vm *VM) CallFunctionGuarded(name string, args []Value, g *Guard) (Value, e
 	return vm.callSynthetic(fi, args, g)
 }
 
-// callSynthetic runs a function to completion on a synthetic thread
-// pool, enforcing the guard (if any) instruction by instruction.
+// callSynthetic runs a function to completion on a synthetic thread, on
+// a scheduler of its own and through the same run loop as the debuggee,
+// under the guard (if any).
 func (vm *VM) callSynthetic(fi int, args []Value, g *Guard) (Value, error) {
 	frame, err := vm.newFrame(fi, args)
 	if err != nil {
 		return NullVal(), err
 	}
-	root := vm.newThread(nil, true)
+	root := vm.newThread(nil)
 	root.Frames = []*Frame{frame}
-	pool := []*Thread{root}
-	var budget int64
-	// fail unregisters the pool's live frames before reporting: an
-	// aborted call must not leave dangling frame IDs that the debugger
-	// (or a d2x_find_stack_var in a later call) could still resolve.
-	fail := func(err error) (Value, error) {
-		if g != nil && g.Stats != nil {
-			g.Stats.FuelUsed = budget
-		}
-		for _, t := range pool {
-			for _, f := range t.Frames {
-				delete(vm.frameByID, f.ID)
-			}
-		}
-		return NullVal(), err
+	if g != nil && g.BlockWrites {
+		root.guard = g
 	}
+	s := vm.getScheduler()
+	defer vm.putScheduler(s)
+	s.add(root)
 	limit := vm.SynthBudget
 	fuelLimited := false
 	if g != nil && g.Fuel > 0 && g.Fuel < limit {
 		limit = g.Fuel
 		fuelLimited = true
 	}
-	for {
-		progress := false
-		for i := 0; i < len(pool); i++ {
-			t := pool[i]
-			if t.State != ThreadReady {
-				continue
-			}
-			if g != nil && g.BlockWrites {
-				if err := vm.guardWriteCheck(t); err != nil {
-					if g.Stats != nil {
-						g.Stats.WriteDenied = true
-					}
-					return fail(err)
-				}
-			}
-			err := vm.execInstr(t, nil)
-			vm.Steps++
-			budget++
-			pool = append(pool, vm.spawned...)
-			vm.takeSpawned()
-			if err != nil {
-				return fail(fmt.Errorf("in %s: %w", vm.Prog.Funcs[fi].Name, err))
-			}
-			progress = true
-			if budget > limit {
-				if fuelLimited {
-					if g.Stats != nil {
-						g.Stats.FuelExhausted = true
-					}
-					return fail(fmt.Errorf("minic: call to %s: %w after %d instructions",
-						vm.Prog.Funcs[fi].Name, ErrFuelExhausted, limit))
-				}
-				return fail(fmt.Errorf("minic: call to %s exceeded instruction budget", vm.Prog.Funcs[fi].Name))
-			}
+	vm.run(s, limit, nil)
+	stats := GuardStats{FuelUsed: s.steps}
+	name := vm.Prog.Funcs[fi].Name
+	switch {
+	case s.fault != nil:
+		err = s.fault.Fault
+		if stats.WriteDenied = errors.Is(err, ErrWriteBarrier); !stats.WriteDenied {
+			err = fmt.Errorf("in %s: %w", name, err)
 		}
-		if root.State == ThreadDone {
-			if g != nil && g.Stats != nil {
-				g.Stats.FuelUsed = budget
-			}
-			return root.Result, nil
-		}
-		if root.State == ThreadFaulted {
-			return fail(root.Fault)
-		}
-		if !progress {
-			return fail(fmt.Errorf("minic: call to %s deadlocked", vm.Prog.Funcs[fi].Name))
-		}
+	case root.State == ThreadDone:
+	case s.steps < limit:
+		err = fmt.Errorf("minic: call to %s deadlocked", name)
+	case fuelLimited:
+		stats.FuelExhausted = true
+		err = fmt.Errorf("minic: call to %s: %w after %d instructions", name, ErrFuelExhausted, limit)
+	default:
+		err = fmt.Errorf("minic: call to %s exceeded instruction budget", name)
 	}
+	if g != nil && g.Stats != nil {
+		*g.Stats = stats
+	}
+	if err != nil {
+		return NullVal(), err
+	}
+	return root.Result, nil
 }
 
-// guardWriteCheck inspects the instruction t is about to execute and
-// rejects debuggee-visible stores before they happen. Checking ahead of
-// execution (rather than undoing after) keeps the barrier exact: the
-// write never lands, so shared session state cannot be corrupted even
-// transiently.
-func (vm *VM) guardWriteCheck(t *Thread) error {
-	f := t.Top()
-	if f == nil || f.PC < 0 || f.PC >= len(f.Code.Instrs) {
-		return nil
+// getScheduler returns an empty scheduler for a synthetic call.
+func (vm *VM) getScheduler() *scheduler {
+	if n := len(vm.schedFree); n > 0 {
+		s := vm.schedFree[n-1]
+		vm.schedFree = vm.schedFree[:n-1]
+		return s
 	}
-	in := f.Code.Instrs[f.PC]
-	deny := func(what string) error {
-		return fmt.Errorf("%s:%d: in %s: %w: %s",
-			vm.Prog.SourceName, f.Line(), f.Fn.Name, ErrWriteBarrier, what)
-	}
-	switch in.Op {
-	case OpStoreGlobal:
-		return deny(fmt.Sprintf("store to global %s", vm.Prog.Globals[in.A].Name))
-	case OpStoreInd:
-		// Compound assignment and ++/-- on plain locals also lower to
-		// OpStoreInd, so an unconditional deny would reject every loop
-		// counter. Stores whose target cell is a frame slot of this
-		// thread are private to the guarded call and allowed; anything
-		// else — global cells, array backing stores, debuggee frames
-		// reached through pointers — is denied. (Locally-allocated
-		// arrays are denied too: allocation provenance is a static
-		// property, proven by internal/minic/effects, which then runs
-		// the handler with no guard at all.)
-		if len(f.stack) >= 2 {
-			if p := f.stack[len(f.stack)-2]; p.Kind == VPtr && p.Ptr != nil && frameLocalCell(t, p.Ptr) {
-				return nil
-			}
-		}
-		return deny("store through pointer")
-	case OpCallNative:
-		if nat := vm.Prog.Natives.At(in.A); nat.WritesMemory {
-			return deny(fmt.Sprintf("call to writing native %s", nat.Name))
-		}
-	}
-	return nil
+	return &scheduler{}
+}
+
+// putScheduler empties a synthetic call's scheduler, keeping its
+// capacity, and parks it for the next call.
+func (vm *VM) putScheduler(s *scheduler) {
+	clear(s.threads)
+	clear(s.runq)
+	*s = scheduler{threads: s.threads[:0], runq: s.runq[:0]}
+	vm.schedFree = append(vm.schedFree, s)
 }
 
 // frameLocalCell reports whether cell is a local slot of one of t's own
@@ -712,10 +693,14 @@ func frameLocalCell(t *Thread, cell *Cell) bool {
 	return false
 }
 
-// faultf builds a positioned runtime fault.
-func (vm *VM) faultf(f *Frame, format string, args ...any) error {
-	return fmt.Errorf("%s:%d: in %s: %s",
-		vm.Prog.SourceName, f.Line(), f.Fn.Name, fmt.Sprintf(format, args...))
+// faultf builds a runtime fault of the instruction at pc in f, and leaves
+// f's PC on that instruction, so that the error, the debugger's fault
+// stop and its backtrace all name the faulting line. The format may wrap
+// an error with %w.
+func (vm *VM) faultf(f *Frame, pc int, format string, args ...any) error {
+	f.PC = pc
+	return fmt.Errorf("%s:%d: in %s: "+format,
+		append([]any{vm.Prog.SourceName, f.Line(), f.Fn.Name}, args...)...)
 }
 
 func (f *Frame) push(v Value) { f.stack = append(f.stack, v) }
@@ -731,7 +716,7 @@ func (f *Frame) pop() Value {
 // execInstr executes one instruction on thread t. Threads a parallel_for
 // spawns are left in vm.spawned for the caller to schedule. When the
 // instruction starts a source statement and hook is non-nil, hook sees t
-// just before the instruction runs; StepInstr passes the journal's hook
+// just before the instruction runs; step passes its scheduler's hook
 // here, where the instruction is already loaded, so that checking for a
 // statement boundary costs recording next to nothing per instruction.
 func (vm *VM) execInstr(t *Thread, hook func(*Thread)) error {
@@ -740,21 +725,21 @@ func (vm *VM) execInstr(t *Thread, hook func(*Thread)) error {
 		t.State = ThreadDone
 		return nil
 	}
-	if f.PC < 0 || f.PC >= len(f.Code.Instrs) {
-		return vm.faultf(f, "program counter out of range (%d)", f.PC)
+	pc := f.PC
+	if pc < 0 || pc >= len(f.Code.Instrs) {
+		return vm.faultf(f, pc, "program counter out of range (%d)", pc)
 	}
-	in := f.Code.Instrs[f.PC]
+	in := f.Code.Instrs[pc]
 	if in.StmtStart && hook != nil {
 		hook(t)
 	}
 	f.PC++
 	if len(f.stack) < in.pops() {
-		return vm.faultf(f, "operand stack underflow at %s", in.Op)
+		return vm.faultf(f, pc, "operand stack underflow at %s", in.Op)
 	}
 
 	switch in.Op {
-	case OpNop, OpHalt:
-		// OpHalt is a defensive stop for synthetic drivers; treated as nop.
+	case OpNop:
 
 	case OpConst:
 		f.push(f.Code.Consts[in.A])
@@ -772,6 +757,9 @@ func (vm *VM) execInstr(t *Thread, hook func(*Thread)) error {
 		f.push(vm.Globals[in.A].V)
 
 	case OpStoreGlobal:
+		if t.guard != nil {
+			return vm.faultf(f, pc, "%w: store to global %s", ErrWriteBarrier, vm.Prog.Globals[in.A].Name)
+		}
 		vm.Globals[in.A].V = f.pop()
 
 	case OpAddrGlobal:
@@ -780,15 +768,26 @@ func (vm *VM) execInstr(t *Thread, hook func(*Thread)) error {
 	case OpLoadInd:
 		p := f.pop()
 		if p.Kind != VPtr || p.Ptr == nil {
-			return vm.faultf(f, "null pointer dereference")
+			return vm.faultf(f, pc, "null pointer dereference")
 		}
 		f.push(p.Ptr.V)
 
 	case OpStoreInd:
 		v := f.pop()
 		p := f.pop()
+		// Compound assignment and ++/-- on plain locals also lower to
+		// OpStoreInd, so a guarded call may store to a frame slot of its
+		// own thread. Anything else — global cells, array backing
+		// stores, debuggee frames reached through pointers — is denied.
+		// (Locally-allocated arrays are denied too: allocation
+		// provenance is a static property, proven by
+		// internal/minic/effects, which then runs the handler with no
+		// guard at all.)
+		if t.guard != nil && (p.Kind != VPtr || p.Ptr == nil || !frameLocalCell(t, p.Ptr)) {
+			return vm.faultf(f, pc, "%w: store through pointer", ErrWriteBarrier)
+		}
 		if p.Kind != VPtr || p.Ptr == nil {
-			return vm.faultf(f, "null pointer store")
+			return vm.faultf(f, pc, "null pointer store")
 		}
 		p.Ptr.V = v
 
@@ -796,10 +795,10 @@ func (vm *VM) execInstr(t *Thread, hook func(*Thread)) error {
 		idx := f.pop()
 		arr := f.pop()
 		if arr.Kind != VArr || arr.Arr == nil {
-			return vm.faultf(f, "indexing a null array")
+			return vm.faultf(f, pc, "indexing a null array")
 		}
 		if idx.I < 0 || idx.I >= int64(len(arr.Arr.Cells)) {
-			return vm.faultf(f, "array index %d out of range [0, %d)", idx.I, len(arr.Arr.Cells))
+			return vm.faultf(f, pc, "array index %d out of range [0, %d)", idx.I, len(arr.Arr.Cells))
 		}
 		if in.Op == OpIndexLoad {
 			f.push(arr.Arr.Cells[idx.I].V)
@@ -819,7 +818,7 @@ func (vm *VM) execInstr(t *Thread, hook func(*Thread)) error {
 			}
 		}
 		if obj == nil {
-			return vm.faultf(f, "field access on null struct")
+			return vm.faultf(f, pc, "field access on null struct")
 		}
 		if in.Op == OpFieldLoad {
 			f.push(obj.Fields[in.A].V)
@@ -832,7 +831,7 @@ func (vm *VM) execInstr(t *Thread, hook func(*Thread)) error {
 		x := f.pop()
 		v, err := evalBin(Kind(in.A), x, y)
 		if err != nil {
-			return vm.faultf(f, "%s", err)
+			return vm.faultf(f, pc, "%s", err)
 		}
 		f.push(v)
 
@@ -848,7 +847,7 @@ func (vm *VM) execInstr(t *Thread, hook func(*Thread)) error {
 		case Not:
 			f.push(BoolVal(!x.Bool()))
 		default:
-			return vm.faultf(f, "bad unary operator %s", Kind(in.A))
+			return vm.faultf(f, pc, "bad unary operator %s", Kind(in.A))
 		}
 
 	case OpJmp:
@@ -871,21 +870,24 @@ func (vm *VM) execInstr(t *Thread, hook func(*Thread)) error {
 		callee, err := vm.newFrame(in.A, f.stack[base:])
 		f.stack = f.stack[:base]
 		if err != nil {
-			return vm.faultf(f, "%s", err)
+			return vm.faultf(f, pc, "%s", err)
 		}
 		if len(t.Frames) >= 10000 {
-			return vm.faultf(f, "call stack overflow (10000 frames)")
+			return vm.faultf(f, pc, "call stack overflow (10000 frames)")
 		}
 		t.Frames = append(t.Frames, callee)
 
 	case OpCallNative:
 		nat := vm.Prog.Natives.At(in.A)
+		if nat.WritesMemory && t.guard != nil {
+			return vm.faultf(f, pc, "%w: call to writing native %s", ErrWriteBarrier, nat.Name)
+		}
 		top := len(f.stack)
 		base := top - in.B
 		res, err := vm.CallNative(nat, t, f.stack[base:top:top])
 		f.stack = f.stack[:base]
 		if err != nil {
-			return vm.faultf(f, "%s: %s", nat.Name, err)
+			return vm.faultf(f, pc, "%s: %s", nat.Name, err)
 		}
 		if nat.pushesResult() {
 			f.push(res)
@@ -906,10 +908,10 @@ func (vm *VM) execInstr(t *Thread, hook func(*Thread)) error {
 	case OpNewArr:
 		n := f.pop()
 		if n.I < 0 {
-			return vm.faultf(f, "negative array size %d", n.I)
+			return vm.faultf(f, pc, "negative array size %d", n.I)
 		}
 		if n.I > 1<<28 {
-			return vm.faultf(f, "array size %d too large", n.I)
+			return vm.faultf(f, pc, "array size %d too large", n.I)
 		}
 		f.push(ArrVal(NewArray(f.Code.Types[in.A], int(n.I))))
 
@@ -924,7 +926,7 @@ func (vm *VM) execInstr(t *Thread, hook func(*Thread)) error {
 		case VBool, VInt:
 			f.push(IntVal(v.I))
 		default:
-			return vm.faultf(f, "cannot convert %s to int", v.Kind)
+			return vm.faultf(f, pc, "cannot convert %s to int", v.Kind)
 		}
 
 	case OpCastFloat:
@@ -935,7 +937,7 @@ func (vm *VM) execInstr(t *Thread, hook func(*Thread)) error {
 		case VFloat:
 			f.push(v)
 		default:
-			return vm.faultf(f, "cannot convert %s to float", v.Kind)
+			return vm.faultf(f, pc, "cannot convert %s to float", v.Kind)
 		}
 
 	case OpCastBool:
@@ -947,7 +949,7 @@ func (vm *VM) execInstr(t *Thread, hook func(*Thread)) error {
 		vm.spawnParFor(t, f, f.Code.ParFors[in.A], lo.I, hi.I)
 
 	default:
-		return vm.faultf(f, "unknown opcode %s", in.Op)
+		return vm.faultf(f, pc, "unknown opcode %s", in.Op)
 	}
 	return nil
 }
@@ -976,7 +978,6 @@ func (vm *VM) CallNative(nat *Native, t *Thread, args []Value) (Value, error) {
 // held alive.
 func (vm *VM) returnFrame(t *Thread, v Value, hasValue bool) {
 	top := t.Top()
-	delete(vm.frameByID, top.ID)
 	t.Frames = t.Frames[:len(t.Frames)-1]
 	if top.Code.reuseFrames {
 		zeroSlots(top)
@@ -1038,7 +1039,6 @@ func (vm *VM) parForFrame(pr *parRange) *Frame {
 			own[k].V = ZeroValue(fd.SlotTypes[i])
 		}
 	}
-	vm.frameByID[f.ID] = f
 	return f
 }
 
@@ -1072,7 +1072,8 @@ func (vm *VM) spawnParFor(t *Thread, f *Frame, info ParForInfo, lo, hi int64) {
 		if start >= end {
 			continue
 		}
-		child := vm.newThread(t, t.synth)
+		child := vm.newThread(t)
+		child.guard = t.guard
 		child.par = &parRange{next: start, end: end, helper: info.Helper, captured: captured}
 		child.Frames = []*Frame{vm.parForFrame(child.par)}
 		child.par.next++

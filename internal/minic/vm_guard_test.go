@@ -20,6 +20,22 @@ func startProgram(t *testing.T, src string) *VM {
 	return vm
 }
 
+// checkCallFramesGone checks that FrameByID resolves none of the frames
+// an aborted call created: IDs from first on. An aborted call must not
+// leave frame IDs that the debugger (or a d2x_find_stack_var in a later
+// call) could still resolve.
+func checkCallFramesGone(t *testing.T, vm *VM, first int) {
+	t.Helper()
+	if first == vm.nextFrameID {
+		t.Fatal("the call created no frames")
+	}
+	for id := first; id < vm.nextFrameID; id++ {
+		if vm.FrameByID(id) != nil {
+			t.Errorf("frame %d of the aborted call still resolves", id)
+		}
+	}
+}
+
 func TestGuardBlocksGlobalWrite(t *testing.T) {
 	vm := startProgram(t, `
 global int g = 7;
@@ -28,7 +44,7 @@ func int bump() {
 	return g;
 }
 func int main() { return 0; }`)
-	frames := len(vm.frameByID)
+	first := vm.nextFrameID
 
 	_, err := vm.CallFunctionGuarded("bump", nil, &Guard{BlockWrites: true})
 	if !errors.Is(err, ErrWriteBarrier) {
@@ -37,9 +53,7 @@ func int main() { return 0; }`)
 	if got := vm.GlobalCell("g").V.I; got != 7 {
 		t.Errorf("g = %d after blocked call, want 7 (untouched)", got)
 	}
-	if len(vm.frameByID) != frames {
-		t.Errorf("frame registry leaked: %d entries, want %d", len(vm.frameByID), frames)
-	}
+	checkCallFramesGone(t, vm, first)
 
 	// The same call without a guard succeeds and performs the write.
 	res, err := vm.CallFunctionGuarded("bump", nil, nil)
@@ -152,14 +166,12 @@ func int spin() {
 	return i;
 }
 func int main() { return 0; }`)
-	frames := len(vm.frameByID)
+	first := vm.nextFrameID
 	_, err := vm.CallFunctionGuarded("spin", nil, &Guard{Fuel: 10_000})
 	if !errors.Is(err, ErrFuelExhausted) {
 		t.Fatalf("err = %v, want ErrFuelExhausted", err)
 	}
-	if len(vm.frameByID) != frames {
-		t.Errorf("frame registry leaked after fuel exhaustion: %d entries, want %d", len(vm.frameByID), frames)
-	}
+	checkCallFramesGone(t, vm, first)
 }
 
 // TestGuardFuelDoesNotRelaxSynthBudget: a guard fuel above the VM-wide

@@ -218,7 +218,7 @@ func int main() {
 		}
 		vm.StepInstr()
 	}
-	if got := vm.threads[0].Result.I; got != 25 {
+	if got := vm.sched.threads[0].Result.I; got != 25 {
 		t.Errorf("main returned %d, want 25", got)
 	}
 }
@@ -462,7 +462,7 @@ func int main() {
 	if err := vm.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Step until we are inside inner, then check the frame registry maps
+	// Step until we are inside inner, then check that FrameByID maps
 	// IDs to live frames.
 	for i := 0; i < 100; i++ {
 		th := vm.NextThread()

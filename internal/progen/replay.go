@@ -34,7 +34,7 @@ import (
 // writing rtv handlers are deliberately out of scope, since those are
 // not part of the instruction history (the debugger forces a journal
 // checkpoint for `set var` instead; see internal/minic/journal).
-func CheckReplay(b *d2x.Build, maxSteps int) error {
+func CheckReplay(b *d2x.Build, maxStops int) error {
 	var buf bytes.Buffer
 	d, err := b.NewSession(&buf)
 	if err != nil {
@@ -80,7 +80,7 @@ func CheckReplay(b *d2x.Build, maxSteps int) error {
 		views   []string // bt+xbt at each stop: views[k] is at marks[k]
 	)
 	views = append(views, view())
-	for len(forward) < maxSteps {
+	for len(forward) < maxStops {
 		marks = append(marks, rec.Step())
 		next := exec("next")
 		v := view()
