@@ -1,12 +1,14 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"d2x/internal/d2x/wire"
 	"d2x/internal/debugger"
 	"d2x/internal/graphit"
 	"d2x/internal/minic"
@@ -87,6 +89,23 @@ const (
 	// loop counter's ++ takes the local's address. The call's scheduler
 	// comes from the VM's freelist.
 	synthCallAllocBudget = 6
+
+	// wireXBTAllocBudget bounds one xbt round trip's codec work: an xbt
+	// request and its response encoded through one wire.Encoder and
+	// decoded through one wire.Decoder. Measured: 4 — the request's
+	// Frame, and the response's Frame, Body and output string; the
+	// encoder appends into a buffer it keeps, and the type and command
+	// strings decode to the package constants. encoding/json took 21.
+	// This budget may only go down.
+	wireXBTAllocBudget = 4
+
+	// wireBatchAllocBudget bounds the same for an 8-command batch and its
+	// response. Measured: 27 — per frame the Frame, its Args or Body and
+	// the four backing arrays a slice of 8 grows through, plus the five
+	// sub-commands' Args, their two argument strings longer than one
+	// byte, and the eight results' outputs. encoding/json took 66. This
+	// budget may only go down.
+	wireBatchAllocBudget = 27
 )
 
 func measureAllocs(t *testing.T, runs int, f func() error) float64 {
@@ -377,5 +396,77 @@ func int main() { return 0; }`, nil)
 		if avg > synthCallAllocBudget {
 			t.Errorf("%s: CallFunctionGuarded = %.2f allocs/call, budget %d", c.name, avg, synthCallAllocBudget)
 		}
+	}
+}
+
+// TestWireCodecAllocs holds the wire codec's allocations per round trip:
+// each run encodes a request and its response through one Encoder and
+// decodes both through one Decoder, for xbt and for an 8-command batch.
+// The outputs are the commands' real transcripts in a paused session.
+func TestWireCodecAllocs(t *testing.T) {
+	build := pagerankBuild(t)
+	var out bytes.Buffer
+	d, err := build.NewSession(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	udfLine := lineOf(build.Source, "atomic_add(&new_rank[dst]")
+	mustExec(t, d, fmt.Sprintf("break pagerankdelta.c:%d", udfLine), "run")
+	transcript := func(cmd string) string {
+		out.Reset()
+		mustExec(t, d, cmd)
+		return out.String()
+	}
+	xbtReq := wire.Request(4, wire.CmdXBT, nil)
+	xbtResp := wire.Response(9, xbtReq, &wire.Body{Output: transcript("xbt")})
+
+	dslLine := lineOf(graphit.PageRankDeltaSrc, "new_rank[dst] +=")
+	cmds := []struct{ cmd, spec, name string }{
+		{cmd: wire.CmdXBT}, {cmd: wire.CmdXFrame, spec: "0"}, {cmd: wire.CmdXFrame, spec: "1"},
+		{cmd: wire.CmdXList}, {cmd: wire.CmdXVars}, {cmd: wire.CmdXVars, name: "schedule"},
+		{cmd: wire.CmdXBreak, spec: fmt.Sprintf("pagerankdelta.gt:%d", dslLine)}, {cmd: wire.CmdXDel, spec: "1"},
+	}
+	subs := make([]wire.SubRequest, len(cmds))
+	results := make([]wire.SubResult, len(cmds))
+	for i, c := range cmds {
+		line := strings.TrimSpace(c.cmd + " " + c.spec + c.name)
+		subs[i].Command = c.cmd
+		if c.spec != "" || c.name != "" {
+			subs[i].Arguments = &wire.Args{Spec: c.spec, Name: c.name}
+		}
+		results[i] = wire.SubResult{Success: true, Output: transcript(line)}
+	}
+	batchReq := wire.Request(5, wire.CmdBatch, &wire.Args{Batch: subs})
+	batchResp := wire.Response(10, batchReq, &wire.Body{Results: results})
+
+	for _, tc := range []struct {
+		name      string
+		req, resp *wire.Frame
+		budget    int
+	}{
+		{"xbt", xbtReq, xbtResp, wireXBTAllocBudget},
+		{"batch8", batchReq, batchResp, wireBatchAllocBudget},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var conn bytes.Buffer
+			enc, dec := wire.NewEncoder(&conn), wire.NewDecoder(&conn)
+			avg := measureAllocs(t, 200, func() error {
+				for _, f := range []*wire.Frame{tc.req, tc.resp} {
+					if err := enc.Encode(f); err != nil {
+						return err
+					}
+				}
+				for range 2 {
+					if _, err := dec.Decode(); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			t.Logf("%s round trip: %.1f allocs", tc.name, avg)
+			if avg > float64(tc.budget) {
+				t.Errorf("%s round trip through the codec = %.1f allocs, budget %d", tc.name, avg, tc.budget)
+			}
+		})
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"d2x/internal/d2x"
 	"d2x/internal/d2x/wire"
@@ -331,7 +332,7 @@ func (cn *conn) execOne(command string, args *wire.Args) (*wire.Body, error) {
 	// print through debuggee natives, so their text arrives on the
 	// program stream too) belongs to the command and rides its response.
 	if exec && cn.progOut.Len() > 0 {
-		cn.event(wire.EventOutput, &wire.Body{Output: cn.progOut.String()})
+		cn.outputEvents(cn.progOut.String())
 	}
 	if exec && execErr == nil {
 		stop := cn.dbg.LastStop()
@@ -348,6 +349,33 @@ func (cn *conn) execOne(command string, args *wire.Args) (*wire.Body, error) {
 		out += cn.progOut.String()
 	}
 	return &wire.Body{Output: out}, nil
+}
+
+// outputChunk bounds the debuggee output one output event carries, so
+// that the event encodes under wire.MaxFrameBytes whatever the output's
+// bytes are: the encoder writes at most 6 bytes for one output byte (a
+// control byte or an invalid UTF-8 byte becomes a \u escape), and 1 KiB
+// holds the rest of the frame.
+const outputChunk = (wire.MaxFrameBytes - 1<<10) / 6
+
+// outputEvents sends debuggee output as consecutive output events of at
+// most outputChunk bytes each. A cut falls at the start of a UTF-8 rune,
+// so no valid rune is split between two events.
+func (cn *conn) outputEvents(out string) {
+	for len(out) > 0 {
+		n := len(out)
+		if n > outputChunk {
+			n = outputChunk
+			for i := n; i > n-utf8.UTFMax; i-- {
+				if utf8.RuneStart(out[i]) {
+					n = i
+					break
+				}
+			}
+		}
+		cn.event(wire.EventOutput, &wire.Body{Output: out[:n]})
+		out = out[n:]
+	}
 }
 
 // batch executes a batch request: N sub-commands, one response carrying

@@ -2,15 +2,20 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
+	"d2x/internal/d2x"
 	"d2x/internal/d2x/wire"
 	"d2x/internal/obs"
 )
@@ -259,7 +264,9 @@ const errEmptyBacktrace = strErr("xbt output missing staging frames")
 // TestReadmeTranscript sends README's nc transcript as one write on a raw
 // connection and checks every frame the server answers with: each
 // request's events come before its response, every request_seq matches,
-// seq strictly increases, and the server closes after disconnect.
+// seq strictly increases, and the server closes after disconnect. Every
+// line the server writes is byte for byte what encoding/json writes for
+// the frame it decodes to.
 func TestReadmeTranscript(t *testing.T) {
 	_, addr := startServer(t)
 	readme, err := os.ReadFile("../../../README.md")
@@ -285,7 +292,8 @@ func TestReadmeTranscript(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 
-	dec := wire.NewDecoder(raw)
+	var written bytes.Buffer
+	dec := wire.NewDecoder(io.TeeReader(raw, &written))
 	var lastSeq int64
 	next := func() *wire.Frame {
 		t.Helper()
@@ -337,6 +345,24 @@ func TestReadmeTranscript(t *testing.T) {
 	response(6, wire.CmdDisconnect)
 	if f, err := dec.Decode(); err != io.EOF {
 		t.Fatalf("want EOF after the disconnect response, got %+v, %v", f, err)
+	}
+
+	lines := bytes.SplitAfter(written.Bytes(), []byte("\n"))
+	for _, line := range lines[:len(lines)-1] {
+		var f wire.Frame
+		if err := json.Unmarshal(line, &f); err != nil {
+			t.Fatalf("encoding/json cannot decode %q: %v", line, err)
+		}
+		want, err := json.Marshal(&f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(line, want) {
+			t.Errorf("the server wrote\n%q\nencoding/json writes\n%q", line, want)
+		}
+	}
+	if len(lines) != 10 || len(lines[len(lines)-1]) != 0 {
+		t.Errorf("the server wrote %d lines and %d bytes after the last, want 9 frames", len(lines)-1, len(lines[len(lines)-1]))
 	}
 }
 
@@ -410,4 +436,73 @@ func liveHeap() int64 {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	return int64(m.HeapAlloc)
+}
+
+// TestLongOutputSplitsIntoEvents: a run whose debuggee prints more than
+// one frame can carry gets its output as several consecutive output
+// events, and the session goes on.
+func TestLongOutputSplitsIntoEvents(t *testing.T) {
+	const lines = 100000
+	line := "%d " + strings.Repeat("x", 45) + "\n"
+	src := "func int main() {\n\tfor (int i = 0; i < " + strconv.Itoa(lines) + "; i++) {\n\t\tprintf(" +
+		strconv.Quote(line) + ", i);\n\t}\n\treturn 0;\n}\n"
+	addr := startServerWith(t, func(name string) (*d2x.Build, error) {
+		return d2x.Link("big.c", src, nil, d2x.LinkOptions{})
+	})
+	var want strings.Builder
+	for i := 0; i < lines; i++ {
+		fmt.Fprintf(&want, line, i)
+	}
+	if want.Len() <= wire.MaxFrameBytes {
+		t.Fatalf("the program prints %d bytes, not more than one frame holds", want.Len())
+	}
+
+	c := dial(t, addr)
+	mustDo(t, c, wire.CmdLaunch, &wire.Args{Example: "big"})
+	mustDo(t, c, wire.CmdRun, nil)
+	var got strings.Builder
+	outputs := 0
+	for _, ev := range c.Events() {
+		if ev.Event == wire.EventOutput {
+			outputs++
+			got.WriteString(ev.Body.Output)
+		}
+	}
+	if outputs < 2 {
+		t.Errorf("%d bytes of output came as %d output events, want more than one", want.Len(), outputs)
+	}
+	if got.String() != want.String() {
+		t.Errorf("the output events carry %d bytes that differ from the program's %d", got.Len(), want.Len())
+	}
+	mustDo(t, c, wire.CmdStats, nil)
+}
+
+// TestOutputEventsFitInFrames: output events are cut at rune starts, and
+// each encodes under wire.MaxFrameBytes even when every output byte
+// needs a six-byte escape.
+func TestOutputEventsFitInFrames(t *testing.T) {
+	for _, out := range []string{
+		strings.Repeat("a", outputChunk-1) + "é" + strings.Repeat("€", outputChunk),
+		strings.Repeat("\x01", 2*outputChunk+5),
+		strings.Repeat("\xff", outputChunk+1),
+	} {
+		cn := &conn{}
+		cn.outputEvents(out)
+		if len(cn.frames) < 2 {
+			t.Errorf("%d bytes of output made %d events, want more than one", len(out), len(cn.frames))
+		}
+		var got strings.Builder
+		for _, f := range cn.frames {
+			if utf8.ValidString(out) && !utf8.ValidString(f.Body.Output) {
+				t.Errorf("an event cuts a rune: it ends with %q", f.Body.Output[len(f.Body.Output)-3:])
+			}
+			if err := wire.NewEncoder(io.Discard).Encode(f); err != nil {
+				t.Errorf("an event of %d output bytes: %v", len(f.Body.Output), err)
+			}
+			got.WriteString(f.Body.Output)
+		}
+		if got.String() != out {
+			t.Errorf("the events carry %d bytes that differ from the %d output bytes", got.Len(), len(out))
+		}
+	}
 }

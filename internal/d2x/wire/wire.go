@@ -8,13 +8,17 @@
 // service — executes them against one debug session per connection and
 // replies with the command transcript. Execution commands additionally
 // produce asynchronous "stopped" events, and debuggee output streams out
-// as "output" events. The server writes a request's events before its
-// response and never drops a frame; a client that stops reading stalls
-// only its own connection.
+// as "output" events; an output too long for one frame arrives as
+// several consecutive output events. The server writes a request's
+// events before its response and never drops a frame; a client that
+// stops reading stalls only its own connection.
 //
 // Framing is one JSON object per line, terminated by '\n'. Blank lines
 // are ignored, so a human can drive a server from nc(1). A frame is at
-// most MaxFrameBytes long, bounding what either side must buffer.
+// most MaxFrameBytes long, bounding what either side must buffer. The
+// codec (codec.go) is written for the five frame types: it encodes by
+// appending and decodes in one pass, without reflection, and its bytes
+// and values are exactly encoding/json's.
 //
 // This package is deliberately a pure protocol layer: frame types,
 // encode/decode, and a small blocking client. It must not import the
@@ -25,7 +29,6 @@ package wire
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -199,25 +202,28 @@ func Event(seq int64, name string, body *Body) *Frame {
 
 // Encoder writes frames as newline-delimited JSON. It does no locking and
 // no buffering: the server and Client each give it a bufio.Writer and
-// flush once per request.
+// flush once per request. It appends each frame into a buffer it keeps,
+// and drops that buffer after a frame larger than 64 KiB.
 type Encoder struct {
-	w io.Writer
+	w   io.Writer
+	buf []byte
 }
 
 // NewEncoder returns an encoder writing to w.
 func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
 
-// Encode writes one frame and its newline terminator.
+// Encode writes one frame and its newline terminator: the bytes of
+// json.Marshal(f) and '\n'.
 func (e *Encoder) Encode(f *Frame) error {
-	b, err := json.Marshal(f)
-	if err != nil {
-		return fmt.Errorf("wire: encode: %w", err)
+	b := append(appendFrame(e.buf[:0], f), '\n')
+	e.buf = b[:0]
+	if cap(b) > keepBytes {
+		e.buf = nil
 	}
-	if len(b)+1 > MaxFrameBytes {
-		return fmt.Errorf("%w: %d bytes exceeds the %d-byte limit", ErrFrameTooLarge, len(b)+1, MaxFrameBytes)
+	if len(b) > MaxFrameBytes {
+		return fmt.Errorf("%w: %d bytes exceeds the %d-byte limit", ErrFrameTooLarge, len(b), MaxFrameBytes)
 	}
-	b = append(b, '\n')
-	_, err = e.w.Write(b)
+	_, err := e.w.Write(b)
 	return err
 }
 
@@ -225,6 +231,7 @@ func (e *Encoder) Encode(f *Frame) error {
 // line over MaxFrameBytes or one that is not a JSON frame is an error.
 type Decoder struct {
 	sc *bufio.Scanner
+	d  decodeState
 }
 
 // NewDecoder returns a decoder reading from r.
@@ -242,14 +249,7 @@ func (d *Decoder) Decode() (*Frame, error) {
 		if len(trimSpace(line)) == 0 {
 			continue
 		}
-		f := &Frame{}
-		if err := json.Unmarshal(line, f); err != nil {
-			return nil, fmt.Errorf("wire: malformed frame: %w", err)
-		}
-		if f.Type == "" {
-			return nil, fmt.Errorf("wire: frame missing type")
-		}
-		return f, nil
+		return d.d.frame(line)
 	}
 	if err := d.sc.Err(); err != nil {
 		if err == bufio.ErrTooLong {

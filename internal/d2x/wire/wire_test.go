@@ -10,8 +10,9 @@ import (
 	"testing"
 )
 
-func TestFrameRoundTrip(t *testing.T) {
-	frames := []*Frame{
+// roundTripFrames returns one frame of each shape the protocol sends.
+func roundTripFrames() []*Frame {
+	return []*Frame{
 		Request(1, CmdLaunch, &Args{Example: "power"}),
 		Request(2, CmdXBreak, &Args{Spec: "power.dsl:6"}),
 		Request(3, CmdXVars, &Args{Name: "row"}),
@@ -20,6 +21,10 @@ func TestFrameRoundTrip(t *testing.T) {
 		Event(9, EventStopped, &Body{Reason: "breakpoint"}),
 		Event(10, EventOutput, &Body{Output: "hello\n"}),
 	}
+}
+
+func TestFrameRoundTrip(t *testing.T) {
+	frames := roundTripFrames()
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf)
 	for _, f := range frames {
@@ -59,9 +64,11 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// blankLinesInput is one frame between blank lines, ended by "\r\n".
+const blankLinesInput = "\n  \n{\"seq\":1,\"type\":\"request\",\"command\":\"stats\"}\r\n\n"
+
 func TestDecoderSkipsBlankLines(t *testing.T) {
-	in := "\n  \n{\"seq\":1,\"type\":\"request\",\"command\":\"stats\"}\r\n\n"
-	dec := NewDecoder(strings.NewReader(in))
+	dec := NewDecoder(strings.NewReader(blankLinesInput))
 	f, err := dec.Decode()
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -74,18 +81,21 @@ func TestDecoderSkipsBlankLines(t *testing.T) {
 	}
 }
 
+// malformedCases are inputs the decoder must reject, with the text its
+// error must contain.
+var malformedCases = []struct {
+	name string
+	in   string
+	want string
+}{
+	{"not json", "hello there\n", "malformed frame"},
+	{"json array", "[1,2,3]\n", "malformed frame"},
+	{"missing type", "{\"seq\":1}\n", "missing type"},
+	{"oversized", strings.Repeat("x", MaxFrameBytes+10) + "\n", "exceeds"},
+}
+
 func TestDecoderMalformedInput(t *testing.T) {
-	cases := []struct {
-		name string
-		in   string
-		want string
-	}{
-		{"not json", "hello there\n", "malformed frame"},
-		{"json array", "[1,2,3]\n", "malformed frame"},
-		{"missing type", "{\"seq\":1}\n", "missing type"},
-		{"oversized", strings.Repeat("x", MaxFrameBytes+10) + "\n", "exceeds"},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedCases {
 		t.Run(tc.name, func(t *testing.T) {
 			dec := NewDecoder(strings.NewReader(tc.in))
 			_, err := dec.Decode()
