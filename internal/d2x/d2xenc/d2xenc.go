@@ -466,12 +466,17 @@ func readIntArr(vm *minic.VM, name string) ([]int64, error) {
 	if c == nil {
 		return nil, fmt.Errorf("d2x: no global %s", name)
 	}
-	if c.V.Kind != minic.VArr || c.V.Arr == nil {
+	arr := c.V.Arr()
+	if arr == nil {
 		return nil, fmt.Errorf("d2x: global %s is not an initialised array", name)
 	}
-	out := make([]int64, c.V.Arr.Len())
+	out := make([]int64, arr.Len())
 	for i := range out {
-		out[i] = c.V.Arr.Cells[i].V.I
+		v := arr.Cells[i].V
+		if v.Kind != minic.VInt {
+			return nil, fmt.Errorf("d2x: global %s[%d] is not an int", name, i)
+		}
+		out[i] = v.I
 	}
 	return out, nil
 }
@@ -481,12 +486,13 @@ func readStrArr(vm *minic.VM, name string) ([]string, error) {
 	if c == nil {
 		return nil, fmt.Errorf("d2x: no global %s", name)
 	}
-	if c.V.Kind != minic.VArr || c.V.Arr == nil {
+	arr := c.V.Arr()
+	if arr == nil {
 		return nil, fmt.Errorf("d2x: global %s is not an initialised array", name)
 	}
-	out := make([]string, c.V.Arr.Len())
+	out := make([]string, arr.Len())
 	for i := range out {
-		out[i] = c.V.Arr.Cells[i].V.S
+		out[i] = arr.Cells[i].V.S()
 	}
 	return out, nil
 }

@@ -284,7 +284,7 @@ func (r *Runtime) Register(nats *minic.Natives) {
 		AnyResult: true,
 		Handler: func(call *minic.NativeCall) (minic.Value, error) {
 			findStackVars.Inc()
-			return r.findStackVar(call.VM, call.Args[0].S)
+			return r.findStackVar(call.VM, call.Args[0].S())
 		},
 	})
 }
@@ -310,7 +310,7 @@ func (r *Runtime) nativeCommand(c *commandNative) minic.NativeHandler {
 			op.RSP = call.Args[c.rsp].I
 		}
 		if c.arg >= 0 {
-			op.Arg = call.Args[c.arg].S
+			op.Arg = call.Args[c.arg].S()
 		}
 		st := r.svc.State(call.VM)
 		start := obs.NowNanos()
@@ -663,7 +663,7 @@ func (r *Runtime) evalVar(st *session.State, vm *minic.VM, v d2xc.VarEntry) (str
 		if res.Kind != minic.VStr {
 			return minic.ToStr(res), nil
 		}
-		return res.S, nil
+		return res.S(), nil
 	}
 	return "", fmt.Errorf("d2x: unknown variable kind %d", v.Kind)
 }

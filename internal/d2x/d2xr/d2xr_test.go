@@ -174,14 +174,14 @@ func TestXBreakReturnsCommands(t *testing.T) {
 	if !strings.Contains(f.out.String(), "Inserting 1 breakpoints with ID: #1") {
 		t.Fatalf("xbreak banner:\n%s", f.out.String())
 	}
-	if v.S != "break gen.c:6" {
-		t.Errorf("returned commands = %q", v.S)
+	if v.S() != "break gen.c:6" {
+		t.Errorf("returned commands = %q", v.S())
 	}
 	// Deleting returns matching clear commands.
 	f.out.Reset()
 	v = f.callCmd(t, "d2x_runtime_command_xdel", minic.StrVal("#1"))
-	if v.S != "clear gen.c:6" {
-		t.Errorf("xdel commands = %q", v.S)
+	if v.S() != "clear gen.c:6" {
+		t.Errorf("xdel commands = %q", v.S())
 	}
 	if !strings.Contains(f.out.String(), "Deleted DSL breakpoint #1") {
 		t.Errorf("xdel banner:\n%s", f.out.String())
@@ -191,13 +191,13 @@ func TestXBreakReturnsCommands(t *testing.T) {
 func TestXBreakListingAndMisses(t *testing.T) {
 	f := newFixture(t)
 	v := f.callCmd(t, "d2x_runtime_command_xbreak", minic.IntVal(f.rip), minic.StrVal(""))
-	if v.S != "" || !strings.Contains(f.out.String(), "No DSL breakpoints.") {
-		t.Errorf("empty listing: %q / %s", v.S, f.out.String())
+	if v.S() != "" || !strings.Contains(f.out.String(), "No DSL breakpoints.") {
+		t.Errorf("empty listing: %q / %s", v.S(), f.out.String())
 	}
 	f.out.Reset()
 	v = f.callCmd(t, "d2x_runtime_command_xbreak", minic.IntVal(f.rip), minic.StrVal("prog.dsl:999"))
-	if v.S != "" || !strings.Contains(f.out.String(), "No generated code for prog.dsl:999") {
-		t.Errorf("miss: %q / %s", v.S, f.out.String())
+	if v.S() != "" || !strings.Contains(f.out.String(), "No generated code for prog.dsl:999") {
+		t.Errorf("miss: %q / %s", v.S(), f.out.String())
 	}
 }
 
@@ -373,8 +373,8 @@ func TestFindStackVarInFrameZero(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rtv_handler paused in frame 0: %v", err)
 	}
-	if res.S != "vh=41" {
-		t.Errorf("rtv_handler in frame 0 = %q, want %q", res.S, "vh=41")
+	if res.S() != "vh=41" {
+		t.Errorf("rtv_handler in frame 0 = %q, want %q", res.S(), "vh=41")
 	}
 }
 
@@ -386,9 +386,9 @@ func TestFindStackVarInFrameZero(t *testing.T) {
 func TestXBreakRepeatedExpansionStable(t *testing.T) {
 	f := newFixture(t)
 	first := f.callCmd(t, "d2x_runtime_command_xbreak",
-		minic.IntVal(f.rip), minic.StrVal("prog.dsl:2")).S
+		minic.IntVal(f.rip), minic.StrVal("prog.dsl:2")).S()
 	second := f.callCmd(t, "d2x_runtime_command_xbreak",
-		minic.IntVal(f.rip), minic.StrVal("prog.dsl:2")).S
+		minic.IntVal(f.rip), minic.StrVal("prog.dsl:2")).S()
 	if first == "" {
 		t.Fatal("xbreak produced no breakpoint commands")
 	}
@@ -566,8 +566,8 @@ func TestXBreakDedupesDuplicateGenLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.S != "break gen.c:2" {
-		t.Errorf("xbreak commands = %q, want one deduplicated break", v.S)
+	if v.S() != "break gen.c:2" {
+		t.Errorf("xbreak commands = %q, want one deduplicated break", v.S())
 	}
 	if !strings.Contains(out.String(), "Inserting 1 breakpoints with ID: #1") {
 		t.Errorf("xbreak banner:\n%s", out.String())
@@ -579,8 +579,8 @@ func TestXBreakDedupesDuplicateGenLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.S != "clear gen.c:2" {
-		t.Errorf("xdel commands = %q, want one deduplicated clear", v.S)
+	if v.S() != "clear gen.c:2" {
+		t.Errorf("xdel commands = %q, want one deduplicated clear", v.S())
 	}
 }
 

@@ -259,7 +259,25 @@ func (cn *conn) flush(req *wire.Frame) error {
 	}
 	clear(cn.frames)
 	cn.frames = cn.frames[:0]
+	cn.trimBuffers()
 	return cn.bw.Flush()
+}
+
+// keepBytes bounds the output a connection's buffers keep between
+// requests, as the wire codec bounds its own.
+const keepBytes = 64 << 10
+
+// trimBuffers drops an output buffer that the request grew past
+// keepBytes: a session that printed megabytes once must not hold them
+// for the rest of its life. The session writes through pointers to the
+// fields, so a fresh zero buffer takes the old one's place.
+func (cn *conn) trimBuffers() {
+	if cn.progOut.Cap() > keepBytes {
+		cn.progOut = bytes.Buffer{}
+	}
+	if cn.transcript.Cap() > keepBytes {
+		cn.transcript = bytes.Buffer{}
+	}
 }
 
 func (cn *conn) nextSeq() int64 {

@@ -438,21 +438,30 @@ func liveHeap() int64 {
 	return int64(m.HeapAlloc)
 }
 
+// longOutput is a program that prints 100,000 numbered lines, 5.2 MB,
+// more than one frame holds, and the lines it prints.
+func longOutput() (src string, want string) {
+	const lines = 100000
+	line := "%d " + strings.Repeat("x", 45) + "\n"
+	src = "func int main() {\n\tfor (int i = 0; i < " + strconv.Itoa(lines) + "; i++) {\n\t\tprintf(" +
+		strconv.Quote(line) + ", i);\n\t}\n\treturn 0;\n}\n"
+	var b strings.Builder
+	for i := 0; i < lines; i++ {
+		fmt.Fprintf(&b, line, i)
+	}
+	return src, b.String()
+}
+
 // TestLongOutputSplitsIntoEvents: a run whose debuggee prints more than
 // one frame can carry gets its output as several consecutive output
 // events, and the session goes on.
 func TestLongOutputSplitsIntoEvents(t *testing.T) {
-	const lines = 100000
-	line := "%d " + strings.Repeat("x", 45) + "\n"
-	src := "func int main() {\n\tfor (int i = 0; i < " + strconv.Itoa(lines) + "; i++) {\n\t\tprintf(" +
-		strconv.Quote(line) + ", i);\n\t}\n\treturn 0;\n}\n"
+	src, wantOut := longOutput()
 	addr := startServerWith(t, func(name string) (*d2x.Build, error) {
 		return d2x.Link("big.c", src, nil, d2x.LinkOptions{})
 	})
 	var want strings.Builder
-	for i := 0; i < lines; i++ {
-		fmt.Fprintf(&want, line, i)
-	}
+	want.WriteString(wantOut)
 	if want.Len() <= wire.MaxFrameBytes {
 		t.Fatalf("the program prints %d bytes, not more than one frame holds", want.Len())
 	}
@@ -475,6 +484,41 @@ func TestLongOutputSplitsIntoEvents(t *testing.T) {
 		t.Errorf("the output events carry %d bytes that differ from the program's %d", got.Len(), want.Len())
 	}
 	mustDo(t, c, wire.CmdStats, nil)
+}
+
+// TestLongOutputLeavesNoBuffers: once the client has drained the events
+// of a run that printed 5.2 MB, nothing keeps their size alive, neither
+// the server's output buffers nor either end's frame decoder: with the
+// session still open, the live heap is back within 1 MiB of what it was
+// before the run.
+func TestLongOutputLeavesNoBuffers(t *testing.T) {
+	src, want := longOutput()
+	addr := startServerWith(t, func(name string) (*d2x.Build, error) {
+		return d2x.Link("big.c", src, nil, d2x.LinkOptions{})
+	})
+	c := dial(t, addr)
+	mustDo(t, c, wire.CmdLaunch, &wire.Args{Example: "big"})
+	before := liveHeap()
+	mustDo(t, c, wire.CmdRun, nil)
+	if n := drainOutput(c); n != len(want) {
+		t.Fatalf("the output events carry %d bytes, the program printed %d", n, len(want))
+	}
+	if after := liveHeap(); after > before+1<<20 {
+		t.Errorf("live heap %.1f MiB after the run, %.1f MiB before it", float64(after)/(1<<20), float64(before)/(1<<20))
+	}
+	mustDo(t, c, wire.CmdStats, nil)
+}
+
+// drainOutput takes the client's events and returns the bytes of output
+// they carried, keeping none of them.
+func drainOutput(c *wire.Client) int {
+	n := 0
+	for _, ev := range c.Events() {
+		if ev.Event == wire.EventOutput {
+			n += len(ev.Body.Output)
+		}
+	}
+	return n
 }
 
 // TestOutputEventsFitInFrames: output events are cut at rune starts, and

@@ -229,35 +229,74 @@ func (e *Encoder) Encode(f *Frame) error {
 
 // Decoder reads newline-delimited frames. Blank lines are skipped; a
 // line over MaxFrameBytes or one that is not a JSON frame is an error.
+// It splits lines as bufio.ScanLines does, reading through a 4 KiB
+// bufio.Reader; a longer line is assembled in a buffer of its own, which
+// the decoder drops after a line over 64 KiB, so one large frame does
+// not pin its size for the life of the stream.
 type Decoder struct {
-	sc *bufio.Scanner
-	d  decodeState
+	r    *bufio.Reader
+	long []byte // a line longer than r's buffer
+	err  error  // the error that ends the stream, once seen
+	d    decodeState
 }
 
 // NewDecoder returns a decoder reading from r.
 func NewDecoder(r io.Reader) *Decoder {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 4096), MaxFrameBytes)
-	return &Decoder{sc: sc}
+	return &Decoder{r: bufio.NewReaderSize(r, 4096)}
 }
 
 // Decode reads the next frame. It returns io.EOF at a clean end of
 // stream and a descriptive error on oversized or malformed input.
 func (d *Decoder) Decode() (*Frame, error) {
-	for d.sc.Scan() {
-		line := d.sc.Bytes()
+	for {
+		line, err := d.readLine()
+		if err != nil {
+			return nil, err
+		}
 		if len(trimSpace(line)) == 0 {
 			continue
 		}
-		return d.d.frame(line)
-	}
-	if err := d.sc.Err(); err != nil {
-		if err == bufio.ErrTooLong {
-			return nil, fmt.Errorf("wire: frame exceeds the %d-byte limit", MaxFrameBytes)
+		f, err := d.d.frame(line)
+		if cap(d.long) > keepBytes {
+			d.long = nil
 		}
-		return nil, err
+		return f, err
 	}
-	return nil, io.EOF
+}
+
+// readLine returns the next line without its "\n" and a "\r" before it,
+// and the last line of the stream even without a "\n", as ScanLines
+// does. Once the stream has ended it returns the error that ended it:
+// io.EOF, a read error, or a line of MaxFrameBytes or more.
+func (d *Decoder) readLine() ([]byte, error) {
+	if d.err != nil {
+		return nil, d.err
+	}
+	line, err := d.r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		d.long = append(d.long[:0], line...)
+		for err == bufio.ErrBufferFull && len(d.long) < MaxFrameBytes {
+			line, err = d.r.ReadSlice('\n')
+			d.long = append(d.long, line...)
+		}
+		line = d.long
+	}
+	if err != nil {
+		d.err = err
+	}
+	if n := len(line); n > 0 && line[n-1] == '\n' {
+		line = line[:n-1]
+	} else if n == 0 {
+		return nil, d.err
+	}
+	if len(line) >= MaxFrameBytes {
+		d.err = fmt.Errorf("wire: frame exceeds the %d-byte limit", MaxFrameBytes)
+		return nil, d.err
+	}
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	return line, nil
 }
 
 // trimSpace is bytes.TrimSpace for the ASCII whitespace JSON framing can

@@ -314,6 +314,39 @@ func TestBreakpointHitCount(t *testing.T) {
 	}
 }
 
+// TestBreakpointConditionShortCircuits checks that a condition whose
+// left operand decides skips its right one: a null p passes the site
+// silently instead of failing to dereference it and stopping.
+func TestBreakpointConditionShortCircuits(t *testing.T) {
+	d, out := attach(t, `func int main() {
+	int x = 5;
+	int* p = null;
+	for (int i = 0; i < 3; i++) {
+		x = x + i;
+		if (i == 1) {
+			p = &x;
+		}
+	}
+	printf("x=%d\n", x);
+	return 0;
+}
+`)
+	mustExec(t, d, "break gen.c:5 if p != null && *p > 3", "run")
+	if st := d.LastStop(); st.Reason != StopBreakpoint {
+		t.Fatalf("stop = %v, want the breakpoint", st.Reason)
+	}
+	if v, _ := d.EvalExpr("i"); v.I != 2 {
+		t.Errorf("stopped at i = %d, want 2, the first pass with p set", v.I)
+	}
+	if strings.Contains(out.String(), "Error in breakpoint condition") {
+		t.Errorf("the condition failed on a null p:\n%s", out.String())
+	}
+	mustExec(t, d, "continue")
+	if !strings.Contains(out.String(), "x=8\n") || d.LastStop().Reason != StopExited {
+		t.Errorf("the program did not run to exit:\n%s", out.String())
+	}
+}
+
 // TestFaultInspection stops at a fault and inspects it post mortem. The
 // error, the fault banner and bt all name the faulting line, not the
 // line of the statement after it.

@@ -212,11 +212,32 @@ func (d *Debugger) stopAt(t *minic.Thread, reason StopReason, bp *Breakpoint, ad
 // minic.NativeCall for what a handler may keep).
 func (d *Debugger) CallValue(name string, args []minic.Value) (minic.Value, error) {
 	vm := d.proc.VM
-	if vm.Prog.FuncIndex(name) >= 0 {
+	if fi := vm.Prog.FuncIndex(name); fi >= 0 {
+		for i, p := range vm.Prog.Funcs[fi].Params {
+			if i < len(args) && misfit(minic.ZeroValue(p.Type).Kind, args[i]) {
+				return minic.NullVal(), fmt.Errorf("argument %d of %s: cannot use %s as %s", i+1, name, args[i].Kind, p.Type)
+			}
+		}
 		return vm.CallFunctionGuarded(name, args, d.evalGuard)
 	}
 	if nat, _, ok := vm.Prog.Natives.Lookup(name); ok {
+		if n := len(nat.Sig.Params); len(args) < n || len(args) > n && !nat.Variadic {
+			return minic.NullVal(), fmt.Errorf("%s requires %d arguments, have %d", name, n, len(args))
+		}
+		for i, p := range nat.Sig.Params {
+			if misfit(minic.ZeroValue(p).Kind, args[i]) {
+				return minic.NullVal(), fmt.Errorf("argument %d of %s: cannot use %s as %s", i+1, name, args[i].Kind, p)
+			}
+		}
 		return vm.CallNative(nat, d.SelectedThread(), args)
 	}
 	return minic.NullVal(), fmt.Errorf("no symbol %q in current context", name)
+}
+
+// misfit reports whether v may not go where the program keeps a value of
+// kind want, as the checker would reject it: a float or a string where an
+// int or a bool lives. The VM reads ints and bools through Value.I, which
+// holds a float's bits and a string's length.
+func misfit(want minic.ValueKind, v minic.Value) bool {
+	return (want == minic.VInt || want == minic.VBool) && (v.Kind == minic.VFloat || v.Kind == minic.VStr)
 }

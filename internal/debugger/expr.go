@@ -161,6 +161,10 @@ type exprEval struct {
 	d    *Debugger
 	toks []exprToken
 	pos  int
+	// skip is set while parsing an operand that the left operand of &&
+	// or || already decided: it is parsed but not evaluated, so it calls,
+	// dereferences and indexes nothing, as in the program.
+	skip bool
 }
 
 // EvalExpr evaluates a debugger expression against the selected frame.
@@ -228,6 +232,9 @@ func (d *Debugger) SetVariable(lvalueSrc, rhsSrc string) error {
 	if err != nil {
 		return err
 	}
+	if misfit(lhs.val.Kind, rhs) {
+		return fmt.Errorf("cannot assign %s to %s", rhs.Kind, lhs.val.Kind)
+	}
 	lhs.cell.V = rhs
 	return nil
 }
@@ -294,29 +301,62 @@ func (ev *exprEval) binary(minPrec int) (result, error) {
 		// '*' and '-' and '&' are also unary; as infix operators they
 		// only appear here, after a complete operand, so no ambiguity.
 		ev.next()
+		decided := !ev.skip && (op == "&&" && !lhs.val.Bool() || op == "||" && lhs.val.Bool())
+		ev.skip = ev.skip || decided
 		rhs, err := ev.binary(prec + 1)
+		if decided {
+			ev.skip = false
+		}
 		if err != nil {
 			return result{}, err
 		}
-		v, err := applyBinary(op, lhs.val, rhs.val)
-		if err != nil {
-			return result{}, err
+		switch {
+		case ev.skip:
+			lhs = result{}
+		case decided:
+			lhs = result{val: minic.BoolVal(op == "||")}
+		default:
+			v, err := applyBinary(op, lhs.val, rhs.val)
+			if err != nil {
+				return result{}, err
+			}
+			lhs = result{val: v}
 		}
-		lhs = result{val: v}
 	}
 }
 
 // applyBinary evaluates one binary operation on debugger values, with the
 // same semantics the VM gives the operator.
 func applyBinary(op string, x, y minic.Value) (minic.Value, error) {
-	kindOf := map[string]minic.Kind{
-		"+": minic.Plus, "-": minic.Minus, "*": minic.Star, "/": minic.Slash,
-		"%": minic.Percent, "==": minic.Eq, "!=": minic.Neq, "<": minic.Lt,
-		"<=": minic.Le, ">": minic.Gt, ">=": minic.Ge,
-		"&&": minic.AndAnd, "||": minic.OrOr,
-	}
-	k, ok := kindOf[op]
-	if !ok {
+	var k minic.Kind
+	switch op {
+	case "+":
+		k = minic.Plus
+	case "-":
+		k = minic.Minus
+	case "*":
+		k = minic.Star
+	case "/":
+		k = minic.Slash
+	case "%":
+		k = minic.Percent
+	case "==":
+		k = minic.Eq
+	case "!=":
+		k = minic.Neq
+	case "<":
+		k = minic.Lt
+	case "<=":
+		k = minic.Le
+	case ">":
+		k = minic.Gt
+	case ">=":
+		k = minic.Ge
+	case "&&":
+		k = minic.AndAnd
+	case "||":
+		k = minic.OrOr
+	default:
 		return minic.Value{}, fmt.Errorf("unknown operator %q", op)
 	}
 	return minic.EvalBinary(k, x, y)
@@ -327,17 +367,18 @@ func (ev *exprEval) unary() (result, error) {
 	case "*":
 		ev.next()
 		r, err := ev.unary()
-		if err != nil {
+		if err != nil || ev.skip {
 			return result{}, err
 		}
-		if r.val.Kind != minic.VPtr || r.val.Ptr == nil {
+		p := r.val.Ptr()
+		if p == nil {
 			return result{}, fmt.Errorf("attempt to dereference a non-pointer or null value")
 		}
-		return result{val: r.val.Ptr.V, cell: r.val.Ptr}, nil
+		return result{val: p.V, cell: p}, nil
 	case "&":
 		ev.next()
 		r, err := ev.unary()
-		if err != nil {
+		if err != nil || ev.skip {
 			return result{}, err
 		}
 		if r.cell == nil {
@@ -347,14 +388,14 @@ func (ev *exprEval) unary() (result, error) {
 	case "-":
 		ev.next()
 		r, err := ev.unary()
-		if err != nil {
+		if err != nil || ev.skip {
 			return result{}, err
 		}
 		switch r.val.Kind {
 		case minic.VInt:
 			return result{val: minic.IntVal(-r.val.I)}, nil
 		case minic.VFloat:
-			return result{val: minic.FloatVal(-r.val.F)}, nil
+			return result{val: minic.FloatVal(-r.val.F())}, nil
 		}
 		return result{}, fmt.Errorf("unary - applied to non-numeric value")
 	case "!":
@@ -384,23 +425,30 @@ func (ev *exprEval) postfix() (result, error) {
 			if err := ev.expect("]"); err != nil {
 				return result{}, err
 			}
-			if r.val.Kind != minic.VArr || r.val.Arr == nil {
+			if ev.skip {
+				continue
+			}
+			arr := r.val.Arr()
+			if arr == nil {
 				return result{}, fmt.Errorf("cannot subscript a non-array value")
 			}
 			if idx.val.Kind != minic.VInt {
 				return result{}, fmt.Errorf("array index is not an integer")
 			}
 			i := idx.val.I
-			if i < 0 || i >= int64(len(r.val.Arr.Cells)) {
-				return result{}, fmt.Errorf("index %d out of range [0, %d)", i, len(r.val.Arr.Cells))
+			if i < 0 || i >= int64(len(arr.Cells)) {
+				return result{}, fmt.Errorf("index %d out of range [0, %d)", i, len(arr.Cells))
 			}
-			cell := &r.val.Arr.Cells[i]
+			cell := &arr.Cells[i]
 			r = result{val: cell.V, cell: cell}
 		case ".", "->":
 			op := ev.next().kind
 			name := ev.next()
 			if name.kind != "ident" {
 				return result{}, fmt.Errorf("expected field name after %q", op)
+			}
+			if ev.skip {
+				continue
 			}
 			obj, err := structOf(r.val, op)
 			if err != nil {
@@ -421,16 +469,17 @@ func (ev *exprEval) postfix() (result, error) {
 func structOf(v minic.Value, op string) (*minic.StructObj, error) {
 	switch v.Kind {
 	case minic.VStruct:
-		if v.Struct == nil {
+		if v.Struct() == nil {
 			return nil, fmt.Errorf("null struct")
 		}
-		return v.Struct, nil
+		return v.Struct(), nil
 	case minic.VPtr:
-		if v.Ptr == nil {
+		p := v.Ptr()
+		if p == nil {
 			return nil, fmt.Errorf("null pointer")
 		}
-		if v.Ptr.V.Kind == minic.VStruct && v.Ptr.V.Struct != nil {
-			return v.Ptr.V.Struct, nil
+		if s := p.V.Struct(); s != nil {
+			return s, nil
 		}
 	}
 	return nil, fmt.Errorf("%q applied to a non-struct value", op)
@@ -454,6 +503,9 @@ func (ev *exprEval) primary() (result, error) {
 	case "string":
 		return result{val: minic.StrVal(t.text)}, nil
 	case "reg":
+		if ev.skip {
+			return result{}, nil
+		}
 		return ev.register(t.text)
 	case "(":
 		r, err := ev.expr()
@@ -520,7 +572,7 @@ func (ev *exprEval) call(name string) (result, error) {
 			break
 		}
 	}
-	if err := ev.expect(")"); err != nil {
+	if err := ev.expect(")"); err != nil || ev.skip {
 		return result{}, err
 	}
 	v, err := ev.d.CallValue(ev.d.mangled(name), args)

@@ -144,3 +144,84 @@ func int main() {
 		t.Errorf("program did not finish:\n%s", out.String())
 	}
 }
+
+// TestShortCircuit checks that && and || skip their right operand when
+// the left one decides, as the compiled program does: the skipped
+// operand calls, dereferences and indexes nothing.
+func TestShortCircuit(t *testing.T) {
+	d, out := attach(t, `global int calls = 0;
+func bool bump() {
+	calls = calls + 1;
+	return true;
+}
+func int main() {
+	bool a = true;
+	int* p = null;
+	int[] arr = null;
+	bool r = a || bump();
+	printf("calls=%d\n", calls);
+	return 0;
+}
+`)
+	mustExec(t, d, "break gen.c:11", "run")
+	for _, c := range []struct{ expr, want string }{
+		{"a || bump()", "true"},
+		{"false && bump()", "false"},
+		{"p != null && *p > 3", "false"},
+		{"p == null || *p > 3", "true"},
+		{"arr != null && arr[2] == 1", "false"},
+		{"false && (bump() || *p > 3)", "false"},
+		{"a && !a && bump()", "false"},
+	} {
+		v, err := d.EvalExpr(c.expr)
+		if err != nil {
+			t.Errorf("%q: %v", c.expr, err)
+			continue
+		}
+		if got := minic.FormatValue(v); got != c.want {
+			t.Errorf("%q = %s, want %s", c.expr, got, c.want)
+		}
+	}
+	mustExec(t, d, "print a || bump()", "print false && bump()")
+	if v, _ := d.EvalExpr("calls"); v.I != 0 {
+		t.Errorf("calls = %d after the short-circuited prints, want 0", v.I)
+	}
+	mustExec(t, d, "continue")
+	if !strings.Contains(out.String(), "calls=0\n") {
+		t.Errorf("the program's own count moved:\n%s", out.String())
+	}
+}
+
+// TestUncheckedOperandsMatchChecker checks that the debugger rejects, as
+// the checker rejects in a program, operands whose int reading would see
+// a float's bits or a string's length, a float or a string where the
+// program keeps an int, and a native call with the wrong argument count.
+func TestUncheckedOperandsMatchChecker(t *testing.T) {
+	d := exprFixture(t)
+	for _, expr := range []string{`s + 1`, `s - s`, `gf % 2`, `a % gf`, `s < a`, `min_int(gf, 1)`, `min_int(s, 1)`, `str_len()`, `min_int(1, 2, 3)`} {
+		if v, err := d.EvalExpr(expr); err == nil {
+			t.Errorf("%q = %s, want a type error", expr, minic.FormatValue(v))
+		}
+	}
+	for _, c := range []struct{ expr, want string }{
+		{"gf && flag", "false"},
+		{"s || false", "false"},
+		{"!gf", "true"},
+		{"a || gf", "true"},
+	} {
+		v, err := d.EvalExpr(c.expr)
+		if err != nil {
+			t.Errorf("%q: %v", c.expr, err)
+			continue
+		}
+		if got := minic.FormatValue(v); got != c.want {
+			t.Errorf("%q = %s, want %s", c.expr, got, c.want)
+		}
+	}
+	if err := d.Execute("set var a = 1.5"); err == nil {
+		t.Error("set var a = 1.5 stored a float in an int")
+	}
+	if v, _ := d.EvalExpr("a"); v.Kind != minic.VInt || v.I != 6 {
+		t.Errorf("a = %s after the rejected set, want 6", minic.FormatValue(v))
+	}
+}

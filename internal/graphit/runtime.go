@@ -36,7 +36,7 @@ func RegisterGraphNatives(nats *minic.Natives) {
 		Name: "graph_spec_num_vertices",
 		Sig:  minic.Signature{Params: []*minic.Type{strT}, Result: intT},
 		Handler: func(call *minic.NativeCall) (minic.Value, error) {
-			g, err := load(call.Args[0].S)
+			g, err := load(call.Args[0].S())
 			if err != nil {
 				return minic.NullVal(), err
 			}
@@ -47,7 +47,7 @@ func RegisterGraphNatives(nats *minic.Natives) {
 		Name: "graph_spec_num_edges",
 		Sig:  minic.Signature{Params: []*minic.Type{strT}, Result: intT},
 		Handler: func(call *minic.NativeCall) (minic.Value, error) {
-			g, err := load(call.Args[0].S)
+			g, err := load(call.Args[0].S())
 			if err != nil {
 				return minic.NullVal(), err
 			}
@@ -56,7 +56,7 @@ func RegisterGraphNatives(nats *minic.Natives) {
 	})
 	edgeEnd := func(idx int) minic.NativeHandler {
 		return func(call *minic.NativeCall) (minic.Value, error) {
-			g, err := load(call.Args[0].S)
+			g, err := load(call.Args[0].S())
 			if err != nil {
 				return minic.NullVal(), err
 			}
@@ -81,7 +81,7 @@ func RegisterGraphNatives(nats *minic.Natives) {
 		Name: "graph_spec_edge_weight",
 		Sig:  minic.Signature{Params: []*minic.Type{strT, intT}, Result: intT},
 		Handler: func(call *minic.NativeCall) (minic.Value, error) {
-			g, err := load(call.Args[0].S)
+			g, err := load(call.Args[0].S())
 			if err != nil {
 				return minic.NullVal(), err
 			}

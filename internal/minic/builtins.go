@@ -19,7 +19,7 @@ func registerCoreBuiltins(n *Natives) {
 		Sig:      Signature{Params: []*Type{StringType}, Result: VoidType},
 		Variadic: true,
 		Handler: func(call *NativeCall) (Value, error) {
-			out, err := FormatPrintf(call.Args[0].S, call.Args[1:])
+			out, err := FormatPrintf(call.Args[0].S(), call.Args[1:])
 			if err != nil {
 				return NullVal(), err
 			}
@@ -38,18 +38,18 @@ func registerCoreBuiltins(n *Natives) {
 		Name: "len",
 		Sig:  Signature{Params: []*Type{AnyType}, Result: IntType},
 		Handler: func(call *NativeCall) (Value, error) {
-			a := call.Args[0]
-			if a.Kind != VArr || a.Arr == nil {
+			a := call.Args[0].Arr()
+			if a == nil {
 				return NullVal(), fmt.Errorf("len of null array")
 			}
-			return IntVal(int64(a.Arr.Len())), nil
+			return IntVal(int64(a.Len())), nil
 		},
 	})
 	n.Register(&Native{
 		Name: "str_len",
 		Sig:  Signature{Params: []*Type{StringType}, Result: IntType},
 		Handler: func(call *NativeCall) (Value, error) {
-			return IntVal(int64(len(call.Args[0].S))), nil
+			return IntVal(int64(len(call.Args[0].S()))), nil
 		},
 	})
 	n.Register(&Native{
@@ -57,15 +57,15 @@ func registerCoreBuiltins(n *Natives) {
 		Sig:          Signature{Params: []*Type{AnyType, AnyType}, Result: VoidType},
 		WritesMemory: true,
 		Handler: func(call *NativeCall) (Value, error) {
-			p, v := call.Args[0], call.Args[1]
-			if p.Kind != VPtr || p.Ptr == nil {
+			p, v := call.Args[0].Ptr(), call.Args[1]
+			if p == nil {
 				return NullVal(), fmt.Errorf("atomic_add on null pointer")
 			}
-			old := p.Ptr.V
+			old := p.V
 			if old.Kind == VFloat || v.Kind == VFloat {
-				p.Ptr.V = FloatVal(old.AsFloat() + v.AsFloat())
+				p.V = FloatVal(old.AsFloat() + v.AsFloat())
 			} else {
-				p.Ptr.V = IntVal(old.I + v.I)
+				p.V = IntVal(old.I + v.I)
 			}
 			return NullVal(), nil
 		},
@@ -75,20 +75,20 @@ func registerCoreBuiltins(n *Natives) {
 		Sig:          Signature{Params: []*Type{AnyType, AnyType}, Result: BoolType},
 		WritesMemory: true,
 		Handler: func(call *NativeCall) (Value, error) {
-			p, v := call.Args[0], call.Args[1]
-			if p.Kind != VPtr || p.Ptr == nil {
+			p, v := call.Args[0].Ptr(), call.Args[1]
+			if p == nil {
 				return NullVal(), fmt.Errorf("atomic_min on null pointer")
 			}
-			old := p.Ptr.V
+			old := p.V
 			if old.Kind == VFloat || v.Kind == VFloat {
 				if v.AsFloat() < old.AsFloat() {
-					p.Ptr.V = FloatVal(v.AsFloat())
+					p.V = FloatVal(v.AsFloat())
 					return BoolVal(true), nil
 				}
 				return BoolVal(false), nil
 			}
 			if v.I < old.I {
-				p.Ptr.V = v
+				p.V = v
 				return BoolVal(true), nil
 			}
 			return BoolVal(false), nil
@@ -99,12 +99,12 @@ func registerCoreBuiltins(n *Natives) {
 		Sig:          Signature{Params: []*Type{AnyType, AnyType, AnyType}, Result: BoolType},
 		WritesMemory: true,
 		Handler: func(call *NativeCall) (Value, error) {
-			p, expect, repl := call.Args[0], call.Args[1], call.Args[2]
-			if p.Kind != VPtr || p.Ptr == nil {
+			p, expect, repl := call.Args[0].Ptr(), call.Args[1], call.Args[2]
+			if p == nil {
 				return NullVal(), fmt.Errorf("cas on null pointer")
 			}
-			if ValuesEqual(p.Ptr.V, expect) {
-				p.Ptr.V = repl
+			if ValuesEqual(p.V, expect) {
+				p.V = repl
 				return BoolVal(true), nil
 			}
 			return BoolVal(false), nil
@@ -115,7 +115,7 @@ func registerCoreBuiltins(n *Natives) {
 		Sig:  Signature{Params: []*Type{BoolType, StringType}, Result: VoidType},
 		Handler: func(call *NativeCall) (Value, error) {
 			if !call.Args[0].Bool() {
-				return NullVal(), fmt.Errorf("assertion failed: %s", call.Args[1].S)
+				return NullVal(), fmt.Errorf("assertion failed: %s", call.Args[1].S())
 			}
 			return NullVal(), nil
 		},
@@ -173,7 +173,7 @@ func FormatPrintf(format string, args []Value) (string, error) {
 	// debugger's eval hot path — D2X's xbreak/xdel expand a string the
 	// debuggee runtime already assembled — so skip the builder entirely.
 	if format == "%s" && len(args) == 1 && args[0].Kind == VStr {
-		return args[0].S, nil
+		return args[0].S(), nil
 	}
 	var b strings.Builder
 	argi := 0
@@ -203,7 +203,11 @@ func FormatPrintf(format string, args []Value) (string, error) {
 			if err != nil {
 				return "", err
 			}
-			fmt.Fprintf(&b, "%d", v.I)
+			n := v.I
+			if v.Kind == VFloat || v.Kind == VStr {
+				n = 0 // I holds the bits or the length; %d reads them as 0
+			}
+			fmt.Fprintf(&b, "%d", n)
 		case 'f':
 			v, err := nextArg()
 			if err != nil {
@@ -215,7 +219,7 @@ func FormatPrintf(format string, args []Value) (string, error) {
 			if err != nil {
 				return "", err
 			}
-			b.WriteString(v.S)
+			b.WriteString(v.S())
 		case 'b':
 			v, err := nextArg()
 			if err != nil {

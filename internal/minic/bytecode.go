@@ -85,6 +85,8 @@ var opPushes = [OpParFor + 1]int{
 }
 
 // pops returns how many operands in takes off the stack.
+//
+//d2x:noalloc
 func (in Instr) pops() int {
 	if in.Op == OpCall || in.Op == OpCallNative {
 		return in.B

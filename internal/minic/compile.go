@@ -163,11 +163,11 @@ func (c *fnCompiler) constIdx(v Value) int {
 					return i
 				}
 			case VFloat:
-				if existing.F == v.F {
+				if existing.F() == v.F() {
 					return i
 				}
 			case VStr:
-				if existing.S == v.S {
+				if existing.S() == v.S() {
 					return i
 				}
 			case VNull:

@@ -59,6 +59,7 @@ func (vm *VM) RestoreSnapshot(s *Snapshot) error {
 	clear(vm.frameFree)
 	clear(sc.runq)
 	sc.runq = sc.runq[:0]
+	clear(sc.turns)
 	sc.fault = nil
 	for _, t := range sc.threads {
 		switch t.State {
@@ -244,19 +245,21 @@ func (c *stateCopier) addCell(cell *Cell) bool {
 func (c *stateCopier) discover(v Value) {
 	switch v.Kind {
 	case VArr:
-		if v.Arr == nil || c.arrs[v.Arr] != nil {
+		a := v.Arr()
+		if a == nil || c.arrs[a] != nil {
 			return
 		}
-		c.arrs[v.Arr] = &ArrayObj{Elem: v.Arr.Elem, Cells: make([]Cell, len(v.Arr.Cells))}
-		c.arrQ = append(c.arrQ, v.Arr)
+		c.arrs[a] = &ArrayObj{Elem: a.Elem, Cells: make([]Cell, len(a.Cells))}
+		c.arrQ = append(c.arrQ, a)
 	case VStruct:
-		if v.Struct == nil || c.structs[v.Struct] != nil {
+		s := v.Struct()
+		if s == nil || c.structs[s] != nil {
 			return
 		}
-		c.structs[v.Struct] = &StructObj{Def: v.Struct.Def, Fields: make([]Cell, len(v.Struct.Fields))}
-		c.structQ = append(c.structQ, v.Struct)
+		c.structs[s] = &StructObj{Def: s.Def, Fields: make([]Cell, len(s.Fields))}
+		c.structQ = append(c.structQ, s)
 	case VPtr:
-		if c.addCell(v.Ptr) {
+		if c.addCell(v.Ptr()) {
 			c.ptrs++
 		}
 	}
@@ -311,16 +314,16 @@ func (c *stateCopier) mapInteriors() {
 func (c *stateCopier) translate(v Value) Value {
 	switch v.Kind {
 	case VArr:
-		if v.Arr != nil {
-			v.Arr = c.arrs[v.Arr]
+		if a := v.Arr(); a != nil {
+			return ArrVal(c.arrs[a])
 		}
 	case VStruct:
-		if v.Struct != nil {
-			v.Struct = c.structs[v.Struct]
+		if s := v.Struct(); s != nil {
+			return StructVal(c.structs[s])
 		}
 	case VPtr:
-		if v.Ptr != nil {
-			v.Ptr = c.cells[v.Ptr]
+		if p := v.Ptr(); p != nil {
+			return PtrVal(c.cells[p])
 		}
 	}
 	return v

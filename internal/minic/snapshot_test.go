@@ -141,8 +141,8 @@ func TestSnapshotPreservesAliasing(t *testing.T) {
 	mainT := vm.Threads()[0]
 	var aliasCell *Cell
 	for i := 0; i < 100000; i++ {
-		if c := mainT.Frames[0].SlotByName("alias"); c != nil && c.V.Kind == VPtr && c.V.Ptr != nil {
-			aliasCell = c.V.Ptr
+		if c := mainT.Frames[0].SlotByName("alias"); c != nil && c.V.Kind == VPtr && c.V.Ptr() != nil {
+			aliasCell = c.V.Ptr()
 			break
 		}
 		vm.StepInstr()
@@ -160,14 +160,14 @@ func TestSnapshotPreservesAliasing(t *testing.T) {
 	if alias.Kind != VPtr || data.Kind != VArr {
 		t.Fatalf("restored slots have kinds %v/%v, want ptr/arr", alias.Kind, data.Kind)
 	}
-	if alias.Ptr == aliasCell {
+	if alias.Ptr() == aliasCell {
 		t.Fatal("restored pointer still targets the pre-restore cell (shallow copy)")
 	}
-	if alias.Ptr != &data.Arr.Cells[3] {
+	if alias.Ptr() != &data.Arr().Cells[3] {
 		t.Fatal("restored pointer does not alias the restored array interior")
 	}
-	alias.Ptr.V = IntVal(991)
-	if got := data.Arr.Cells[3].V.I; got != 991 {
+	alias.Ptr().V = IntVal(991)
+	if got := data.Arr().Cells[3].V.I; got != 991 {
 		t.Errorf("write through restored pointer invisible through array: got %d", got)
 	}
 }

@@ -2,8 +2,10 @@ package minic
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // ValueKind discriminates runtime values.
@@ -44,26 +46,44 @@ func (k ValueKind) String() string {
 
 // Value is one mini-C runtime value. The VM is dynamically typed
 // underneath; the checker guarantees kind agreement for checked programs.
+//
+// A Value is three words. I holds an int, a bool (0 or 1), a float's
+// bits or a string's length; ref holds a string's bytes, a *Cell, an
+// *ArrayObj or a *StructObj, and Kind alone says which. The accessors
+// read the payload of their own kind and the zero value of any other
+// kind, so a reader never sees a float's bits or a string's length
+// through them. I is read directly only where the kind is int or bool.
+// Two Values holding equal strings may hold different ref pointers:
+// compare Values with ValuesEqual (or FormatValue), never with ==.
 type Value struct {
-	Kind   ValueKind
-	I      int64
-	F      float64
-	S      string
-	Ptr    *Cell
-	Arr    *ArrayObj
-	Struct *StructObj
+	Kind ValueKind
+	I    int64
+	ref  unsafe.Pointer
 }
 
 // Convenience constructors.
-func IntVal(v int64) Value         { return Value{Kind: VInt, I: v} }
-func FloatVal(v float64) Value     { return Value{Kind: VFloat, F: v} }
-func BoolVal(v bool) Value         { return Value{Kind: VBool, I: b2i(v)} }
-func StrVal(v string) Value        { return Value{Kind: VStr, S: v} }
-func NullVal() Value               { return Value{Kind: VNull} }
-func PtrVal(c *Cell) Value         { return Value{Kind: VPtr, Ptr: c} }
-func ArrVal(a *ArrayObj) Value     { return Value{Kind: VArr, Arr: a} }
-func StructVal(s *StructObj) Value { return Value{Kind: VStruct, Struct: s} }
+//
+//d2x:noalloc
+func IntVal(v int64) Value { return Value{Kind: VInt, I: v} }
 
+func FloatVal(v float64) Value { return Value{Kind: VFloat, I: int64(math.Float64bits(v))} }
+
+//d2x:noalloc
+func BoolVal(v bool) Value { return Value{Kind: VBool, I: b2i(v)} }
+
+func StrVal(v string) Value {
+	return Value{Kind: VStr, I: int64(len(v)), ref: unsafe.Pointer(unsafe.StringData(v))}
+}
+
+func NullVal() Value { return Value{Kind: VNull} }
+
+//d2x:noalloc
+func PtrVal(c *Cell) Value { return Value{Kind: VPtr, ref: unsafe.Pointer(c)} }
+
+func ArrVal(a *ArrayObj) Value     { return Value{Kind: VArr, ref: unsafe.Pointer(a)} }
+func StructVal(s *StructObj) Value { return Value{Kind: VStruct, ref: unsafe.Pointer(s)} }
+
+//d2x:noalloc
 func b2i(v bool) int64 {
 	if v {
 		return 1
@@ -71,8 +91,57 @@ func b2i(v bool) int64 {
 	return 0
 }
 
-// Bool returns the boolean interpretation of a VBool value.
-func (v Value) Bool() bool { return v.I != 0 }
+// F returns a VFloat's value, and 0 for any other kind.
+func (v Value) F() float64 {
+	if v.Kind != VFloat {
+		return 0
+	}
+	return math.Float64frombits(uint64(v.I))
+}
+
+// S returns a VStr's string, and "" for any other kind.
+func (v Value) S() string {
+	if v.Kind != VStr {
+		return ""
+	}
+	return unsafe.String((*byte)(v.ref), int(v.I))
+}
+
+// Ptr returns a VPtr's cell, and nil for any other kind.
+//
+//d2x:noalloc
+func (v Value) Ptr() *Cell {
+	if v.Kind != VPtr {
+		return nil
+	}
+	return (*Cell)(v.ref)
+}
+
+// Arr returns a VArr's array, and nil for any other kind.
+//
+//d2x:noalloc
+func (v Value) Arr() *ArrayObj {
+	if v.Kind != VArr {
+		return nil
+	}
+	return (*ArrayObj)(v.ref)
+}
+
+// Struct returns a VStruct's object, and nil for any other kind.
+//
+//d2x:noalloc
+func (v Value) Struct() *StructObj {
+	if v.Kind != VStruct {
+		return nil
+	}
+	return (*StructObj)(v.ref)
+}
+
+// Bool returns the boolean interpretation of a value: a nonzero bool or
+// int is true, and every other kind is false.
+//
+//d2x:noalloc
+func (v Value) Bool() bool { return v.I != 0 && (v.Kind == VBool || v.Kind == VInt) }
 
 // IsNull reports whether the value is the null reference.
 func (v Value) IsNull() bool { return v.Kind == VNull }
@@ -82,7 +151,7 @@ func (v Value) AsFloat() float64 {
 	if v.Kind == VInt {
 		return float64(v.I)
 	}
-	return v.F
+	return v.F()
 }
 
 // Cell is one storage location: a local slot, a global, an array element,
@@ -162,24 +231,26 @@ func formatValue(v Value, depth int) string {
 	case VInt:
 		return strconv.FormatInt(v.I, 10)
 	case VFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.F(), 'g', -1, 64)
 	case VBool:
 		if v.Bool() {
 			return "true"
 		}
 		return "false"
 	case VStr:
-		return strconv.Quote(v.S)
+		return strconv.Quote(v.S())
 	case VPtr:
-		if v.Ptr == nil {
+		p := v.Ptr()
+		if p == nil {
 			return "null"
 		}
 		if depth >= maxFormatDepth {
 			return "&..."
 		}
-		return "&" + formatValue(v.Ptr.V, depth+1)
+		return "&" + formatValue(p.V, depth+1)
 	case VArr:
-		if v.Arr == nil {
+		a := v.Arr()
+		if a == nil {
 			return "null"
 		}
 		if depth >= maxFormatDepth {
@@ -187,20 +258,21 @@ func formatValue(v Value, depth int) string {
 		}
 		var b strings.Builder
 		b.WriteByte('[')
-		for i := range v.Arr.Cells {
+		for i := range a.Cells {
 			if i >= maxFormatElems {
-				fmt.Fprintf(&b, ", ... (%d total)", len(v.Arr.Cells))
+				fmt.Fprintf(&b, ", ... (%d total)", len(a.Cells))
 				break
 			}
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			b.WriteString(formatValue(v.Arr.Cells[i].V, depth+1))
+			b.WriteString(formatValue(a.Cells[i].V, depth+1))
 		}
 		b.WriteByte(']')
 		return b.String()
 	case VStruct:
-		if v.Struct == nil {
+		s := v.Struct()
+		if s == nil {
 			return "null"
 		}
 		if depth >= maxFormatDepth {
@@ -208,11 +280,11 @@ func formatValue(v Value, depth int) string {
 		}
 		var b strings.Builder
 		b.WriteByte('{')
-		for i, f := range v.Struct.Def.Fields {
+		for i, f := range s.Def.Fields {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			fmt.Fprintf(&b, "%s = %s", f.Name, formatValue(v.Struct.Fields[i].V, depth+1))
+			fmt.Fprintf(&b, "%s = %s", f.Name, formatValue(s.Fields[i].V, depth+1))
 		}
 		b.WriteByte('}')
 		return b.String()
@@ -224,7 +296,7 @@ func formatValue(v Value, depth int) string {
 // builtin and printf's %v verb do.
 func ToStr(v Value) string {
 	if v.Kind == VStr {
-		return v.S
+		return v.S()
 	}
 	return FormatValue(v)
 }
@@ -242,18 +314,13 @@ func ValuesEqual(a, b Value) bool {
 	case a.Kind == VBool && b.Kind == VBool:
 		return a.I == b.I
 	case a.Kind == VStr && b.Kind == VStr:
-		return a.S == b.S
+		return a.S() == b.S()
 	}
 	if a.IsNull() || b.IsNull() {
 		return refIsNil(a) && refIsNil(b)
 	}
-	switch {
-	case a.Kind == VPtr && b.Kind == VPtr:
-		return a.Ptr == b.Ptr
-	case a.Kind == VArr && b.Kind == VArr:
-		return a.Arr == b.Arr
-	case a.Kind == VStruct && b.Kind == VStruct:
-		return a.Struct == b.Struct
+	if a.Kind == b.Kind && (a.Kind == VPtr || a.Kind == VArr || a.Kind == VStruct) {
+		return a.ref == b.ref
 	}
 	return false
 }
@@ -262,12 +329,8 @@ func refIsNil(v Value) bool {
 	switch v.Kind {
 	case VNull:
 		return true
-	case VPtr:
-		return v.Ptr == nil
-	case VArr:
-		return v.Arr == nil
-	case VStruct:
-		return v.Struct == nil
+	case VPtr, VArr, VStruct:
+		return v.ref == nil
 	}
 	return false
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 )
 
@@ -166,6 +167,8 @@ type scheduler struct {
 	// advance, so a snapshot taken inside it captures a state from which
 	// the same thread is deterministically re-selected on replay.
 	hook func(*Thread)
+	// turns is the rotation runTurns works through between picks.
+	turns []turn
 }
 
 // NewVM prepares a VM for the program with its globals at their initial
@@ -233,7 +236,7 @@ func literalValue(e Expr) Value {
 		case VInt:
 			return IntVal(-v.I)
 		case VFloat:
-			return FloatVal(-v.F)
+			return FloatVal(-v.F())
 		}
 	}
 	return NullVal()
@@ -426,16 +429,20 @@ func (vm *VM) NextThread() *Thread {
 }
 
 // StepInstr executes exactly one instruction on the debuggee's next ready
-// thread: the step RunUntil repeats. It returns the thread that ran (nil
-// when nothing is ready). Faults mark the thread Faulted rather than
-// returning an error, so a debugger can inspect the fault site;
-// RunToCompletion converts them to errors.
+// thread, through the run loop, and returns the thread that ran (nil when
+// nothing is ready). Unlike RunUntil it steps past an earlier fault, so a
+// debugger can still run the surviving threads. Faults mark the thread
+// Faulted rather than returning an error, so a debugger can inspect the
+// fault site; RunToCompletion converts them to errors.
 func (vm *VM) StepInstr() *Thread {
-	at := vm.sched.pick()
+	s := &vm.sched
+	at := s.pick()
 	if at < 0 {
 		return nil
 	}
-	return vm.step(&vm.sched, at)
+	t := s.runq[at]
+	vm.runTurns(s, at, s.steps+1, nil)
+	return t
 }
 
 // RunUntil runs the debuggee until one of these happens, and returns the
@@ -452,38 +459,200 @@ func (vm *VM) RunUntil(budget int64, stop func(*Thread) bool) int64 {
 	return vm.run(&vm.sched, budget, stop)
 }
 
-// run is the VM's one run loop: RunUntil on the scheduler s.
+// run is the VM's one run loop: RunUntil on the scheduler s. It picks a
+// thread only when the set of ready threads may have changed, and
+// runTurns runs the ready threads in between.
 //
 //d2x:hotpath
 //d2x:noalloc
 func (vm *VM) run(s *scheduler, budget int64, stop func(*Thread) bool) int64 {
 	start := s.steps
-	for s.fault == nil && (budget <= 0 || s.steps-start < budget) {
+	end := int64(math.MaxInt64)
+	if budget > 0 {
+		end = start + budget
+	}
+	for s.fault == nil && s.steps < end {
 		at := s.pick()
-		if at < 0 {
+		if at < 0 || !vm.runTurns(s, at, end, stop) {
 			break
 		}
-		if stop != nil {
-			t := s.runq[at]
-			if f := t.Top(); f != nil && f.PC >= 0 && f.PC < len(f.Code.Instrs) && f.Code.Instrs[f.PC].StmtStart && stop(t) {
-				break
-			}
-		}
-		vm.step(s, at)
 	}
 	return s.steps - start
 }
 
-// step executes one instruction on the thread at run-queue position at of
-// s and returns the thread.
+// turn is one entry of a scheduler's rotation: a ready thread, its
+// run-queue position and the cursor it leaves behind when it runs.
+type turn struct {
+	t        *Thread
+	at, next int
+}
+
+// rotation lists in s.turns the ready threads from run-queue position at
+// onward in run-queue order, wrapping: the order in which pick chooses
+// them for as long as no thread becomes ready or stops being ready.
+//
+//d2x:noalloc amortized
+func (s *scheduler) rotation(at int) []turn {
+	ts := s.turns[:0]
+	for i := range s.runq {
+		j := at + i
+		if j >= len(s.runq) {
+			j -= len(s.runq)
+		}
+		if t := s.runq[j]; t.State == ThreadReady {
+			next := t.idx + 1
+			if next == len(s.threads) {
+				next = 0
+			}
+			ts = append(ts, turn{t: t, at: j, next: next})
+		}
+	}
+	s.turns = ts
+	return ts
+}
+
+// runTurns runs the ready threads of s from run-queue position at onward
+// one instruction per turn, in pick's round-robin order, a lone thread
+// every turn, until the steps count of s reaches end, stop returns true
+// (runTurns then returns false), or a thread finishes, blocks, spawns or
+// faults: from then on pick may choose differently. The cursor and both
+// step counts advance with every instruction, so they are exact whenever
+// stop, the hook or a native runs, and when runTurns returns.
+//
+// The common opcodes run here; execInstr runs the rest.
+//
+//d2x:hotpath
+//d2x:noalloc amortized
+func (vm *VM) runTurns(s *scheduler, at int, end int64, stop func(*Thread) bool) bool {
+	turns := s.rotation(at)
+	k := 0
+	t := turns[0].t
+	f := t.Top()
+	for s.steps < end {
+		var err error
+		switch {
+		case f == nil:
+			t.State = ThreadDone
+		case uint(f.PC) >= uint(len(f.Code.Instrs)):
+			err = vm.faultf(f, f.PC, "program counter out of range (%d)", f.PC) //d2xvet:ignore noalloc fault path
+		default:
+			pc := f.PC
+			in := &f.Code.Instrs[pc]
+			if in.StmtStart {
+				if stop != nil && stop(t) {
+					return false
+				}
+				if s.hook != nil {
+					s.hook(t)
+				}
+			}
+			f.PC = pc + 1
+			if len(f.stack) < in.pops() {
+				err = vm.faultf(f, pc, "operand stack underflow at %s", in.Op) //d2xvet:ignore noalloc fault path
+				break
+			}
+			switch in.Op {
+			case OpConst:
+				f.stack = append(f.stack, f.Code.Consts[in.A])
+
+			case OpLoadLocal:
+				f.stack = append(f.stack, f.Slots[in.A].V)
+
+			case OpStoreLocal:
+				n := len(f.stack) - 1
+				f.Slots[in.A].V = f.stack[n]
+				f.stack = f.stack[:n]
+
+			case OpLoadGlobal:
+				f.stack = append(f.stack, vm.Globals[in.A].V)
+
+			case OpJmp:
+				f.PC = in.A
+
+			case OpJmpFalse:
+				n := len(f.stack) - 1
+				if !f.stack[n].Bool() {
+					f.PC = in.A
+				}
+				f.stack = f.stack[:n]
+
+			case OpBin:
+				n := len(f.stack) - 2
+				x, y := f.stack[n], f.stack[n+1]
+				f.stack = f.stack[:n]
+				op := Kind(in.A)
+				var v Value
+				if op == Plus && x.Kind == VInt && y.Kind == VInt {
+					v = IntVal(x.I + y.I)
+				} else if op == Lt && x.Kind == VInt && y.Kind == VInt {
+					v = BoolVal(x.I < y.I)
+				} else if v, err = evalBin(op, x, y); err != nil { //d2xvet:ignore noalloc a string + allocates its result, a fault its error
+					err = vm.faultf(f, pc, "%s", err)
+					break
+				}
+				f.stack = append(f.stack, v)
+
+			case OpIndexLoad, OpIndexAddr:
+				n := len(f.stack) - 2
+				arr, i := f.stack[n].Arr(), f.stack[n+1].I
+				f.stack = f.stack[:n]
+				if arr == nil || uint64(i) >= uint64(len(arr.Cells)) {
+					err = vm.indexFault(f, pc, arr, i) //d2xvet:ignore noalloc fault path
+					break
+				}
+				if in.Op == OpIndexLoad {
+					f.stack = append(f.stack, arr.Cells[i].V)
+				} else {
+					f.stack = append(f.stack, PtrVal(&arr.Cells[i]))
+				}
+
+			case OpFieldLoad, OpFieldAddr:
+				n := len(f.stack) - 1
+				obj := f.stack[n].Struct()
+				if p := f.stack[n].Ptr(); p != nil {
+					obj = p.V.Struct()
+				}
+				f.stack = f.stack[:n]
+				if obj == nil {
+					err = vm.faultf(f, pc, "field access on null struct") //d2xvet:ignore noalloc fault path
+					break
+				}
+				if in.Op == OpFieldLoad {
+					f.stack = append(f.stack, obj.Fields[in.A].V)
+				} else {
+					f.stack = append(f.stack, PtrVal(&obj.Fields[in.A]))
+				}
+
+			default:
+				err = vm.execInstr(t, f, in, pc) //d2xvet:ignore noalloc calls allocate the callee frame, parallel_for its workers, natives what they build
+				f = t.Top()
+			}
+		}
+		s.cursor = turns[k].next
+		s.steps++
+		vm.Steps++
+		if err != nil || t.State != ThreadReady || len(vm.spawned) > 0 {
+			vm.settle(s, turns[k].at, err)
+			return true
+		}
+		if len(turns) > 1 {
+			if k++; k == len(turns) {
+				k = 0
+			}
+			t = turns[k].t
+			f = t.Top()
+		}
+	}
+	return true
+}
+
+// settle applies what the instruction just run at run-queue position at
+// of s changed: a fault is recorded, a finished thread leaves the run
+// queue, and the workers a parallel_for spawned join it.
 //
 //d2x:noalloc
-func (vm *VM) step(s *scheduler, at int) *Thread {
+func (vm *VM) settle(s *scheduler, at int, err error) {
 	t := s.runq[at]
-	err := vm.execInstr(t, s.hook) //d2xvet:ignore noalloc calls allocate the callee frame, parallel_for its workers, natives what they build
-	s.cursor = (t.idx + 1) % len(s.threads)
-	s.steps++
-	vm.Steps++
 	if err != nil {
 		t.State = ThreadFaulted
 		t.Fault = err
@@ -497,7 +666,6 @@ func (vm *VM) step(s *scheduler, at int) *Thread {
 	if len(vm.spawned) > 0 {
 		vm.adoptSpawned(s) //d2xvet:ignore noalloc a parallel_for's fan-out appends its workers once, not per instruction
 	}
-	return t
 }
 
 // retire drops the finished thread at run-queue position at, keeping the
@@ -675,7 +843,8 @@ func (vm *VM) getScheduler() *scheduler {
 func (vm *VM) putScheduler(s *scheduler) {
 	clear(s.threads)
 	clear(s.runq)
-	*s = scheduler{threads: s.threads[:0], runq: s.runq[:0]}
+	clear(s.turns)
+	*s = scheduler{threads: s.threads[:0], runq: s.runq[:0], turns: s.turns[:0]}
 	vm.schedFree = append(vm.schedFree, s)
 }
 
@@ -703,9 +872,18 @@ func (vm *VM) faultf(f *Frame, pc int, format string, args ...any) error {
 		append([]any{vm.Prog.SourceName, f.Line(), f.Fn.Name}, args...)...)
 }
 
+// indexFault is the fault of an index instruction at pc in f on arr at
+// index i: arr is nil or i is out of its range.
+func (vm *VM) indexFault(f *Frame, pc int, arr *ArrayObj, i int64) error {
+	if arr == nil {
+		return vm.faultf(f, pc, "indexing a null array")
+	}
+	return vm.faultf(f, pc, "array index %d out of range [0, %d)", i, len(arr.Cells))
+}
+
 func (f *Frame) push(v Value) { f.stack = append(f.stack, v) }
 
-// pop removes and returns the top operand. execInstr checks the depth an
+// pop removes and returns the top operand. runTurns checks the depth an
 // instruction needs before running it, so pop itself does not.
 func (f *Frame) pop() Value {
 	v := f.stack[len(f.stack)-1]
@@ -713,48 +891,16 @@ func (f *Frame) pop() Value {
 	return v
 }
 
-// execInstr executes one instruction on thread t. Threads a parallel_for
-// spawns are left in vm.spawned for the caller to schedule. When the
-// instruction starts a source statement and hook is non-nil, hook sees t
-// just before the instruction runs; step passes its scheduler's hook
-// here, where the instruction is already loaded, so that checking for a
-// statement boundary costs recording next to nothing per instruction.
-func (vm *VM) execInstr(t *Thread, hook func(*Thread)) error {
-	f := t.Top()
-	if f == nil {
-		t.State = ThreadDone
-		return nil
-	}
-	pc := f.PC
-	if pc < 0 || pc >= len(f.Code.Instrs) {
-		return vm.faultf(f, pc, "program counter out of range (%d)", pc)
-	}
-	in := f.Code.Instrs[pc]
-	if in.StmtStart && hook != nil {
-		hook(t)
-	}
-	f.PC++
-	if len(f.stack) < in.pops() {
-		return vm.faultf(f, pc, "operand stack underflow at %s", in.Op)
-	}
-
+// execInstr executes the instruction in at pc of t's top frame f, one of
+// the opcodes runTurns does not run itself. runTurns has already checked
+// the operand depth and advanced f.PC. Threads a parallel_for spawns are
+// left in vm.spawned for the caller to schedule.
+func (vm *VM) execInstr(t *Thread, f *Frame, in *Instr, pc int) error {
 	switch in.Op {
 	case OpNop:
 
-	case OpConst:
-		f.push(f.Code.Consts[in.A])
-
-	case OpLoadLocal:
-		f.push(f.Slots[in.A].V)
-
-	case OpStoreLocal:
-		f.Slots[in.A].V = f.pop()
-
 	case OpAddrLocal:
 		f.push(PtrVal(f.Slots[in.A]))
-
-	case OpLoadGlobal:
-		f.push(vm.Globals[in.A].V)
 
 	case OpStoreGlobal:
 		if t.guard != nil {
@@ -766,15 +912,15 @@ func (vm *VM) execInstr(t *Thread, hook func(*Thread)) error {
 		f.push(PtrVal(&vm.Globals[in.A]))
 
 	case OpLoadInd:
-		p := f.pop()
-		if p.Kind != VPtr || p.Ptr == nil {
+		p := f.pop().Ptr()
+		if p == nil {
 			return vm.faultf(f, pc, "null pointer dereference")
 		}
-		f.push(p.Ptr.V)
+		f.push(p.V)
 
 	case OpStoreInd:
 		v := f.pop()
-		p := f.pop()
+		p := f.pop().Ptr()
 		// Compound assignment and ++/-- on plain locals also lower to
 		// OpStoreInd, so a guarded call may store to a frame slot of its
 		// own thread. Anything else — global cells, array backing
@@ -783,64 +929,20 @@ func (vm *VM) execInstr(t *Thread, hook func(*Thread)) error {
 		// provenance is a static property, proven by
 		// internal/minic/effects, which then runs the handler with no
 		// guard at all.)
-		if t.guard != nil && (p.Kind != VPtr || p.Ptr == nil || !frameLocalCell(t, p.Ptr)) {
+		if t.guard != nil && (p == nil || !frameLocalCell(t, p)) {
 			return vm.faultf(f, pc, "%w: store through pointer", ErrWriteBarrier)
 		}
-		if p.Kind != VPtr || p.Ptr == nil {
+		if p == nil {
 			return vm.faultf(f, pc, "null pointer store")
 		}
-		p.Ptr.V = v
-
-	case OpIndexLoad, OpIndexAddr:
-		idx := f.pop()
-		arr := f.pop()
-		if arr.Kind != VArr || arr.Arr == nil {
-			return vm.faultf(f, pc, "indexing a null array")
-		}
-		if idx.I < 0 || idx.I >= int64(len(arr.Arr.Cells)) {
-			return vm.faultf(f, pc, "array index %d out of range [0, %d)", idx.I, len(arr.Arr.Cells))
-		}
-		if in.Op == OpIndexLoad {
-			f.push(arr.Arr.Cells[idx.I].V)
-		} else {
-			f.push(PtrVal(&arr.Arr.Cells[idx.I]))
-		}
-
-	case OpFieldLoad, OpFieldAddr:
-		sv := f.pop()
-		var obj *StructObj
-		switch sv.Kind {
-		case VStruct:
-			obj = sv.Struct
-		case VPtr:
-			if sv.Ptr != nil && sv.Ptr.V.Kind == VStruct {
-				obj = sv.Ptr.V.Struct
-			}
-		}
-		if obj == nil {
-			return vm.faultf(f, pc, "field access on null struct")
-		}
-		if in.Op == OpFieldLoad {
-			f.push(obj.Fields[in.A].V)
-		} else {
-			f.push(PtrVal(&obj.Fields[in.A]))
-		}
-
-	case OpBin:
-		y := f.pop()
-		x := f.pop()
-		v, err := evalBin(Kind(in.A), x, y)
-		if err != nil {
-			return vm.faultf(f, pc, "%s", err)
-		}
-		f.push(v)
+		p.V = v
 
 	case OpUn:
 		x := f.pop()
 		switch Kind(in.A) {
 		case Minus:
 			if x.Kind == VFloat {
-				f.push(FloatVal(-x.F))
+				f.push(FloatVal(-x.F()))
 			} else {
 				f.push(IntVal(-x.I))
 			}
@@ -848,14 +950,6 @@ func (vm *VM) execInstr(t *Thread, hook func(*Thread)) error {
 			f.push(BoolVal(!x.Bool()))
 		default:
 			return vm.faultf(f, pc, "bad unary operator %s", Kind(in.A))
-		}
-
-	case OpJmp:
-		f.PC = in.A
-
-	case OpJmpFalse:
-		if !f.pop().Bool() {
-			f.PC = in.A
 		}
 
 	case OpJmpTrue:
@@ -922,7 +1016,7 @@ func (vm *VM) execInstr(t *Thread, hook func(*Thread)) error {
 		v := f.pop()
 		switch v.Kind {
 		case VFloat:
-			f.push(IntVal(int64(v.F)))
+			f.push(IntVal(int64(v.F())))
 		case VBool, VInt:
 			f.push(IntVal(v.I))
 		default:
@@ -941,7 +1035,7 @@ func (vm *VM) execInstr(t *Thread, hook func(*Thread)) error {
 		}
 
 	case OpCastBool:
-		f.push(BoolVal(f.pop().I != 0))
+		f.push(BoolVal(f.pop().Bool()))
 
 	case OpParFor:
 		hi := f.pop()
@@ -1088,7 +1182,7 @@ func evalBin(op Kind, x, y Value) (Value, error) {
 	switch op {
 	case Plus:
 		if x.Kind == VStr && y.Kind == VStr {
-			return StrVal(x.S + y.S), nil
+			return StrVal(x.S() + y.S()), nil
 		}
 		if x.Kind == VFloat || y.Kind == VFloat {
 			return FloatVal(x.AsFloat() + y.AsFloat()), nil
@@ -1139,7 +1233,7 @@ func evalBin(op Kind, x, y Value) (Value, error) {
 		var cmp int
 		switch {
 		case x.Kind == VStr && y.Kind == VStr:
-			cmp = strings.Compare(x.S, y.S)
+			cmp = strings.Compare(x.S(), y.S())
 		case x.Kind == VFloat || y.Kind == VFloat:
 			a, b := x.AsFloat(), y.AsFloat()
 			switch {
@@ -1176,7 +1270,25 @@ func evalBin(op Kind, x, y Value) (Value, error) {
 
 // EvalBinary exposes the VM's binary-operator semantics for tools (the
 // debugger's expression evaluator) that must match program behaviour
-// exactly.
+// exactly. Their operands are unchecked, so it first rejects the
+// arithmetic and ordering operands the checker rejects: evalBin would
+// read their I as an int, and I holds a float's bits and a string's
+// length.
 func EvalBinary(op Kind, x, y Value) (Value, error) {
+	switch op {
+	case Plus, Lt, Le, Gt, Ge:
+		if x.Kind == VStr && y.Kind == VStr {
+			break
+		}
+		fallthrough
+	case Minus, Star, Slash:
+		if (x.Kind != VInt && x.Kind != VFloat) || (y.Kind != VInt && y.Kind != VFloat) {
+			return Value{}, fmt.Errorf("invalid operands to %s: %s and %s", op, x.Kind, y.Kind)
+		}
+	case Percent, Shl, Shr:
+		if x.Kind != VInt || y.Kind != VInt {
+			return Value{}, fmt.Errorf("operands of %s must be int, have %s and %s", op, x.Kind, y.Kind)
+		}
+	}
 	return evalBin(op, x, y)
 }

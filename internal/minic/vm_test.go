@@ -3,6 +3,7 @@ package minic
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // runProgram compiles and runs src, returning the VM and its captured
@@ -527,14 +528,14 @@ func int main() {
 	if err := a.Run(); err != nil {
 		t.Fatal(err)
 	}
-	elem := func(vm *VM, name string, i int) Value { return vm.GlobalCell(name).V.Arr.Cells[i].V }
+	elem := func(vm *VM, name string, i int) Value { return vm.GlobalCell(name).V.Arr().Cells[i].V }
 	if got := elem(a, "t", 1).I; got != 99 {
 		t.Errorf("t[1] after the run = %d, want 99", got)
 	}
-	if got, got2 := elem(b, "t", 1).I, elem(b, "names", 0).S; got != 2 || got2 != "a" {
+	if got, got2 := elem(b, "t", 1).I, elem(b, "names", 0).S(); got != 2 || got2 != "a" {
 		t.Errorf("the other VM's t[1], names[0] = %d, %q; want 2, \"a\"", got, got2)
 	}
-	if got := elem(b, "names", 1).S; got != "b\n" {
+	if got := elem(b, "names", 1).S(); got != "b\n" {
 		t.Errorf("names[1] = %q", got)
 	}
 
@@ -551,7 +552,7 @@ func int main() {
 	if err := b.RestoreSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
-	if got, got2 := elem(b, "t", 1).I, elem(b, "names", 0).S; got != 2 || got2 != "a" {
+	if got, got2 := elem(b, "t", 1).I, elem(b, "names", 0).S(); got != 2 || got2 != "a" {
 		t.Errorf("t[1], names[0] after restore = %d, %q; want 2, \"a\"", got, got2)
 	}
 }
@@ -657,7 +658,7 @@ func int main() {
 			t.Fatal(err)
 		}
 		ids := map[int64]bool{}
-		arr := vm.GlobalCell("owner").V.Arr
+		arr := vm.GlobalCell("owner").V.Arr()
 		for i := range arr.Cells {
 			ids[arr.Cells[i].V.I] = true
 		}
@@ -671,5 +672,35 @@ func int main() {
 	}
 	if got := distinct(32); got != 16 { // clamped to the range
 		t.Errorf("32 workers over 16 items used %d threads", got)
+	}
+}
+
+// TestValueLayout pins the size of a Value and a Cell, which every push,
+// pop, slot access and snapshot copies, and the two traps of a Value's
+// shared I word: no accessor, Bool or printf's %d reads a float's bits or
+// a string's length, and equal strings are equal through ValuesEqual
+// even when their bytes are not shared.
+func TestValueLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n > 24 {
+		t.Errorf("Value is %d bytes, want at most 24", n)
+	}
+	if n := unsafe.Sizeof(Cell{}); n > 24 {
+		t.Errorf("Cell is %d bytes, want at most 24", n)
+	}
+	f, str := FloatVal(1.5), StrVal("hello")
+	if f.F() != 1.5 || str.S() != "hello" || IntVal(7).I != 7 {
+		t.Errorf("payloads: %v %q %d", f.F(), str.S(), IntVal(7).I)
+	}
+	if f.Bool() || str.Bool() || !IntVal(2).Bool() || !BoolVal(true).Bool() {
+		t.Error("Bool reads a float's bits or a string's length, or misses a true int or bool")
+	}
+	if f.S() != "" || str.F() != 0 || f.Ptr() != nil || str.Arr() != nil || IntVal(1).Struct() != nil {
+		t.Error("an accessor reads the payload of another kind")
+	}
+	if !ValuesEqual(StrVal("ab"), StrVal(strings.Clone("ab"))) || ValuesEqual(StrVal("ab"), StrVal("ba")) {
+		t.Error("ValuesEqual compares string bytes by pointer")
+	}
+	if got, err := FormatPrintf("%d %d %d|%s|", []Value{f, str, IntVal(3), IntVal(4)}); err != nil || got != "0 0 3||" {
+		t.Errorf("printf of mismatched kinds = %q, %v; want %q", got, err, "0 0 3||")
 	}
 }
