@@ -4,14 +4,20 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
+	"d2x/internal/d2x"
 	"d2x/internal/d2x/d2xenc"
+	"d2x/internal/d2x/serve"
+	"d2x/internal/d2x/wire"
 	"d2x/internal/debugger"
 	"d2x/internal/dwarfish"
+	"d2x/internal/examplebuilds"
 	"d2x/internal/minic"
 	"d2x/internal/minic/journal"
 	"d2x/internal/obs"
@@ -287,6 +293,139 @@ func TestGateSequential(t *testing.T) {
 		func() float64 { return runSaturation(t, sessions, 10, false).CommandsPerSecPerCore },
 		func() float64 { return 1e9 / nsPerOp(t, 2000, func() error { return ref.render(io.Discard) }) })
 	gate(t, "sequential", st, ">=", 0.4*seqRefRatio)
+	if t.Failed() {
+		t.Log(refRatioNote)
+	}
+}
+
+// gateClients is how many wire clients TestGateSessions holds open, each
+// with a live debug session on one shared build.
+const gateClients = 100
+
+// pausedWireSessions serves one power build on an in-process d2xserve
+// and returns gateClients wire clients, each launched and stopped at
+// power_15, and one more session of the same build paused there in
+// process. The server and the sessions close with the test.
+func pausedWireSessions(t *testing.T) ([]*wire.Client, *debugger.Debugger) {
+	t.Helper()
+	build, err := examplebuilds.Build("power")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.NewWithBuilds(func(string) (*d2x.Build, error) { return build, nil })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		srv.Close()
+		<-served
+	})
+	setup := []struct {
+		cmd  string
+		args *wire.Args
+	}{
+		{wire.CmdLaunch, &wire.Args{Example: "power"}},
+		{wire.CmdBreak, &wire.Args{Spec: "power_15"}},
+		{wire.CmdRun, nil},
+	}
+	clients := make([]*wire.Client, gateClients)
+	for i := range clients {
+		c, err := wire.Dial(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		for _, req := range setup {
+			if _, err := c.Do(req.cmd, req.args); err != nil {
+				t.Fatalf("client %d: %s: %v", i, req.cmd, err)
+			}
+		}
+		c.Events()
+		clients[i] = c
+	}
+	sink := &gateSink{}
+	d, err := build.NewSession(sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	mustExec(t, d, "break power_15", "run")
+	// Both sides must answer alike: the same backtrace and the same
+	// variable listing, byte for byte.
+	for _, cmd := range []string{wire.CmdXBT, wire.CmdXVars} {
+		resp, err := clients[0].Do(cmd, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink.capture = true
+		mustExec(t, d, cmd)
+		sink.capture = false
+		if got := resp.Body.Output; got != sink.buf.String() || got == "" {
+			t.Fatalf("%s over the wire printed %q, in process %q", cmd, got, sink.buf.String())
+		}
+		sink.buf.Reset()
+	}
+	return clients, d
+}
+
+// sessRefRatio is the sessions gate's median ratio on the tree just
+// before the gate was added: ns per command over gateClients concurrent
+// wire sessions against ns per command on one in-process session, on one
+// P. Measured like xbtRefRatio: 10 runs read 16.13 to 19.12.
+const sessRefRatio = 17.64
+
+// TestGateSessions holds the debug service's premise that sessions share
+// nothing on the command path. gateClients wire clients, each paused in
+// its own session of one shared build, run an xbt and an xvars round
+// trip at once; a command may cost at most 50% more, relative to the
+// same two commands on one session in this process, than it did when the
+// gate was introduced. A cost that grows with the number of sessions or
+// connections, or a lock that every request waits on, raises only the
+// wire side; so does a uniform slowdown of the server or the codec. The
+// gate runs on one P, as TestGateSequential does, so the ratio does not
+// depend on the runner's core count. Its bound is wider than the xbt
+// gate's because its run medians spread wider: about 15 to 21.5 on a
+// shared 2-vCPU VM, alone or while `go test ./...` runs other packages
+// beside it.
+func TestGateSessions(t *testing.T) {
+	skipTiming(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	clients, d := pausedWireSessions(t)
+	errs := make([]error, len(clients))
+	remote := func() float64 {
+		var wg sync.WaitGroup
+		start := time.Now()
+		for i, c := range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, errs[i] = c.Do(wire.CmdXBT, nil); errs[i] == nil {
+					_, errs[i] = c.Do(wire.CmdXVars, nil)
+				}
+			}()
+		}
+		wg.Wait()
+		ns := float64(time.Since(start).Nanoseconds()) / float64(2*len(clients))
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ns
+	}
+	local := func() float64 {
+		return nsPerOp(t, len(clients), func() error {
+			if err := d.Execute("xbt"); err != nil {
+				return err
+			}
+			return d.Execute("xvars")
+		}) / 2
+	}
+	st := pairRatios(801, remote, local)
+	gate(t, "sessions", st, "<=", 1.5*sessRefRatio)
 	if t.Failed() {
 		t.Log(refRatioNote)
 	}

@@ -322,8 +322,8 @@ func TestXBreak(t *testing.T) {
 	if got := len(d.Breakpoints()); got != 5 { // 1 manual + 4 from xbreak
 		t.Errorf("debugger has %d breakpoints, want 5", got)
 	}
-	if got := len(b.Runtime.Breakpoints()); got != 1 {
-		t.Errorf("runtime has %d DSL breakpoints, want 1", got)
+	if got := len(b.Runtime.BreakpointsFor(d.Process().VM)); got != 1 {
+		t.Errorf("session has %d DSL breakpoints, want 1", got)
 	}
 
 	// Each continue lands on a res_1 multiply.
@@ -375,8 +375,8 @@ func TestXDel(t *testing.T) {
 	if got := len(d.Breakpoints()); got != before-4 {
 		t.Errorf("breakpoints after xdel = %d, want %d", got, before-4)
 	}
-	if len(b.Runtime.Breakpoints()) != 0 {
-		t.Error("runtime still tracks the deleted DSL breakpoint")
+	if len(b.Runtime.BreakpointsFor(d.Process().VM)) != 0 {
+		t.Error("session still tracks the deleted DSL breakpoint")
 	}
 	// Program now runs to completion.
 	exec(t, d, "continue")

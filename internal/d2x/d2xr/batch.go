@@ -12,10 +12,10 @@
 // second: per-message protocol overhead, not evaluation, dominates once
 // the debugger and debuggee are decoupled (Hanson, "A
 // Machine-Independent Debugger—Revisited"). ExecBatch is the
-// coarser-grained operation: N sub-commands over one session-state
-// lookup into one render buffer. Results are byte-identical to the
-// equivalent single-command sequence — CI proves it differentially over
-// every example build and a progen corpus slice.
+// coarser-grained operation: N sub-commands into one render buffer,
+// with no macro, parse or native-call frame per command. Results are
+// byte-identical to the equivalent single-command sequence — CI proves
+// it differentially over every example build and a progen corpus slice.
 package d2xr
 
 import (
@@ -78,9 +78,8 @@ type BatchResults struct {
 //d2x:noalloc
 func (res *BatchResults) Output(i int) []byte { return res.Buf[res.Ops[i].Lo:res.Ops[i].Hi] }
 
-// ExecBatch executes a batch of D2X commands over a single session-state
-// lookup instead of N, one render buffer instead of N pooled round
-// trips, and no VM native-call frames at all.
+// ExecBatch executes a batch of D2X commands into one render buffer
+// instead of N pooled round trips, with no VM native-call frames at all.
 // Sub-commands execute in order through execOp, the executor the native
 // entry points use, so a batch leaves the session in the same state the
 // equivalent command sequence would, and each sub-command's output

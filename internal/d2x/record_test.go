@@ -108,3 +108,64 @@ func TestCloseStopsRecording(t *testing.T) {
 		t.Errorf("LiveSessions = %d after Close, want 0", n)
 	}
 }
+
+// TestSessionStateSurvivesRewind: a session's D2X state lives on its
+// debuggee VM but is not execution state, so rewinding the debuggee
+// leaves it alone. After record, xbreak and xframe 1, a reverse-step
+// and a journal RestoreTo keep the session's DSL breakpoints, selected
+// extended frame, fuel budget and journal handle; Close then drops the
+// state from the VM.
+func TestSessionStateSurvivesRewind(t *testing.T) {
+	b := buildPower(t, true)
+	other, _ := session(t, b)
+	exec(t, other, "break power_gen.c:4", "run", "xbt")
+	d, out := session(t, b)
+	exec(t, d, "break power_gen.c:4", "run", "record", "next", "xbreak power.dsl:6", "xframe 1", "next")
+	vm := d.Process().VM
+	st := b.Runtime.StateFor(vm)
+	st.FuelBudget = 123456
+	j, ok := st.Journal.(*journal.Journal)
+	if !ok || !j.Active() {
+		t.Fatalf("session state holds %T, want an active journal", st.Journal)
+	}
+	check := func(after string) {
+		t.Helper()
+		if got := b.Runtime.StateFor(vm); got != st {
+			t.Fatalf("after %s the VM holds another state", after)
+		}
+		if bps := b.Runtime.BreakpointsFor(vm); len(bps) != 1 || bps[0].ID != 1 || bps[0].File != "power.dsl" || bps[0].Line != 6 {
+			t.Errorf("DSL breakpoints after %s = %+v, want #1 at power.dsl:6", after, bps)
+		}
+		if st.SelXFrame != 1 {
+			t.Errorf("selected extended frame after %s = %d, want 1", after, st.SelXFrame)
+		}
+		if st.FuelBudget != 123456 {
+			t.Errorf("fuel budget after %s = %d, want 123456", after, st.FuelBudget)
+		}
+		if st.Journal != j || !j.Active() {
+			t.Errorf("journal handle after %s = %v, want the active journal %p", after, st.Journal, j)
+		}
+	}
+
+	exec(t, d, "reverse-step")
+	check("reverse-step")
+	// Back on the line where xframe 1 ran: the selection still applies.
+	out.Reset()
+	exec(t, d, "xframe")
+	if !strings.Contains(out.String(), "#1 in main at host.go:100") {
+		t.Errorf("xframe after reverse-step:\n%s", out.String())
+	}
+	if err := j.RestoreTo(0); err != nil {
+		t.Fatal(err)
+	}
+	check("RestoreTo(0)")
+
+	live := b.LiveSessions()
+	d.Close()
+	if vm.Native != nil || b.Runtime.BreakpointsFor(vm) != nil {
+		t.Errorf("after Close the VM holds %T", vm.Native)
+	}
+	if n := b.LiveSessions(); n != live-1 {
+		t.Errorf("LiveSessions after Close = %d, want %d", n, live-1)
+	}
+}

@@ -290,3 +290,17 @@ func TestBatchMatchesSequentialDifferential(t *testing.T) {
 		})
 	}
 }
+
+// breakSpecFor names the staged function of each example build, where a
+// session stops to run its D2X commands.
+func breakSpecFor(example string) string {
+	switch example {
+	case "power":
+		return "power_15"
+	case "quickstart":
+		return "sum_squares"
+	case "einsum":
+		return "m_v_mul"
+	}
+	return "main"
+}

@@ -4,13 +4,14 @@
 // One server process owns the example builds. Each accepted connection
 // gets one debug session (its own debuggee VM and debugger) against the
 // build it launches, while every session of a build shares the build's
-// D2X runtime — one table decode, one fused rip index, a sharded session
-// registry — which is exactly the multiplexing the registry work exists
-// for. A connection is served by one goroutine. It decodes a request,
-// executes it, writes the request's events and then its response, and
-// flushes them before it decodes the next request. No frame is queued
-// between requests and none is ever dropped: a client that stops reading
-// stalls only its own connection, through TCP flow control.
+// D2X runtime — one table decode, one fused rip index. A session's D2X
+// command state lives on its own VM, so sessions share nothing mutable
+// on the command path. A connection is served by one goroutine. It
+// decodes a request, executes it, writes the request's events and then
+// its response, and flushes them before it decodes the next request. No
+// frame is queued between requests and none is ever dropped: a client
+// that stops reading stalls only its own connection, through TCP flow
+// control.
 package serve
 
 import (

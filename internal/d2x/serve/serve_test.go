@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unicode/utf8"
@@ -200,11 +201,23 @@ func TestMalformedInputDoesNotKillServer(t *testing.T) {
 	mustDo(t, c, wire.CmdLaunch, &wire.Args{Example: "quickstart"})
 }
 
+// TestConcurrentSessionsShareOneBuild runs 16 wire clients at once, each
+// its own debug session on one shared power build: launch, stop at
+// power_15, alternate xbt and xvars with every output checked, continue
+// and disconnect. Every command must succeed, the build must be
+// constructed once, and once the clients are gone the build holds no
+// session state and the server's connection goroutines have returned.
+// Under -race it is also the concurrency check of the command path.
 func TestConcurrentSessionsShareOneBuild(t *testing.T) {
 	srv, addr := startServer(t)
+	goroutines := runtime.NumGoroutine()
 
-	const clients = 8
-	var wg sync.WaitGroup
+	const clients = 16
+	const queries = 4
+	var (
+		wg   sync.WaitGroup
+		cmds atomic.Int64
+	)
 	errs := make(chan error, clients)
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
@@ -226,14 +239,24 @@ func TestConcurrentSessionsShareOneBuild(t *testing.T) {
 				if _, err := c.Do(wire.CmdRun, nil); err != nil {
 					return err
 				}
-				xbt, err := c.Do(wire.CmdXBT, nil)
-				if err != nil {
+				for q := 0; q < queries; q++ {
+					cmd, want := wire.CmdXBT, "#0 in power at "
+					if q%2 == 1 {
+						cmd, want = wire.CmdXVars, "1. exponent\n"
+					}
+					resp, err := c.Do(cmd, nil)
+					if err != nil {
+						return err
+					}
+					if out := resp.Body.Output; !strings.HasPrefix(out, want) {
+						return fmt.Errorf("%s printed %q", cmd, out)
+					}
+					cmds.Add(1)
+				}
+				if _, err := c.Do(wire.CmdContinue, nil); err != nil {
 					return err
 				}
-				if !strings.Contains(xbt.Body.Output, "examplebuilds.go") {
-					return errEmptyBacktrace
-				}
-				_, err = c.Do(wire.CmdContinue, nil)
+				_, err := c.Do(wire.CmdDisconnect, nil)
 				return err
 			}
 			errs <- script()
@@ -246,20 +269,26 @@ func TestConcurrentSessionsShareOneBuild(t *testing.T) {
 			t.Errorf("client: %v", err)
 		}
 	}
+	if n := cmds.Load(); n != clients*queries {
+		t.Errorf("%d xbt/xvars commands succeeded, want %d", n, clients*queries)
+	}
 
 	srv.buildMu.Lock()
 	n := len(srv.builds)
+	b := srv.builds["power"]
 	srv.buildMu.Unlock()
-	if n != 1 {
+	if n != 1 || b == nil {
 		t.Fatalf("%d builds constructed for one example name, want 1 shared build", n)
 	}
+	// A connection's goroutine closes its session after it has sent the
+	// disconnect response, so both counts settle shortly after.
+	for deadline := time.Now().Add(5 * time.Second); b.LiveSessions() != 0 || runtime.NumGoroutine() > goroutines; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("after every client disconnected: %d live sessions, %d goroutines (baseline %d)",
+				b.LiveSessions(), runtime.NumGoroutine(), goroutines)
+		}
+	}
 }
-
-type strErr string
-
-func (e strErr) Error() string { return string(e) }
-
-const errEmptyBacktrace = strErr("xbt output missing staging frames")
 
 // TestReadmeTranscript sends README's nc transcript as one write on a raw
 // connection and checks every frame the server answers with: each

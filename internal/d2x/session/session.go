@@ -1,6 +1,7 @@
 // Package session is the shared debug-info service behind D2X-R: it owns
-// the one immutable decode of a build's D2X tables and the per-session
-// command state of every debugger attached to that build.
+// the one immutable decode of a build's D2X tables and creates and
+// releases the command state of every debug session attached to that
+// build.
 //
 // The paper's premise (§3.2, Table 2) is that a debug command is a cheap
 // call into the paused inferior. When many sessions debug instances of
@@ -15,25 +16,25 @@
 //     so the hit path takes no lock at all — one atomic load plus one
 //     atomic counter increment.
 //   - State: the ambient command state one session accumulates (selected
-//     extended frame, DSL breakpoints, active-command frame). Each state
-//     lives exactly as long as its session's debugger and is touched only
-//     by that session's command stream; the registry holding them is
-//     sharded by VM identity, so sessions on different shards never
-//     contend even on the map.
-//   - Release: evicts a session's state when its debugger closes, so a
-//     long-lived build serving many sessions does not accumulate state
-//     for VMs that are gone.
+//     extended frame, DSL breakpoints, active-command frame). In the
+//     paper it is the static data of the D2X-R library linked into the
+//     executable, so it lives in the inferior; here it lives on the
+//     session's debuggee VM (minic.VM.Native). A command finds its state
+//     with one type assertion: no lock, no map, nothing another session
+//     touches. Each state lives exactly as long as its session's
+//     debugger and is touched only by that session's command stream.
+//   - Release: drops a session's state when its debugger closes, so a
+//     long-lived build serving many sessions keeps no state for VMs that
+//     are gone.
 //
 // Every event the service sees — decodes, cache hits and misses, state
-// creation and eviction, the live-session high-water mark — is exported
-// through internal/obs, so the premise is measured rather than asserted.
+// creation and eviction, the live-session gauge — is exported through
+// internal/obs, so the premise is measured rather than asserted.
 package session
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"d2x/internal/d2x/d2xenc"
 	"d2x/internal/minic"
@@ -88,12 +89,13 @@ type breakKey struct {
 // debugging human, and re-resolving is merely the cold-path cost.
 const maxPlanCache = 256
 
-// State is the command state of one debug session, keyed by the session's
+// State is the command state of one debug session, held on the session's
 // debuggee VM. A debug session executes commands one at a time from its
-// paused debugger, so the fields need no lock of their own — only the
-// sharded registry that stores states is shared between sessions. A
-// state is created on the session's first use and dropped by Release
-// when its debugger closes; it never outlives the session.
+// paused debugger, so the fields need no lock: nothing else reads them.
+// A state is created on the session's first use and dropped by Release
+// when its debugger closes; it never outlives the session. Snapshots of
+// the VM do not hold it, so a journal restore or a replay leaves it as
+// it was.
 type State struct {
 	// ID identifies this session in trace events and diagnostics,
 	// assigned once at creation.
@@ -226,22 +228,11 @@ func newMetrics() metrics {
 	}
 }
 
-// ShardCount is the number of independent locks the state registry is
-// split across. A power of two; 32 shards keep lock contention invisible
-// even with a thousand concurrent sessions (the d2xserve load harness is
-// the regression test for that claim).
-const ShardCount = 32
-
-// shard is one slice of the state registry: a lock and the states of
-// the VMs that hash here.
-type shard struct {
-	mu     sync.Mutex
-	states map[*minic.VM]*State
-}
-
 // Service shares one build's decoded D2X tables across its debug
-// sessions and tracks each session's command state. All methods are safe
-// for concurrent use by multiple sessions.
+// sessions and creates and releases each session's command state. A VM
+// runs one build, so its state belongs to that build's Service. All
+// methods are safe for concurrent use by multiple sessions, each calling
+// them for its own VM.
 type Service struct {
 	// tables is the published decode. Reads are a single atomic load —
 	// the shared-tables fast path takes no lock whatsoever.
@@ -254,35 +245,18 @@ type Service struct {
 
 	// decodeMu serialises the slow paths that publish shared data: the
 	// table decode and the fused-index build. It is never taken on a hit
-	// path and never nests with a shard lock.
+	// path.
 	decodeMu sync.Mutex
 	decodes  int
 
-	shards [ShardCount]shard
-
+	// live counts the states this service created and has not released.
+	live       atomic.Int64
 	nextSessID atomic.Int64
 	m          metrics
 }
 
 // New returns an empty service.
-func New() *Service {
-	s := &Service{m: newMetrics()}
-	for i := range s.shards {
-		s.shards[i].states = map[*minic.VM]*State{}
-	}
-	return s
-}
-
-// shardFor picks the shard owning a VM's state. VMs have no dense ID, so
-// the key is the VM's identity (its address), spread with a Fibonacci
-// hash — heap addresses share low bits (alignment) and high bits (arena),
-// and the multiply mixes both into the top bits we index by.
-//
-//d2x:noalloc
-func (s *Service) shardFor(vm *minic.VM) *shard {
-	h := uint64(uintptr(unsafe.Pointer(vm))) * 0x9E3779B97F4A7C15
-	return &s.shards[h>>(64-5)] // top 5 bits: ShardCount == 32
-}
+func New() *Service { return &Service{m: newMetrics()} }
 
 // Tables returns the build's decoded D2X tables, decoding them out of
 // vm's memory on first use. Every session shares the same immutable
@@ -325,74 +299,56 @@ func (s *Service) decodeTables(vm *minic.VM) (*d2xenc.Tables, error) {
 	return t, nil
 }
 
-// getOrCreate returns vm's state, creating it on first use. Caller holds
-// sh.mu.
-func (s *Service) getOrCreate(sh *shard, vm *minic.VM) *State {
-	st := sh.states[vm]
-	if st == nil {
-		st = &State{ID: s.nextSessID.Add(1), NextID: 1}
-		sh.states[vm] = st
-		s.m.stateCreates.Inc()
-		// Delta, not Set: the gauge is process-wide and several builds'
-		// services may feed it concurrently.
-		s.m.live.Add(1)
-		obs.Emit(obs.Event{Kind: "session", Name: "create", Session: st.ID})
-	}
-	return st
-}
-
 // State returns the command state of vm's session, creating it on first
-// use. Every D2X command and batch looks its state up here: one shard
-// lock, no allocation once the state exists. The state belongs to the
-// session's single command stream, and Release runs on that same stream
-// when the debugger closes, so nothing else can tear it mid-command.
+// use. Every D2X command and batch looks its state up here: a type
+// assertion on the VM's native-library field, with no lock and no
+// allocation once the state exists. The state belongs to the session's
+// single command stream, and Release runs on that same stream when the
+// debugger closes, so nothing else can tear it mid-command.
 //
 //d2x:noalloc
 func (s *Service) State(vm *minic.VM) *State {
-	sh := s.shardFor(vm)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return s.getOrCreate(sh, vm) //d2xvet:ignore noalloc state creation happens once per session; every later lookup is a map hit
+	if st, ok := vm.Native.(*State); ok {
+		return st
+	}
+	return s.create(vm) //d2xvet:ignore noalloc state creation happens once per session; every later lookup is a type assertion
+}
+
+// create is the State miss path: a fresh state, stored on vm.
+func (s *Service) create(vm *minic.VM) *State {
+	st := &State{ID: s.nextSessID.Add(1), NextID: 1}
+	vm.Native = st
+	s.live.Add(1)
+	s.m.stateCreates.Inc()
+	// Delta, not Set: the gauge is process-wide and several builds'
+	// services may feed it concurrently.
+	s.m.live.Add(1)
+	obs.Emit(obs.Event{Kind: "session", Name: "create", Session: st.ID})
+	return st
 }
 
 // Lookup returns the command state of vm's session without creating one.
 //
 //d2x:noalloc
 func (s *Service) Lookup(vm *minic.VM) (*State, bool) {
-	sh := s.shardFor(vm)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.states[vm]
+	st, ok := vm.Native.(*State)
 	return st, ok
 }
 
-// Release evicts the command state of vm's session. Idempotent; the
+// Release drops the command state of vm's session. Idempotent; the
 // shared tables stay, since they belong to the build, not the session.
 func (s *Service) Release(vm *minic.VM) {
-	sh := s.shardFor(vm)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.states[vm]
-	if !ok {
-		return
+	if st, ok := vm.Native.(*State); ok {
+		vm.Native = nil
+		s.live.Add(-1)
+		s.m.stateEvicts.Inc()
+		s.m.live.Add(-1)
+		obs.Emit(obs.Event{Kind: "session", Name: "evict", Session: st.ID})
 	}
-	delete(sh.states, vm)
-	s.m.stateEvicts.Inc()
-	s.m.live.Add(-1)
-	obs.Emit(obs.Event{Kind: "session", Name: "evict", Session: st.ID})
 }
 
 // Sessions reports how many sessions currently hold state.
-func (s *Service) Sessions() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += len(sh.states)
-		sh.mu.Unlock()
-	}
-	return n
-}
+func (s *Service) Sessions() int { return int(s.live.Load()) }
 
 // Decodes reports how many times the tables were decoded from a debuggee:
 // 1 after any session ran a table-backed command, no matter how many
@@ -401,21 +357,4 @@ func (s *Service) Decodes() int {
 	s.decodeMu.Lock()
 	defer s.decodeMu.Unlock()
 	return s.decodes
-}
-
-// AllBreakpoints returns the DSL breakpoints of every live session,
-// ordered by ID (per-session creation order; IDs may repeat across
-// sessions).
-func (s *Service) AllBreakpoints() []*XBreakpoint {
-	var out []*XBreakpoint
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, st := range sh.states {
-			out = append(out, st.XBPs...)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }

@@ -35,11 +35,12 @@ func TestStateLifecycle(t *testing.T) {
 		t.Errorf("Sessions = %d, want 2", n)
 	}
 
-	st1.XBPs = append(st1.XBPs, &XBreakpoint{ID: 2, File: "a.dsl", Line: 1})
-	st2.XBPs = append(st2.XBPs, &XBreakpoint{ID: 1, File: "b.dsl", Line: 2})
-	all := s.AllBreakpoints()
-	if len(all) != 2 || all[0].ID != 1 || all[1].ID != 2 {
-		t.Errorf("AllBreakpoints = %+v", all)
+	st1.XBPs = append(st1.XBPs, &XBreakpoint{ID: 1, File: "a.dsl", Line: 1})
+	if got, ok := s.Lookup(vm2); !ok || got != st2 || len(got.XBPs) != 0 {
+		t.Errorf("Lookup(vm2) = %+v, %v: want its own state, with no breakpoints", got, ok)
+	}
+	if vm1.Native != st1 {
+		t.Errorf("vm1 holds %T, want its state", vm1.Native)
 	}
 
 	s.Release(vm1)
@@ -47,11 +48,14 @@ func TestStateLifecycle(t *testing.T) {
 	if n := s.Sessions(); n != 1 {
 		t.Errorf("Sessions after Release = %d, want 1", n)
 	}
-	if _, ok := s.Lookup(vm1); ok {
-		t.Error("Lookup after Release")
+	if _, ok := s.Lookup(vm1); ok || vm1.Native != nil {
+		t.Errorf("Lookup after Release: %v, and vm1 holds %T", ok, vm1.Native)
 	}
 	if _, ok := s.Lookup(vm2); !ok {
 		t.Error("Release evicted the wrong session")
+	}
+	if st := s.State(vm1); st == st1 || len(st.XBPs) != 0 || st.NextID != 1 {
+		t.Errorf("State after Release = %+v, want a fresh state", st)
 	}
 }
 
@@ -144,41 +148,6 @@ func tablesVM(t *testing.T) *minic.VM {
 		t.Fatal(err)
 	}
 	return vm
-}
-
-// TestShardSpread: the pointer hash must actually spread states across
-// shards — a degenerate hash would put every session behind one lock and
-// silently reintroduce the global-mutex bottleneck.
-func TestShardSpread(t *testing.T) {
-	s := New()
-	vms := make([]*minic.VM, 1024)
-	for i := range vms {
-		vms[i] = &minic.VM{}
-		s.State(vms[i])
-	}
-	if n := s.Sessions(); n != len(vms) {
-		t.Fatalf("Sessions = %d, want %d", n, len(vms))
-	}
-	occupied := 0
-	most := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n := len(sh.states)
-		sh.mu.Unlock()
-		if n > 0 {
-			occupied++
-		}
-		if n > most {
-			most = n
-		}
-	}
-	if occupied < ShardCount/2 {
-		t.Errorf("1024 sessions landed on only %d/%d shards", occupied, ShardCount)
-	}
-	if most > len(vms)/4 {
-		t.Errorf("one shard holds %d of %d sessions; hash is degenerate", most, len(vms))
-	}
 }
 
 // TestConcurrentFirstDecode: 8 goroutines, each a session with its own

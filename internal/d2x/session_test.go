@@ -21,8 +21,9 @@ func TestSessionCloseEvictsState(t *testing.T) {
 	if n := b.LiveSessions(); n != 2 {
 		t.Fatalf("live sessions = %d, want 2", n)
 	}
-	if n := len(b.Runtime.Breakpoints()); n != 1 {
-		t.Fatalf("runtime breakpoints = %d, want 1", n)
+	vm1, vm2 := d1.Process().VM, d2.Process().VM
+	if n1, n2 := len(b.Runtime.BreakpointsFor(vm1)), len(b.Runtime.BreakpointsFor(vm2)); n1 != 1 || n2 != 0 {
+		t.Fatalf("DSL breakpoints per session = %d, %d, want 1, 0", n1, n2)
 	}
 
 	d1.Close()
@@ -30,8 +31,11 @@ func TestSessionCloseEvictsState(t *testing.T) {
 		t.Errorf("live sessions after first Close = %d, want 1", n)
 	}
 	// The closed session's breakpoints went with its state.
-	if n := len(b.Runtime.Breakpoints()); n != 0 {
-		t.Errorf("runtime breakpoints after Close = %d, want 0", n)
+	if n := len(b.Runtime.BreakpointsFor(vm1)); n != 0 {
+		t.Errorf("DSL breakpoints of the closed session = %d, want 0", n)
+	}
+	if vm1.Native != nil {
+		t.Errorf("the closed session's VM still holds %T", vm1.Native)
 	}
 	if err := d1.Execute("xbt"); err == nil || !strings.Contains(err.Error(), "closed") {
 		t.Errorf("Execute on closed session: %v", err)

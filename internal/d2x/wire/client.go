@@ -16,8 +16,9 @@ const maxBufferedEvents = 1024
 
 // Client is a minimal blocking protocol client: one request in flight at
 // a time, asynchronous events buffered between calls. It is the client
-// the load harness simulates thousands of, and the reference for writing
-// one in any other language — the whole protocol is Do plus Events.
+// the d2xserve tests, the sessions gate and perfbench drive, and the
+// reference for writing one in any other language — the whole protocol
+// is Do plus Events.
 //
 // A Client is not safe for concurrent use; the protocol's per-connection
 // session is single-threaded by design (a debugger has one command

@@ -5,11 +5,11 @@ import (
 	"go/token"
 )
 
-// LockScopeAnalyzer enforces shard-lock scope discipline: while a mutex
-// is held, a function must not perform a channel operation, select,
+// LockScopeAnalyzer enforces lock scope discipline: while a mutex is
+// held, a function must not perform a channel operation, select,
 // known-blocking call (time.Sleep, WaitGroup.Wait), or a second Lock on
 // a different mutex. Each of those either parks the goroutine while
-// every other session contending for the shard spins, or opens a
+// every other goroutine contending for the lock waits, or opens a
 // lock-order inversion. sync.Cond.Wait is deliberately not flagged:
 // waiting with the lock held is the condition-variable contract.
 //

@@ -8,7 +8,9 @@ import "fmt"
 // and re-running is deterministic (the VM is single-goroutine round-robin
 // with no external input), which is the property the execution journal's
 // reverse execution rests on. A snapshot shares only immutable program
-// metadata (FuncDecl, FuncCode, Type, StructDef) with the live VM.
+// metadata (FuncDecl, FuncCode, Type, StructDef) with the live VM. It
+// does not hold VM.Native: a native library's data is not execution
+// state, and a restore keeps it as it is.
 type Snapshot struct {
 	steps        int64
 	sched        int64

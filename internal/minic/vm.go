@@ -143,6 +143,12 @@ type VM struct {
 	// slots that newFrame recycles. Only functions whose FuncCode has
 	// reuseFrames set put frames here.
 	frameFree [][]*Frame
+
+	// Native is the per-process data of the host-linked native library,
+	// the static data a linked library keeps in the inferior (D2X-R keeps
+	// a debug session's command state here). The VM never reads it, and
+	// TakeSnapshot and RestoreSnapshot leave it alone.
+	Native any
 }
 
 // scheduler interleaves a set of threads round-robin. threads keeps every

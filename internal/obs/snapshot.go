@@ -7,8 +7,8 @@ import (
 
 // Snap is a point-in-time capture of a registry: the export format of
 // the debug service's observability layer. It marshals to stable JSON
-// (maps sort by key) for d2xdemo -stats, the d2xdbg stats command, and
-// the BENCH_*.json perf trajectory.
+// (maps sort by key) for d2xdemo -stats, the d2xdbg stats command, the
+// d2xserve stats request, and perfbench's traced runs.
 type Snap struct {
 	// TakenAt is the capture time in Unix nanoseconds.
 	TakenAt int64 `json:"taken_at"`
