@@ -281,7 +281,7 @@ func BenchmarkTable3_GraphItLoC(b *testing.B) {
 	}
 	var st loc.Stats
 	for i := 0; i < b.N; i++ {
-		st, err = loc.GraphItStats(root)
+		st, err = loc.Count(root, "graphit")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -298,7 +298,7 @@ func BenchmarkTable4_BuildItLoC(b *testing.B) {
 	}
 	var st loc.Stats
 	for i := 0; i < b.N; i++ {
-		st, err = loc.BuildItStats(root)
+		st, err = loc.Count(root, "buildit")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,7 +1,8 @@
 // Command d2xlint runs the d2xverify checks over the case-study
-// pipelines (pagerankdelta, power, einsum, quickstart) and over the
-// repository's architecture invariants. It is the CI face of the
-// verifier: a healthy tree prints one "ok" line per target and exits 0.
+// pipelines (pagerankdelta, power, einsum, quickstart). It is the CI face
+// of the verifier: a healthy tree prints one "ok" line per pipeline and
+// exits 0. The lints over the repository's source (import layering,
+// delta markers) are cmd/d2xvet's.
 //
 // Exit status follows compiler conventions:
 //
@@ -11,7 +12,7 @@
 //
 // Usage:
 //
-//	d2xlint [-arch=false] [-effects] [-debugify] [pagerankdelta|power|einsum|quickstart ...]
+//	d2xlint [-effects] [-debugify] [pagerankdelta|power|einsum|quickstart ...]
 //
 // With no pipeline arguments all pipelines are checked. -effects prints
 // each pipeline's per-function effect summaries (the output of
@@ -28,13 +29,11 @@ import (
 
 	"d2x/internal/d2xverify"
 	"d2x/internal/examplebuilds"
-	"d2x/internal/loc"
 	"d2x/internal/minic"
 	"d2x/internal/minic/effects"
 )
 
 func main() {
-	arch := flag.Bool("arch", true, "also run the repository architecture checks")
 	showFX := flag.Bool("effects", false, "print per-function effect summaries for each pipeline")
 	showDbg := flag.Bool("debugify", false, "print per-pass debug-info preservation summaries for each pipeline")
 	flag.Parse()
@@ -65,23 +64,6 @@ func main() {
 		}
 		if *showDbg {
 			printDebugify(name, build.Program)
-		}
-	}
-
-	if *arch {
-		root, err := loc.RepoRoot()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "d2xlint:", err)
-			os.Exit(2)
-		}
-		rep := d2xverify.VerifyRepo(root)
-		if rep.Errors() > 0 {
-			sawError = true
-		}
-		if len(rep.Diags) > 0 {
-			fmt.Printf("arch: %d finding(s)\n%s", len(rep.Diags), rep)
-		} else {
-			fmt.Printf("arch: ok (%d checks)\n", len(d2xverify.DefaultRegistry().RepoChecks()))
 		}
 	}
 

@@ -8,7 +8,9 @@
 // A pattern is a directory, or a directory followed by /... for the
 // subtree rooted there; the default is ./... from the enclosing module
 // root. Repository-level passes (arch/import-graph, arch/markers) run
-// once over the module root whenever selected, regardless of patterns.
+// once over the module root whenever selected, regardless of patterns;
+// this command is the only place the repository's architecture lints
+// run.
 //
 // Exit codes (matching d2xlint):
 //

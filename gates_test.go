@@ -38,30 +38,39 @@ import (
 // pairStats is the distribution of a gate's per-pair ratios.
 type pairStats struct {
 	median, q1, q3 float64
-	pairs          int
+	pairs          int // pairs run
+	want           int // pairs asked for
 }
+
+// gateCap bounds the wall-clock time of one pairRatios call. Each gate
+// takes under 6 s on a shared 2-vCPU VM; one whose sides have slowed so
+// far that its pairs would outlast `go test`'s 10-minute timeout stops
+// here and fails with its own reading instead of the timeout's panic.
+const gateCap = time.Minute
 
 // pairRatios runs n A/B pairs, after one unmeasured pair that warms both
 // sides, and returns the distribution of a()/b(). The side that runs
 // first alternates from pair to pair, so what one side leaves behind
 // (warm caches, and GC debt unless a side collects first) falls on both
-// sides equally.
+// sides equally. It starts no pair once gateCap has passed, so it may
+// return fewer than n, and never none.
 func pairRatios(n int, a, b func() float64) pairStats {
+	start := time.Now()
 	a()
 	b()
-	r := make([]float64, n)
-	for i := range r {
+	r := make([]float64, 0, n)
+	for i := 0; i < n && (i == 0 || time.Since(start) < gateCap); i++ {
 		if i%2 == 0 {
 			x := a()
-			r[i] = x / b()
+			r = append(r, x/b())
 		} else {
 			y := b()
-			r[i] = a() / y
+			r = append(r, a()/y)
 		}
 	}
 	sort.Float64s(r)
-	at := func(q float64) float64 { return r[int(q*float64(n-1)+0.5)] }
-	return pairStats{median: at(0.5), q1: at(0.25), q3: at(0.75), pairs: n}
+	at := func(q float64) float64 { return r[int(q*float64(len(r)-1)+0.5)] }
+	return pairStats{median: at(0.5), q1: at(0.25), q3: at(0.75), pairs: len(r), want: n}
 }
 
 // report logs a reading in the format every gate shares and says whether
@@ -77,10 +86,16 @@ func report(t *testing.T, name string, st pairStats, op string, bound float64) b
 	return st.median >= bound
 }
 
-// gate fails the test when the median crosses its bound.
+// gate fails the test when the median crosses its bound, or when the
+// gate ran out of time before its last pair.
 func gate(t *testing.T, name string, st pairStats, op string, bound float64) {
 	t.Helper()
-	if !report(t, name, st, op, bound) {
+	within := report(t, name, st, op, bound)
+	switch {
+	case st.pairs < st.want:
+		t.Errorf("gate %s: stopped at the %v cap after %d of %d pairs; median so far %.3f, bound %s %.3f",
+			name, gateCap, st.pairs, st.want, st.median, op, bound)
+	case !within:
 		t.Errorf("gate %s: median ratio %.3f is not %s %.3f", name, st.median, op, bound)
 	}
 }

@@ -306,14 +306,23 @@ func Decode(vm *minic.VM) (*Tables, error) {
 		}
 	}
 
+	// Each record's stack and variables are ranges of their columns,
+	// which the emitter lays end to end. So the ranges must lie inside
+	// the columns and together take no more entries than the columns
+	// hold: ranges that overlap could make a decode quadratic in the size
+	// of the tables.
 	t := &Tables{byLine: map[int]int{}}
+	srcLeft, varLeft := int64(len(ints[GSrcFile])), int64(len(ints[GVarKey]))
 	for i := int64(0); i < count; i++ {
 		rec := d2xc.Record{GenLine: int(ints[GRecLine][i])}
 		so, sc := ints[GRecSrcOff][i], ints[GRecSrcCnt][i]
+		vo, vc := ints[GRecVarOff][i], ints[GRecVarCnt][i]
+		srcLeft, varLeft = srcLeft-sc, varLeft-vc
+		if sc < 0 || so < 0 || so > int64(len(ints[GSrcFile]))-sc || srcLeft < 0 ||
+			vc < 0 || vo < 0 || vo > int64(len(ints[GVarKey]))-vc || varLeft < 0 {
+			return nil, fmt.Errorf("d2x: corrupt tables: record %d's %d source entries from %d or %d vars from %d lie outside their columns or overlap others", i, sc, so, vc, vo)
+		}
 		for j := so; j < so+sc; j++ {
-			if j < 0 || int(j) >= len(ints[GSrcFile]) {
-				return nil, fmt.Errorf("d2x: corrupt tables: source index %d out of range", j)
-			}
 			file, err := str(ints[GSrcFile][j])
 			if err != nil {
 				return nil, err
@@ -326,11 +335,7 @@ func Decode(vm *minic.VM) (*Tables, error) {
 				File: file, Line: int(ints[GSrcLine][j]), Function: fn,
 			})
 		}
-		vo, vc := ints[GRecVarOff][i], ints[GRecVarCnt][i]
 		for j := vo; j < vo+vc; j++ {
-			if j < 0 || int(j) >= len(ints[GVarKey]) {
-				return nil, fmt.Errorf("d2x: corrupt tables: var index %d out of range", j)
-			}
 			key, err := str(ints[GVarKey][j])
 			if err != nil {
 				return nil, err

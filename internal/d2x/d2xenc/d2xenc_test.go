@@ -2,7 +2,6 @@ package d2xenc
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"strings"
 	"testing"
@@ -146,59 +145,6 @@ func TestDecodeWithoutTables(t *testing.T) {
 	vm := minic.NewVM(prog, nil)
 	if _, err := Decode(vm); err == nil || !strings.Contains(err.Error(), "no D2X tables") {
 		t.Errorf("decode of table-less program: %v", err)
-	}
-}
-
-// corruptTablesSrc is a program that declares the table globals as array
-// literals: count records declared, the string table one empty string,
-// and each int column the elements cols gives it (empty when absent).
-func corruptTablesSrc(count int, cols map[string][]int64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "global string[] %s = {\"\"};\n", GStrtab)
-	for _, c := range []string{GRecLine, GRecSrcOff, GRecSrcCnt, GRecVarOff, GRecVarCnt, GSrcFile, GSrcLine, GSrcFunc, GVarKey, GVarKind, GVarVal} {
-		elems := make([]string, len(cols[c]))
-		for i, v := range cols[c] {
-			elems[i] = fmt.Sprint(v)
-		}
-		fmt.Fprintf(&b, "global int[] %s = {%s};\n", c, strings.Join(elems, ", "))
-	}
-	fmt.Fprintf(&b, "global int %s = %d;\n", GRecCount, count)
-	b.WriteString("func int main() { return 0; }\n")
-	return b.String()
-}
-
-// TestDecodeCorruptTables: tables in inferior memory are untrusted input.
-// Inconsistent columns must make the decoder return a "corrupt" error,
-// never panic.
-func TestDecodeCorruptTables(t *testing.T) {
-	// One record with no source or var entries; each case overrides
-	// some columns.
-	oneRecord := map[string][]int64{GRecLine: {0}, GRecSrcOff: {0}, GRecSrcCnt: {0}, GRecVarOff: {0}, GRecVarCnt: {0}}
-	cases := []struct {
-		name  string
-		count int
-		cols  map[string][]int64
-	}{
-		{"source count past the source columns", 1, map[string][]int64{GRecSrcCnt: {99}}},
-		{"fewer records than declared", 2, nil},
-		{"rec_src_off shorter than count", 1, map[string][]int64{GRecSrcOff: nil}},
-		{"rec_var_cnt shorter than count", 1, map[string][]int64{GRecVarCnt: nil}},
-		{"src_func shorter than src_file", 1, map[string][]int64{GSrcFile: {0}, GSrcLine: {0}, GRecSrcCnt: {1}}},
-		{"var_val shorter than var_key", 1, map[string][]int64{GVarKey: {0}, GVarKind: {0}, GRecVarCnt: {1}}},
-		{"string index out of range", 1, map[string][]int64{GSrcFile: {7}, GSrcLine: {0}, GSrcFunc: {0}, GRecSrcCnt: {1}}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cols := maps.Clone(oneRecord)
-			maps.Copy(cols, tc.cols)
-			prog, err := minic.Compile("corrupt.c", corruptTablesSrc(tc.count, cols), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Decode(minic.NewVM(prog, nil)); err == nil || !strings.Contains(err.Error(), "corrupt") {
-				t.Errorf("decode of corrupt tables: %v", err)
-			}
-		})
 	}
 }
 

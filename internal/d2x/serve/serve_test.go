@@ -18,6 +18,7 @@ import (
 
 	"d2x/internal/d2x"
 	"d2x/internal/d2x/wire"
+	"d2x/internal/examplebuilds"
 	"d2x/internal/obs"
 )
 
@@ -105,6 +106,45 @@ func TestFullDebugSessionOverTCP(t *testing.T) {
 	st := findEvent(ev, wire.EventStopped)
 	if st == nil || !st.Body.Exited {
 		t.Fatalf("final stop event not exited: %+v", st)
+	}
+}
+
+// TestExampleBuildRecordsNoServerFrames: a build the server stages for a
+// launch records the extended stacks a build staged anywhere else does,
+// so xbt at power_15 over the wire prints what an in-process session
+// prints, with examplebuilds' staging frames and none of the server's.
+func TestExampleBuildRecordsNoServerFrames(t *testing.T) {
+	_, addr := startServer(t)
+	c := dial(t, addr)
+	mustDo(t, c, wire.CmdLaunch, &wire.Args{Example: "power"})
+	mustDo(t, c, wire.CmdBreak, &wire.Args{Spec: "power_15"})
+	mustDo(t, c, wire.CmdRun, nil)
+	remote := mustDo(t, c, wire.CmdXBT, nil).Body.Output
+
+	b, err := examplebuilds.Build("power")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var local strings.Builder
+	d, err := b.NewSession(&local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for _, cmd := range []string{"break power_15", "run"} {
+		if err := d.Execute(cmd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	local.Reset()
+	if err := d.Execute("xbt"); err != nil {
+		t.Fatal(err)
+	}
+	if remote != local.String() {
+		t.Fatalf("xbt over the wire:\n%s\nin process:\n%s", remote, local.String())
+	}
+	if !strings.Contains(remote, "examplebuilds.go") || strings.Contains(remote, "serve.go") {
+		t.Fatalf("xbt does not show only the staging frames:\n%s", remote)
 	}
 }
 

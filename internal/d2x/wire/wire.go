@@ -23,7 +23,7 @@
 // This package is deliberately a pure protocol layer: frame types,
 // encode/decode, and a small blocking client. It must not import the
 // debugger, the VM, or any other piece of the debug stack — an
-// architecture lint (d2xverify arch/import-graph) enforces that, so a
+// architecture lint (d2xvet's arch/import-graph pass) enforces that, so a
 // client links the protocol without linking the service.
 package wire
 

@@ -6,8 +6,6 @@ package d2xverify_test
 // only (a corrupt artifact legitimately trips neighbouring checks too).
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -16,7 +14,6 @@ import (
 	"d2x/internal/d2xverify"
 	"d2x/internal/dwarfish"
 	"d2x/internal/minic"
-	"d2x/internal/srcloc"
 )
 
 func compileSrc(t *testing.T, name, src string) *minic.Program {
@@ -476,186 +473,5 @@ func int main() {
 	rep := d2xverify.Verify(&d2xverify.Input{Program: prog})
 	if got := rep.ByCheck("minic/dead-store"); len(got) != 0 {
 		t.Fatalf("dead-store fired on an address-taken local:\n%s", rep)
-	}
-}
-
-// ---- arch/import-graph ----
-
-func TestForbiddenDebuggerImportFires(t *testing.T) {
-	root := t.TempDir()
-	dir := filepath.Join(root, "internal", "debugger")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	src := "package debugger\n\nimport _ \"d2x/internal/d2x/d2xc\"\n"
-	if err := os.WriteFile(filepath.Join(dir, "bad.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep := d2xverify.VerifyRepo(root)
-	d := findings(t, rep, "arch/import-graph")[0]
-	wantAnchor(t, d, "internal/debugger/bad.go", 3)
-	if !strings.Contains(d.Message, "d2x/internal/d2x/d2xc") {
-		t.Fatalf("unexpected message: %s", d)
-	}
-}
-
-// TestForbiddenWireImportFires: the wire protocol layer must stay a pure
-// framing package — importing any piece of the debug stack is flagged.
-func TestForbiddenWireImportFires(t *testing.T) {
-	root := t.TempDir()
-	dir := filepath.Join(root, "internal", "d2x", "wire")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	src := "package wire\n\nimport _ \"d2x/internal/debugger\"\n"
-	if err := os.WriteFile(filepath.Join(dir, "bad.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep := d2xverify.VerifyRepo(root)
-	d := findings(t, rep, "arch/import-graph")[0]
-	wantAnchor(t, d, "internal/d2x/wire/bad.go", 3)
-	if !strings.Contains(d.Message, "d2x/internal/debugger") {
-		t.Fatalf("unexpected message: %s", d)
-	}
-}
-
-// TestImportRuleSkipsMissingDir: a constrained directory absent from the
-// tree under check (fixture roots, partial checkouts) is not an error —
-// the rule constrains files, and there are none.
-func TestImportRuleSkipsMissingDir(t *testing.T) {
-	root := t.TempDir()
-	dir := filepath.Join(root, "internal", "debugger")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	src := "package debugger\n\nimport _ \"d2x/internal/dwarfish\"\n"
-	if err := os.WriteFile(filepath.Join(dir, "ok.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// No internal/d2x/wire in this root; the wire rule must be skipped,
-	// not fail the whole check.
-	rep := d2xverify.VerifyRepo(root)
-	if got := rep.ByCheck("arch/import-graph"); len(got) != 0 {
-		t.Fatalf("import-graph produced findings on a tree missing a constrained dir:\n%s", rep)
-	}
-}
-
-// TestImportRuleDoesNotOvermatch: d2x/internal/d2xverify shares the
-// "d2x/internal/d2x" string prefix but is a different package and must
-// not be caught by that rule entry (it has its own).
-func TestImportRuleDoesNotOvermatch(t *testing.T) {
-	root := t.TempDir()
-	dir := filepath.Join(root, "internal", "debugger")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	src := "package debugger\n\nimport _ \"d2x/internal/dwarfish\"\n"
-	if err := os.WriteFile(filepath.Join(dir, "ok.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep := d2xverify.VerifyRepo(root)
-	if got := rep.ByCheck("arch/import-graph"); len(got) != 0 {
-		t.Fatalf("import-graph fired on an allowed import:\n%s", rep)
-	}
-}
-
-// ---- arch/markers (fixtures; satellite 3) ----
-
-func markerErrors(diags []d2xverify.Diagnostic) int {
-	n := 0
-	for _, d := range diags {
-		if d.Severity == d2xverify.SevError {
-			n++
-		}
-	}
-	return n
-}
-
-func TestMarkerFixtures(t *testing.T) {
-	cases := []struct {
-		name    string
-		src     string
-		errors  int
-		needle  string
-		anchors []srcloc.Loc
-	}{
-		{
-			name:   "balanced",
-			src:    "package x\n// D2X:BEGIN a\nvar a int\n// D2X:END a\n",
-			errors: 0,
-		},
-		{
-			name:    "unterminated",
-			src:     "package x\n// D2X:BEGIN a\nvar a int\n",
-			errors:  1,
-			needle:  "never closed",
-			anchors: []srcloc.Loc{{File: "x.go", Line: 2}},
-		},
-		{
-			name:    "stray-end",
-			src:     "package x\nvar a int\n// D2X:END a\n",
-			errors:  1,
-			needle:  "without a matching",
-			anchors: []srcloc.Loc{{File: "x.go", Line: 3}},
-		},
-		{
-			name:   "nested",
-			src:    "package x\n// D2X:BEGIN a\n// D2X:BEGIN b\nvar a int\n// D2X:END b\n// D2X:END a\n",
-			errors: 1,
-			needle: "inside the hunk",
-		},
-		{
-			name:    "embedded-in-code",
-			src:     "package x\nvar s = \"D2X:BEGIN trap\"\n// D2X:END trap\n",
-			errors:  1,
-			needle:  "misclassify",
-			anchors: []srcloc.Loc{{File: "x.go", Line: 2}},
-		},
-		{
-			name:   "removed-without-count",
-			src:    "package x\n// D2X:REMOVED lots\nvar a int\n",
-			errors: 1,
-			needle: "positive line count",
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			diags := d2xverify.LintMarkers("x.go", tc.src)
-			if got := markerErrors(diags); got != tc.errors {
-				t.Fatalf("got %d errors, want %d:\n%v", got, tc.errors, diags)
-			}
-			if tc.needle != "" {
-				found := false
-				for _, d := range diags {
-					if strings.Contains(d.Message, tc.needle) {
-						found = true
-					}
-				}
-				if !found {
-					t.Fatalf("no finding mentions %q:\n%v", tc.needle, diags)
-				}
-			}
-			for _, want := range tc.anchors {
-				found := false
-				for _, d := range diags {
-					if d.Loc.File == want.File && d.Loc.Line == want.Line {
-						found = true
-					}
-				}
-				if !found {
-					t.Fatalf("no finding anchored at %s:%d:\n%v", want.File, want.Line, diags)
-				}
-			}
-			// Agreement with the LoC counter: balanced fixtures count the
-			// same hunks; broken ones are rejected by the lint.
-			if tc.errors == 0 {
-				want := strings.Count(tc.src, "D2X:BEGIN")
-				if got := d2xverify.BalancedHunks("x.go", tc.src); got != want {
-					t.Fatalf("BalancedHunks = %d, want %d", got, want)
-				}
-			} else if d2xverify.BalancedHunks("x.go", tc.src) != -1 {
-				t.Fatal("BalancedHunks accepted a broken fixture")
-			}
-		})
 	}
 }

@@ -18,9 +18,11 @@
 //   - mini-C dataflow lints (checks_dataflow.go): use-before-init,
 //     unreachable statements, unused frame slots, dead stores — catching
 //     DSL codegen bugs at compile time instead of at debug time.
-//   - architecture lints (checks_arch.go): the debugger must not import
-//     d2x packages, and the D2X:BEGIN/END delta markers feeding
-//     internal/loc must be well-formed.
+//
+// Every check reads one build's artifacts, never the source tree, so a
+// binary that links Build.Verify links no Go source tooling. The lints
+// over the repository itself (import layering, delta markers) are
+// d2xvet passes.
 //
 // DSL authors add their own checks with Registry.Register; see
 // DESIGN.md's Verification section.
@@ -64,8 +66,8 @@ func (s Severity) String() string {
 }
 
 // Diagnostic is one finding: which check fired, how bad it is, where
-// (a srcloc anchor into the generated program, a DSL source, or a repo
-// file), what is wrong, and — when the fix is mechanical — how to fix it.
+// (a srcloc anchor into the generated program or a DSL source), what is
+// wrong, and — when the fix is mechanical — how to fix it.
 type Diagnostic struct {
 	Check    string
 	Severity Severity
@@ -264,18 +266,11 @@ func (in *Input) Tables() (*d2xenc.Tables, error) {
 	return in.tables, in.tablesErr
 }
 
-// Check is one program-level verification pass.
+// Check is one verification pass over a build.
 type Check struct {
 	Name string // stable slug, e.g. "d2x/stacks"
 	Desc string
 	Run  func(in *Input, r *Reporter) error
-}
-
-// RepoCheck is one repository-level (architecture) verification pass.
-type RepoCheck struct {
-	Name string
-	Desc string
-	Run  func(root string, r *Reporter) error
 }
 
 // Registry holds the checks a verification run executes. The zero value
@@ -283,21 +278,14 @@ type RepoCheck struct {
 // their own checks on a copy (see DESIGN.md: adding a DSL-specific
 // check).
 type Registry struct {
-	program []Check
-	repo    []RepoCheck
+	checks []Check
 }
 
-// Register adds a program-level check.
-func (reg *Registry) Register(c Check) { reg.program = append(reg.program, c) }
+// Register adds a check.
+func (reg *Registry) Register(c Check) { reg.checks = append(reg.checks, c) }
 
-// RegisterRepo adds a repository-level check.
-func (reg *Registry) RegisterRepo(c RepoCheck) { reg.repo = append(reg.repo, c) }
-
-// Checks returns the registered program-level checks.
-func (reg *Registry) Checks() []Check { return reg.program }
-
-// RepoChecks returns the registered repository-level checks.
-func (reg *Registry) RepoChecks() []RepoCheck { return reg.repo }
+// Checks returns the registered checks.
+func (reg *Registry) Checks() []Check { return reg.checks }
 
 // DefaultRegistry returns the built-in check set.
 func DefaultRegistry() *Registry {
@@ -317,18 +305,15 @@ func DefaultRegistry() *Registry {
 	for _, c := range debugifyChecks() {
 		reg.Register(c)
 	}
-	for _, c := range repoChecks() {
-		reg.RegisterRepo(c)
-	}
 	return reg
 }
 
-// Verify runs every program-level check of the registry over the input.
-// A check that fails to run at all contributes an error diagnostic
-// rather than aborting the whole run.
+// Verify runs every check of the registry over the input. A check that
+// fails to run at all contributes an error diagnostic rather than
+// aborting the whole run.
 func (reg *Registry) Verify(in *Input) *Report {
 	rep := &Report{}
-	for _, c := range reg.program {
+	for _, c := range reg.checks {
 		r := &Reporter{check: c.Name, diags: &rep.Diags}
 		if err := c.Run(in, r); err != nil {
 			r.Errorf(srcloc.Loc{File: in.GenFile()}, "", "check failed to run: %v", err)
@@ -338,25 +323,8 @@ func (reg *Registry) Verify(in *Input) *Report {
 	return rep
 }
 
-// VerifyRepo runs every repository-level check over the source tree at
-// root.
-func (reg *Registry) VerifyRepo(root string) *Report {
-	rep := &Report{}
-	for _, c := range reg.repo {
-		r := &Reporter{check: c.Name, diags: &rep.Diags}
-		if err := c.Run(root, r); err != nil {
-			r.Errorf(srcloc.Loc{}, "", "check failed to run: %v", err)
-		}
-	}
-	sortDiags(rep.Diags)
-	return rep
-}
-
-// Verify runs the default registry's program-level checks.
+// Verify runs the default registry's checks.
 func Verify(in *Input) *Report { return DefaultRegistry().Verify(in) }
-
-// VerifyRepo runs the default registry's repository-level checks.
-func VerifyRepo(root string) *Report { return DefaultRegistry().VerifyRepo(root) }
 
 // sortDiags orders findings by location, then severity (most severe
 // first), then check name, for stable output.

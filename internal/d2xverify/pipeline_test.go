@@ -6,7 +6,6 @@ package d2xverify_test
 // proves the complementary recall contract.
 
 import (
-	"strings"
 	"testing"
 
 	"d2x/internal/buildit"
@@ -14,7 +13,6 @@ import (
 	"d2x/internal/d2xverify"
 	"d2x/internal/einsum"
 	"d2x/internal/graphit"
-	"d2x/internal/loc"
 	"d2x/internal/minic"
 )
 
@@ -148,14 +146,6 @@ func TestOptimizedPipelineVerifies(t *testing.T) {
 	assertClean(t, build.Verify())
 }
 
-func TestRepoArchitectureVerifies(t *testing.T) {
-	root, err := loc.RepoRoot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertClean(t, d2xverify.VerifyRepo(root))
-}
-
 // TestVerifyReportsSomethingOnEveryPipeline guards against the vacuous
 // pass: the expensive layers (tables, debug info, journal) must actually
 // be present in the healthy builds, otherwise the zero-findings results
@@ -187,38 +177,5 @@ func TestVerifyReportsSomethingOnEveryPipeline(t *testing.T) {
 		if build.Ctx == nil || len(build.Ctx.Journal()) == 0 {
 			t.Errorf("%s: no operation journal", name)
 		}
-	}
-}
-
-// TestMarkerLintAgreesWithLoC: satellite check that the marker lint and
-// the LoC counter agree on hunk counts for every real counted file (they
-// parse the same markers with the same rules).
-func TestMarkerLintAgreesWithLoC(t *testing.T) {
-	root, err := loc.RepoRoot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, comp := range []struct{ name, dir string }{
-		{"graphit", "internal/graphit"},
-		{"buildit", "internal/buildit"},
-	} {
-		st, err := loc.CountComponent(root, comp.name, comp.dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Hunks == 0 {
-			t.Errorf("%s: expected marked hunks in %s", comp.name, comp.dir)
-		}
-	}
-	// Spot-check agreement on a synthetic source with two hunks.
-	src := "package x\n// D2X:BEGIN a\nvar a int\n// D2X:END a\nvar b int\n// D2X:BEGIN c\nvar c int\n// D2X:END c\n"
-	if got := d2xverify.BalancedHunks("x.go", src); got != 2 {
-		t.Fatalf("BalancedHunks = %d, want 2", got)
-	}
-	if got := loc.CountSource(src).MarkedHunks; got != 2 {
-		t.Fatalf("loc.CountSource MarkedHunks = %d, want 2", got)
-	}
-	if !strings.Contains(src, "D2X:BEGIN") {
-		t.Fatal("fixture lost its markers")
 	}
 }

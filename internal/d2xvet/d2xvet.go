@@ -39,9 +39,11 @@
 //     wall-clock ones, and gate histogram observations on a sampling
 //     branch.
 //   - arch/import-graph, arch/markers: the repository architecture
-//     lints that previously lived as handwritten walkers in
-//     internal/d2xverify, migrated onto this driver (d2xverify still
-//     delegates to them, so Build.Verify output is unchanged).
+//     lints, run once over the module root. The import graph keeps the
+//     debugger free of D2X, the wire layer free of the debug stack, and
+//     this package (with go/types) out of every service binary; the
+//     markers pass reports the delta-marker faults that internal/loc's
+//     counting scan finds. cmd/d2xvet is the only place they run.
 //
 // A finding is suppressed by a comment on the flagged line or the line
 // above:

@@ -1,165 +1,39 @@
 package d2xvet
 
 import (
-	"fmt"
-	"os"
+	"go/token"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
+
+	"d2x/internal/loc"
 )
 
-// Delta-marker lint core, migrated from internal/d2xverify. The
+// MarkersAnalyzer is the repo-level delta-marker pass. The
 // D2X:BEGIN/END/REMOVED markers feed internal/loc's Tables 3/4
-// accounting, which trusts them blindly — a malformed marker silently
-// skews a published number.
-
-const (
-	markBegin   = "D2X:BEGIN"
-	markEnd     = "D2X:END"
-	markRemoved = "D2X:REMOVED"
-)
-
-// MarkerComponentDirs are the directories internal/loc counts for the
-// Tables 3/4 deltas — the only places marker well-formedness changes a
-// published number.
-func MarkerComponentDirs() []string {
-	return []string{
-		"internal/graphit",
-		"internal/buildit",
-		"internal/d2x/d2xc",
-		"internal/d2x/d2xenc",
-		"internal/d2x/d2xr",
-		"internal/d2x/session",
-		"internal/d2x/macros",
-	}
-}
-
-// MarkerSourceFindings lints the delta markers of one Go source file,
-// mirroring internal/loc's CountSource semantics exactly: any line
-// containing the BEGIN substring opens a hunk and any line containing
-// the END substring closes one, so a marker substring in an unexpected
-// place silently skews the published delta.
-func MarkerSourceFindings(file, src string) []ArchFinding {
-	var out []ArchFinding
-	errf := func(line int, hint, format string, args ...any) {
-		out = append(out, ArchFinding{File: file, Line: line, Message: fmt.Sprintf(format, args...), Hint: hint})
-	}
-	warnf := func(line int, hint, format string, args ...any) {
-		out = append(out, ArchFinding{File: file, Line: line, Warning: true, Message: fmt.Sprintf(format, args...), Hint: hint})
-	}
-	open := 0
-	openLine := 0
-	for i, raw := range strings.Split(src, "\n") {
-		line := strings.TrimSpace(raw)
-		hasBegin := strings.Contains(line, markBegin)
-		hasEnd := !hasBegin && strings.Contains(line, markEnd)
-		switch {
-		case hasBegin:
-			if !strings.HasPrefix(line, "// "+markBegin) {
-				errf(i+1, "put the marker on its own `// D2X:BEGIN <label>` comment line",
-					"marker %q embedded in a non-marker line; the LoC counter will misclassify it", markBegin)
-			} else if strings.TrimSpace(strings.TrimPrefix(line, "// "+markBegin)) == "" {
-				warnf(i+1, "label the hunk, e.g. `// D2X:BEGIN frontier-var`",
-					"unlabelled %s hunk", markBegin)
-			}
-			if open > 0 {
-				errf(i+1, "close the previous hunk first; hunks cannot nest",
-					"%s inside the hunk opened at line %d", markBegin, openLine)
-			} else {
-				openLine = i + 1
-			}
-			open++
-		case hasEnd:
-			if !strings.HasPrefix(line, "// "+markEnd) {
-				errf(i+1, "put the marker on its own `// D2X:END <label>` comment line",
-					"marker %q embedded in a non-marker line; the LoC counter will misclassify it", markEnd)
-			}
-			if open == 0 {
-				errf(i+1, "remove the stray marker or add the missing D2X:BEGIN",
-					"%s without a matching %s", markEnd, markBegin)
-			} else {
-				open--
-			}
-		case strings.Contains(line, markRemoved):
-			// `// D2X:REMOVED n` records deleted lines (DESIGN.md §5); the
-			// count must be a positive integer for the −n column to add up.
-			rest := ""
-			if idx := strings.Index(line, markRemoved); idx >= 0 {
-				rest = strings.TrimSpace(line[idx+len(markRemoved):])
-			}
-			count := rest
-			if sp := strings.IndexAny(rest, " \t"); sp >= 0 {
-				count = rest[:sp]
-			}
-			if n, err := strconv.Atoi(count); err != nil || n <= 0 {
-				errf(i+1, "write `// D2X:REMOVED <n>` with the number of deleted lines",
-					"%s marker without a positive line count (got %q)", markRemoved, rest)
-			}
-		}
-	}
-	if open > 0 {
-		errf(openLine, "add the missing `// D2X:END` before the end of the file",
-			"hunk opened at line %d is never closed", openLine)
-	}
-	return out
-}
-
-// BalancedMarkerHunks returns the number of well-formed hunks in src
-// when the lint reports no errors, and -1 otherwise.
-func BalancedMarkerHunks(file, src string) int {
-	for _, f := range MarkerSourceFindings(file, src) {
-		if !f.Warning {
-			return -1
-		}
-	}
-	return strings.Count(src, markBegin)
-}
-
-// MarkerFindings runs the marker lint over every file the LoC accounting
-// reads: non-test Go files in the counted component directories,
-// excluding d2x_*.go files (those are attributed whole, so markers
-// inside them never reach the counter).
-func MarkerFindings(root string) ([]ArchFinding, error) {
-	var out []ArchFinding
-	for _, dir := range MarkerComponentDirs() {
-		full := filepath.Join(root, dir)
-		entries, err := os.ReadDir(full)
-		if err != nil {
-			continue // component not built yet; loc reports this separately
-		}
-		var names []string
-		for _, e := range entries {
-			n := e.Name()
-			if e.IsDir() || !strings.HasSuffix(n, ".go") ||
-				strings.HasSuffix(n, "_test.go") || strings.HasPrefix(n, "d2x_") {
-				continue
-			}
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			data, err := os.ReadFile(filepath.Join(full, n))
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, MarkerSourceFindings(filepath.ToSlash(filepath.Join(dir, n)), string(data))...)
-		}
-	}
-	return out, nil
-}
-
-// MarkersAnalyzer is the repo-level delta-marker pass.
+// accounting, and a malformed marker silently skews a published number,
+// so the pass reports every fault the counting scan meets in the files
+// it counts by hunks. A component missing from the tree is skipped; loc
+// reports it when it counts.
 var MarkersAnalyzer = &Analyzer{
 	Name: "arch/markers",
 	Doc:  "D2X delta markers in counted components are well-formed",
 	Repo: true,
 	Run: func(p *Pass) error {
-		findings, err := MarkerFindings(p.Root)
-		if err != nil {
-			return err
+		for _, c := range loc.Components() {
+			st, err := loc.CountComponent(p.Root, c.Name, c.Dirs...)
+			if _, missing := loc.IsMissingComponent(err); missing {
+				continue
+			}
+			if err != nil {
+				return err
+			}
+			for _, f := range st.Faults {
+				p.ReportAt(token.Position{
+					Filename: filepath.Join(p.Root, filepath.FromSlash(f.File)),
+					Line:     f.Line,
+					Column:   1,
+				}, "%s (fix: %s)", f.Message, f.Hint)
+			}
 		}
-		reportArch(p, findings)
 		return nil
 	},
 }

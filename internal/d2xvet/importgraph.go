@@ -1,78 +1,67 @@
 package d2xvet
 
-// The repository architecture lints (import-graph and delta markers)
-// migrated from internal/d2xverify/checks_arch.go onto the d2xvet
-// driver. The detection cores live here and return structured findings;
-// the analyzers wrap them for cmd/d2xvet, and d2xverify's arch checks
-// delegate to the same cores so Build.Verify() output is unchanged.
-
 import (
-	"fmt"
+	"errors"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 )
 
-// ImportRule forbids a package subtree from importing certain import
-// paths. A path is forbidden when it equals a prefix exactly or lives
-// under it.
-type ImportRule struct {
-	Dir       string // repo-relative directory whose files are constrained
-	Forbidden []string
-	Why       string
+// importRule forbids every Go file under a directory from importing
+// certain import paths. A path is forbidden when it equals a prefix
+// exactly or lives under it.
+type importRule struct {
+	dir       string // repo-relative; the rule covers its whole subtree
+	forbidden []string
+	why       string
 }
 
-// DefaultImportRules returns the repository's architecture constraints.
-// The debugger must stay ignorant of D2X (it serves `xbt` through stock
-// call/eval only) and of every DSL layer above it.
-func DefaultImportRules() []ImportRule {
-	return []ImportRule{
-		{
-			Dir: "internal/debugger",
-			Forbidden: []string{
-				"d2x/internal/d2x",
-				"d2x/internal/d2xverify",
-				"d2x/internal/buildit",
-				"d2x/internal/graphit",
-				"d2x/internal/einsum",
-			},
-			Why: "the debugger must work through stock call/eval with no D2X knowledge",
-		},
-		{
-			Dir: "internal/d2x/wire",
-			Forbidden: []string{
-				"d2x/internal/d2x/d2xc",
-				"d2x/internal/d2x/d2xenc",
-				"d2x/internal/d2x/d2xr",
-				"d2x/internal/d2x/macros",
-				"d2x/internal/d2x/serve",
-				"d2x/internal/d2x/session",
-				"d2x/internal/d2xverify",
-				"d2x/internal/debugger",
-				"d2x/internal/minic",
-				"d2x/internal/dwarfish",
-				"d2x/internal/buildit",
-				"d2x/internal/graphit",
-				"d2x/internal/einsum",
-				"d2x/internal/obs",
-			},
-			Why: "the wire protocol is a pure framing layer: a client must link it without linking the debug stack",
-		},
-	}
-}
+// noVet is why the verifier and the D2X packages may not import d2xvet.
+const noVet = "Build.Verify links the verifier into every binary; the repository lints and the Go type checker they load stay in cmd/d2xvet"
 
-// ArchFinding is one structured architecture-lint finding. File is
-// repo-relative with forward slashes (the form the d2xverify report has
-// always printed).
-type ArchFinding struct {
-	File    string
-	Line    int
-	Warning bool // advisory (d2xverify Warnf); d2xvet reports errors only
-	Message string
-	Hint    string
+// importRules are the repository's layering constraints. The debugger
+// must stay ignorant of D2X (it serves `xbt` through stock call/eval
+// only) and of every DSL layer above it; the wire layer must stay free
+// of the debug stack; and nothing a service binary links may pull in
+// this package.
+var importRules = []importRule{
+	{
+		dir: "internal/debugger",
+		forbidden: []string{
+			"d2x/internal/d2x",
+			"d2x/internal/d2xverify",
+			"d2x/internal/buildit",
+			"d2x/internal/graphit",
+			"d2x/internal/einsum",
+		},
+		why: "the debugger must work through stock call/eval with no D2X knowledge",
+	},
+	{
+		dir: "internal/d2x/wire",
+		forbidden: []string{
+			"d2x/internal/d2x/d2xc",
+			"d2x/internal/d2x/d2xenc",
+			"d2x/internal/d2x/d2xr",
+			"d2x/internal/d2x/macros",
+			"d2x/internal/d2x/serve",
+			"d2x/internal/d2x/session",
+			"d2x/internal/d2xverify",
+			"d2x/internal/debugger",
+			"d2x/internal/minic",
+			"d2x/internal/dwarfish",
+			"d2x/internal/buildit",
+			"d2x/internal/graphit",
+			"d2x/internal/einsum",
+			"d2x/internal/obs",
+		},
+		why: "the wire protocol is a pure framing layer: a client must link it without linking the debug stack",
+	},
+	{dir: "internal/d2xverify", forbidden: []string{"d2x/internal/d2xvet"}, why: noVet},
+	{dir: "internal/d2x", forbidden: []string{"d2x/internal/d2xvet"}, why: noVet},
 }
 
 func forbiddenBy(imp string, prefixes []string) string {
@@ -84,82 +73,47 @@ func forbiddenBy(imp string, prefixes []string) string {
 	return ""
 }
 
-// ImportGraphFindings parses the import clauses (only) of every Go file
-// in each constrained directory and flags forbidden imports at the line
-// of the import spec. Constrained directories need not exist in every
-// tree the check runs over (fixture roots in tests, partial checkouts);
-// a rule constrains files, so no files means nothing to flag.
-func ImportGraphFindings(root string, rules []ImportRule) ([]ArchFinding, error) {
-	var out []ArchFinding
-	for _, rule := range rules {
-		dir := filepath.Join(root, rule.Dir)
-		entries, err := os.ReadDir(dir)
-		if os.IsNotExist(err) {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-				continue
-			}
-			path := filepath.Join(dir, e.Name())
-			fset := token.NewFileSet()
-			f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-			if err != nil {
-				return nil, err
-			}
-			for _, spec := range f.Imports {
-				imp, err := strconv.Unquote(spec.Path.Value)
-				if err != nil {
-					continue
-				}
-				if p := forbiddenBy(imp, rule.Forbidden); p != "" {
-					rel := filepath.ToSlash(filepath.Join(rule.Dir, e.Name()))
-					out = append(out, ArchFinding{
-						File:    rel,
-						Line:    fset.Position(spec.Pos()).Line,
-						Message: fmt.Sprintf("%s imports %q, forbidden under %q", rel, imp, p),
-						Hint:    rule.Why,
-					})
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-// ImportGraphAnalyzer is the repo-level import-graph pass.
+// ImportGraphAnalyzer is the repo-level import-graph pass. It parses the
+// import clauses (only) of every Go file under each rule's directory,
+// test files included, and reports each forbidden import at its import
+// spec. A rule's directory need not exist in the tree under check
+// (fixture roots in tests): no files means nothing to flag.
 var ImportGraphAnalyzer = &Analyzer{
 	Name: "arch/import-graph",
-	Doc:  "the debugger imports no D2X or DSL packages; the wire layer stays free of the debug stack",
+	Doc:  "the debugger imports no D2X or DSL packages; the wire layer stays free of the debug stack; nothing under the verifier or D2X imports d2xvet",
 	Repo: true,
 	Run: func(p *Pass) error {
-		findings, err := ImportGraphFindings(p.Root, DefaultImportRules())
-		if err != nil {
-			return err
+		for _, rule := range importRules {
+			err := fs.WalkDir(os.DirFS(p.Root), rule.dir, func(rel string, e fs.DirEntry, err error) error {
+				switch {
+				case err != nil:
+					return err
+				case e.IsDir() && e.Name() == "testdata":
+					return fs.SkipDir
+				case e.IsDir() || !strings.HasSuffix(rel, ".go"):
+					return nil
+				}
+				fset := token.NewFileSet()
+				f, err := parser.ParseFile(fset, filepath.Join(p.Root, rel), nil, parser.ImportsOnly)
+				if err != nil {
+					return err
+				}
+				for _, spec := range f.Imports {
+					imp, err := strconv.Unquote(spec.Path.Value)
+					if err != nil {
+						continue
+					}
+					if pre := forbiddenBy(imp, rule.forbidden); pre != "" {
+						p.ReportAt(fset.Position(spec.Pos()), "%s imports %q, forbidden under %q (fix: %s)",
+							rel, imp, pre, rule.why)
+					}
+				}
+				return nil
+			})
+			if err != nil && !errors.Is(err, fs.ErrNotExist) {
+				return err
+			}
 		}
-		reportArch(p, findings)
 		return nil
 	},
-}
-
-// reportArch maps structured arch findings onto pass diagnostics,
-// anchoring them at absolute paths so //d2xvet:ignore suppression works.
-func reportArch(p *Pass, findings []ArchFinding) {
-	for _, f := range findings {
-		if f.Warning {
-			continue // advisory findings stay d2xverify warnings
-		}
-		msg := f.Message
-		if f.Hint != "" {
-			msg += " (fix: " + f.Hint + ")"
-		}
-		p.ReportAt(token.Position{
-			Filename: filepath.Join(p.Root, filepath.FromSlash(f.File)),
-			Line:     f.Line,
-			Column:   1,
-		}, "%s", msg)
-	}
 }

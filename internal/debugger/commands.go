@@ -32,46 +32,86 @@ var (
 // dispatchSampleEvery is the dispatch-latency sampling stride.
 const dispatchSampleEvery = 8
 
-// dbgCmdCounters maps each canonical command name to its pre-resolved
-// counter, so a dispatch pays one map lookup instead of a string concat
-// plus a registry lookup.
-var dbgCmdCounters = func() map[string]*obs.Counter {
-	m := map[string]*obs.Counter{}
-	for _, name := range canonicalCmd {
-		m[name] = obs.GetCounter("debugger.cmd." + name)
-	}
-	for _, name := range []string{"macro", "unknown"} {
-		m[name] = obs.GetCounter("debugger.cmd." + name)
-	}
-	return m
-}()
+// A command is one built-in debugger command: the counter of its
+// dispatches, named after its canonical spelling, and its handler, which
+// gets the rest of the command line.
+type command struct {
+	counter *obs.Counter
+	run     func(d *Debugger, rest string) error
+}
 
-// canonicalCmd maps every accepted spelling to the canonical command
-// name used in metrics ("b" -> "break"). Anything not in the map is a
-// macro or an unknown command.
-var canonicalCmd = map[string]string{
-	"break": "break", "b": "break",
-	"delete": "delete", "d": "delete",
-	"clear": "clear", "watch": "watch", "unwatch": "unwatch",
-	"display": "display", "undisplay": "undisplay",
-	"disas": "disas", "disassemble": "disas",
-	"run": "run", "r": "run",
-	"continue": "continue", "c": "continue",
-	"step": "step", "s": "step",
-	"next": "next", "n": "next",
-	"finish":    "finish",
-	"backtrace": "backtrace", "bt": "backtrace",
-	"frame": "frame", "f": "frame",
-	"up": "up", "down": "down",
-	"list": "list", "l": "list",
-	"print": "print", "p": "print",
-	"call": "call", "set": "set", "eval": "eval",
-	"thread": "thread", "t": "thread",
-	"info": "info", "echo": "echo",
-	"stats": "stats", "trace": "trace",
-	"record":       "record",
-	"reverse-step": "reverse-step", "rs": "reverse-step",
-	"reverse-continue": "reverse-continue", "rc": "reverse-continue",
+// commands maps every accepted spelling of a built-in command to it ("b"
+// and "break" to break). Anything not in the map is a macro or an
+// unknown command, counted under cmdMacro or cmdUnknown. The handlers
+// reach Execute, so the map is filled in init: a package-level
+// initialiser that refers to them would be an initialisation cycle.
+var commands map[string]*command
+
+var (
+	cmdMacro   = obs.GetCounter("debugger.cmd.macro")
+	cmdUnknown = obs.GetCounter("debugger.cmd.unknown")
+)
+
+func init() {
+	commands = map[string]*command{}
+	// Each entry lists a command's spellings, canonical name first.
+	for _, e := range []struct {
+		spellings string
+		run       func(d *Debugger, rest string) error
+	}{
+		{"break b", (*Debugger).cmdBreak},
+		{"delete d", (*Debugger).cmdDelete},
+		{"clear", (*Debugger).cmdClear},
+		{"watch", (*Debugger).cmdWatch},
+		{"unwatch", (*Debugger).cmdUnwatch},
+		{"display", (*Debugger).cmdDisplay},
+		{"undisplay", (*Debugger).cmdUndisplay},
+		{"disas disassemble", (*Debugger).cmdDisas},
+		{"run r", resume((*Debugger).Run)},
+		{"continue c", resume((*Debugger).Continue)},
+		{"step s", resume((*Debugger).StepInto)},
+		{"next n", resume((*Debugger).StepOver)},
+		{"finish", resume((*Debugger).StepOut)},
+		{"backtrace bt", func(d *Debugger, _ string) error { return d.cmdBacktrace() }},
+		{"frame f", (*Debugger).cmdFrame},
+		{"up", func(d *Debugger, rest string) error { return d.cmdUpDown(rest, +1) }},
+		{"down", func(d *Debugger, rest string) error { return d.cmdUpDown(rest, -1) }},
+		{"list l", (*Debugger).cmdList},
+		{"print p", (*Debugger).cmdPrint},
+		{"call", (*Debugger).cmdCall},
+		{"set", (*Debugger).cmdSet},
+		{"eval", (*Debugger).cmdEval},
+		{"thread t", (*Debugger).cmdThread},
+		{"info", (*Debugger).cmdInfo},
+		{"echo", func(d *Debugger, rest string) error {
+			d.printf("%s\n", rest)
+			return nil
+		}},
+		{"stats", func(d *Debugger, _ string) error { return d.cmdStats() }},
+		{"trace", (*Debugger).cmdTrace},
+		{"record", (*Debugger).cmdRecord},
+		{"reverse-step rs", resume((*Debugger).ReverseStep)},
+		{"reverse-continue rc", resume((*Debugger).ReverseContinue)},
+	} {
+		names := strings.Fields(e.spellings)
+		c := &command{counter: obs.GetCounter("debugger.cmd." + names[0]), run: e.run}
+		for _, n := range names {
+			commands[n] = c
+		}
+	}
+}
+
+// resume makes a handler of an execution command: it runs the command
+// and reports where the program stopped.
+func resume(exec func(*Debugger) (Stop, error)) func(*Debugger, string) error {
+	return func(d *Debugger, _ string) error {
+		stop, err := exec(d)
+		if err != nil {
+			return err
+		}
+		d.reportStop(stop)
+		return nil
+	}
 }
 
 // Execute runs one debugger command line, writing its transcript output to
@@ -89,136 +129,31 @@ func (d *Debugger) Execute(line string) error {
 	}
 	cmd, rest := splitCommand(line)
 
-	name, known := canonicalCmd[cmd]
-	if !known {
-		if _, isMacro := d.macros[cmd]; isMacro {
-			name = "macro"
-		} else {
-			name = "unknown"
-		}
-	}
 	var start int64
 	if dispatchTick.Add(1)%dispatchSampleEvery == 0 {
 		start = obs.NowNanos()
 	}
-	err := d.run(cmd, rest)
+	var err error
+	var counter *obs.Counter
+	if c, ok := commands[cmd]; ok {
+		counter = c.counter
+		err = c.run(d, rest)
+	} else if m, ok := d.macros[cmd]; ok {
+		counter = cmdMacro
+		args := d.splitArgsReuse(rest)
+		err = d.runMacro(m, args)
+		d.putStrArgs(args)
+	} else {
+		counter = cmdUnknown
+		err = fmt.Errorf("undefined command: %q", cmd)
+	}
 	dbgLatency.SinceNS(start)
 	dbgCommands.Inc()
-	dbgCmdCounters[name].Inc()
+	counter.Inc()
 	if err != nil {
 		dbgErrors.Inc()
 	}
 	return err
-}
-
-// run dispatches one parsed command.
-func (d *Debugger) run(cmd, rest string) error {
-	switch cmd {
-	case "break", "b":
-		return d.cmdBreak(rest)
-	case "delete", "d":
-		return d.cmdDelete(rest)
-	case "clear":
-		return d.cmdClear(rest)
-	case "watch":
-		return d.cmdWatch(rest)
-	case "unwatch":
-		return d.cmdUnwatch(rest)
-	case "display":
-		return d.cmdDisplay(rest)
-	case "undisplay":
-		return d.cmdUndisplay(rest)
-	case "disas", "disassemble":
-		return d.cmdDisas(rest)
-	case "run", "r":
-		stop, err := d.Run()
-		if err != nil {
-			return err
-		}
-		d.reportStop(stop)
-		return nil
-	case "continue", "c":
-		stop, err := d.Continue()
-		if err != nil {
-			return err
-		}
-		d.reportStop(stop)
-		return nil
-	case "step", "s":
-		stop, err := d.StepInto()
-		if err != nil {
-			return err
-		}
-		d.reportStop(stop)
-		return nil
-	case "next", "n":
-		stop, err := d.StepOver()
-		if err != nil {
-			return err
-		}
-		d.reportStop(stop)
-		return nil
-	case "finish":
-		stop, err := d.StepOut()
-		if err != nil {
-			return err
-		}
-		d.reportStop(stop)
-		return nil
-	case "backtrace", "bt":
-		return d.cmdBacktrace()
-	case "frame", "f":
-		return d.cmdFrame(rest)
-	case "up":
-		return d.cmdUpDown(rest, +1)
-	case "down":
-		return d.cmdUpDown(rest, -1)
-	case "list", "l":
-		return d.cmdList(rest)
-	case "print", "p":
-		return d.cmdPrint(rest)
-	case "call":
-		return d.cmdCall(rest)
-	case "set":
-		return d.cmdSet(rest)
-	case "eval":
-		return d.cmdEval(rest)
-	case "thread", "t":
-		return d.cmdThread(rest)
-	case "info":
-		return d.cmdInfo(rest)
-	case "echo":
-		d.printf("%s\n", rest)
-		return nil
-	case "stats":
-		return d.cmdStats()
-	case "trace":
-		return d.cmdTrace(rest)
-	case "record":
-		return d.cmdRecord(rest)
-	case "reverse-step", "rs":
-		stop, err := d.ReverseStep()
-		if err != nil {
-			return err
-		}
-		d.reportStop(stop)
-		return nil
-	case "reverse-continue", "rc":
-		stop, err := d.ReverseContinue()
-		if err != nil {
-			return err
-		}
-		d.reportStop(stop)
-		return nil
-	}
-
-	if m, ok := d.macros[cmd]; ok {
-		args := d.splitArgsReuse(rest)
-		err := d.runMacro(m, args)
-		d.putStrArgs(args)
-		return err
-	}
-	return fmt.Errorf("undefined command: %q", cmd)
 }
 
 // getStrArgs pops a recycled string slice (length 0) off the freelist.

@@ -624,3 +624,61 @@ func TestStatsAndTraceCommands(t *testing.T) {
 		t.Error("trace with junk arg accepted")
 	}
 }
+
+// TestCommandSpellings pins the command table: each of the 44 accepted
+// spellings is a built-in command counted under its canonical name's
+// debugger.cmd.* counter, and a dispatch of an alias, a macro and an
+// unknown word each moves one counter by one.
+func TestCommandSpellings(t *testing.T) {
+	canonical := map[string]string{
+		"break": "break", "b": "break",
+		"delete": "delete", "d": "delete",
+		"clear": "clear", "watch": "watch", "unwatch": "unwatch",
+		"display": "display", "undisplay": "undisplay",
+		"disas": "disas", "disassemble": "disas",
+		"run": "run", "r": "run",
+		"continue": "continue", "c": "continue",
+		"step": "step", "s": "step",
+		"next": "next", "n": "next",
+		"finish":    "finish",
+		"backtrace": "backtrace", "bt": "backtrace",
+		"frame": "frame", "f": "frame",
+		"up": "up", "down": "down",
+		"list": "list", "l": "list",
+		"print": "print", "p": "print",
+		"call": "call", "set": "set", "eval": "eval",
+		"thread": "thread", "t": "thread",
+		"info": "info", "echo": "echo",
+		"stats": "stats", "trace": "trace",
+		"record":       "record",
+		"reverse-step": "reverse-step", "rs": "reverse-step",
+		"reverse-continue": "reverse-continue", "rc": "reverse-continue",
+	}
+	if len(commands) != len(canonical) || len(canonical) != 44 {
+		t.Fatalf("%d spellings, want %d", len(commands), len(canonical))
+	}
+	for spelling, name := range canonical {
+		c, ok := commands[spelling]
+		if !ok {
+			t.Errorf("%q is not a command", spelling)
+		} else if c.counter != obs.GetCounter("debugger.cmd."+name) {
+			t.Errorf("%q is not counted as debugger.cmd.%s", spelling, name)
+		}
+	}
+
+	d, _ := attach(t, powerSrc)
+	if err := d.LoadMacros("define hi\n  echo hi\nend\n"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ line, counter string }{
+		{"bt", "debugger.cmd.backtrace"},
+		{"hi", "debugger.cmd.macro"},
+		{"bogus", "debugger.cmd.unknown"},
+	} {
+		before := obs.GetCounter(tc.counter).Value()
+		d.Execute(tc.line)
+		if got := obs.GetCounter(tc.counter).Value(); got != before+1 {
+			t.Errorf("%q moved %s by %d, want 1", tc.line, tc.counter, got-before)
+		}
+	}
+}

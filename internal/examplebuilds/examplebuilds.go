@@ -40,13 +40,30 @@ func buildMode(name string, optimize, withD2X bool) (*d2x.Build, error) {
 	case "pagerankdelta":
 		return pagerankDelta(optimize, withD2X)
 	case "power":
-		return power(optimize, withD2X)
+		return staged(power, optimize, withD2X)
 	case "einsum":
-		return einsumBuild(optimize, withD2X)
+		return staged(einsumBuild, optimize, withD2X)
 	case "quickstart":
-		return quickstart(optimize, withD2X)
+		return staged(quickstart, optimize, withD2X)
 	}
 	return nil, fmt.Errorf("examplebuilds: unknown pipeline %q", name)
+}
+
+// staged runs a buildit staging on a goroutine of its own. buildit tags
+// each generated line with the Go call stack that staged it, down to the
+// goroutine's entry, so a build made here records this package's frames
+// only, the same whoever asks for it: a server's request handler, a test
+// or a command.
+func staged(stage func(optimize, withD2X bool) (*d2x.Build, error), optimize, withD2X bool) (*d2x.Build, error) {
+	var b *d2x.Build
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		b, err = stage(optimize, withD2X)
+	}()
+	<-done
+	return b, err
 }
 
 // PagerankDelta compiles the GraphIt PageRankDelta case study (paper §2,
@@ -62,10 +79,8 @@ func pagerankDelta(optimize, withD2X bool) (*d2x.Build, error) {
 	return art.LinkOptimizing(optimize)
 }
 
-// Power stages the BuildIt power_15 example (paper Fig. 8): a
+// power stages the BuildIt power_15 example (paper Fig. 8): a
 // specialised exponentiation with the exponent erased at staging time.
-func Power() (*d2x.Build, error) { return power(false, true) }
-
 func power(optimize, withD2X bool) (*d2x.Build, error) {
 	bb := newBuilder(withD2X)
 	f := bb.Func("power_15", []buildit.Param{{Name: "base", Type: minic.IntType}}, minic.IntType)
@@ -89,9 +104,7 @@ func power(optimize, withD2X bool) (*d2x.Build, error) {
 	return bb.Link("power_gen.c", d2x.LinkOptions{Optimize: optimize})
 }
 
-// Einsum stages the matrix-vector einsum example (paper Fig. 11).
-func Einsum() (*d2x.Build, error) { return einsumBuild(false, true) }
-
+// einsumBuild stages the matrix-vector einsum example (paper Fig. 11).
 func einsumBuild(optimize, withD2X bool) (*d2x.Build, error) {
 	const M, N = 16, 8
 	bb := newBuilder(withD2X)
@@ -121,10 +134,8 @@ func einsumBuild(optimize, withD2X bool) (*d2x.Build, error) {
 	return bb.Link("einsum_gen.c", d2x.LinkOptions{Optimize: optimize})
 }
 
-// Quickstart replicates the staging of examples/quickstart: an unrolled
+// quickstart replicates the staging of examples/quickstart: an unrolled
 // sum_squares with an erased static, the smallest D2X build.
-func Quickstart() (*d2x.Build, error) { return quickstart(false, true) }
-
 func quickstart(optimize, withD2X bool) (*d2x.Build, error) {
 	bb := newBuilder(withD2X)
 	f := bb.Func("sum_squares", []buildit.Param{{Name: "n", Type: minic.IntType}}, minic.IntType)

@@ -2,6 +2,9 @@ package loc
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -77,7 +80,7 @@ func TestGraphItDeltaShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := GraphItStats(root)
+	st, err := Count(root, "graphit")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +100,7 @@ func TestBuildItDeltaShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := BuildItStats(root)
+	st, err := Count(root, "buildit")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +109,7 @@ func TestBuildItDeltaShape(t *testing.T) {
 	}
 	// Paper: 6.1%. BuildIt is small, so its percentage is naturally
 	// higher than GraphIt's — that orders the same way here.
-	gst, err := GraphItStats(root)
+	gst, err := Count(root, "graphit")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,5 +163,109 @@ func TestCountComponentMissingDir(t *testing.T) {
 	}
 	if me.Dir == "" || me.Err == nil {
 		t.Errorf("incomplete error detail: %+v", me)
+	}
+}
+
+// TestMarkerFixtures: the counting scan reports each malformed marker,
+// anchored at its line, and a balanced file has no fault.
+func TestMarkerFixtures(t *testing.T) {
+	cases := []struct {
+		name    string
+		src     string
+		faults  int
+		needle  string
+		anchors []int
+	}{
+		{
+			name:   "balanced",
+			src:    "package x\n// D2X:BEGIN a\nvar a int\n// D2X:END a\n",
+			faults: 0,
+		},
+		{
+			name:    "unterminated",
+			src:     "package x\n// D2X:BEGIN a\nvar a int\n",
+			faults:  1,
+			needle:  "never closed",
+			anchors: []int{2},
+		},
+		{
+			name:    "stray-end",
+			src:     "package x\nvar a int\n// D2X:END a\n",
+			faults:  1,
+			needle:  "without a matching",
+			anchors: []int{3},
+		},
+		{
+			name:   "nested",
+			src:    "package x\n// D2X:BEGIN a\n// D2X:BEGIN b\nvar a int\n// D2X:END b\n// D2X:END a\n",
+			faults: 1,
+			needle: "inside the hunk",
+		},
+		{
+			name:    "embedded-in-code",
+			src:     "package x\nvar s = \"D2X:BEGIN trap\"\n// D2X:END trap\n",
+			faults:  1,
+			needle:  "misclassify",
+			anchors: []int{2},
+		},
+		{
+			name:   "removed-without-count",
+			src:    "package x\n// D2X:REMOVED lots\nvar a int\n",
+			faults: 1,
+			needle: "positive line count",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := CountSource(tc.src)
+			if len(st.Faults) != tc.faults {
+				t.Fatalf("got %d faults, want %d: %+v", len(st.Faults), tc.faults, st.Faults)
+			}
+			if tc.needle != "" && !slices.ContainsFunc(st.Faults, func(f MarkerFault) bool {
+				return strings.Contains(f.Message, tc.needle)
+			}) {
+				t.Fatalf("no fault mentions %q: %+v", tc.needle, st.Faults)
+			}
+			for _, line := range tc.anchors {
+				if !slices.ContainsFunc(st.Faults, func(f MarkerFault) bool { return f.Line == line }) {
+					t.Fatalf("no fault anchored at line %d: %+v", line, st.Faults)
+				}
+			}
+			if tc.faults == 0 && st.MarkedHunks != strings.Count(tc.src, "D2X:BEGIN") {
+				t.Fatalf("MarkedHunks = %d, want %d", st.MarkedHunks, strings.Count(tc.src, "D2X:BEGIN"))
+			}
+		})
+	}
+}
+
+// TestUnlabelledHunkIsAFault: an unlabelled hunk is a fault like the
+// others, and CountComponent reports the faults of the files it counts by
+// hunks under their repo-relative names, never those of d2x_*.go files,
+// which count whole.
+func TestUnlabelledHunkIsAFault(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "comp")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]string{
+		"a.go":     "package comp\n\n// D2X:BEGIN\nvar a int\n// D2X:END\n",
+		"d2x_b.go": "package comp\n\n// D2X:END stray\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := CountComponent(root, "comp", "comp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []MarkerFault{{File: "comp/a.go", Line: 3, Message: "unlabelled D2X:BEGIN hunk",
+		Hint: "label the hunk, e.g. `// D2X:BEGIN frontier-var`"}}
+	if !slices.Equal(st.Faults, want) {
+		t.Fatalf("faults = %+v, want %+v", st.Faults, want)
+	}
+	if st.Hunks != 1 || st.Delta != 2 {
+		t.Errorf("hunks = %d, delta = %d; want 1 and 2", st.Hunks, st.Delta)
 	}
 }

@@ -36,19 +36,19 @@ func (t *Table) String() string {
 // Table3 reproduces the paper's Table 3: GraphIt's size, the D2X delta,
 // and the D2X library components.
 func Table3(root string) (*Table, error) {
-	graphit, err := CountComponent(root, "graphit", "internal/graphit")
+	graphit, err := Count(root, "graphit")
 	if err != nil {
 		return nil, err
 	}
-	d2xc, err := CountComponent(root, "d2xc", "internal/d2x/d2xc", "internal/d2x/d2xenc")
+	d2xc, err := Count(root, "d2xc")
 	if err != nil {
 		return nil, err
 	}
-	d2xr, err := CountComponent(root, "d2xr", "internal/d2x/d2xr", "internal/d2x/session")
+	d2xr, err := Count(root, "d2xr")
 	if err != nil {
 		return nil, err
 	}
-	macros, err := CountComponent(root, "macros", "internal/d2x/macros")
+	macros, err := Count(root, "macros")
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +69,7 @@ func Table3(root string) (*Table, error) {
 
 // Table4 reproduces the paper's Table 4: BuildIt's size and its delta.
 func Table4(root string) (*Table, error) {
-	buildit, err := CountComponent(root, "buildit", "internal/buildit")
+	buildit, err := Count(root, "buildit")
 	if err != nil {
 		return nil, err
 	}
@@ -81,15 +81,4 @@ func Table4(root string) (*Table, error) {
 			{"BuildIt percentage change", fmt.Sprintf("%.1f%%", buildit.DeltaPercent())},
 		},
 	}, nil
-}
-
-// GraphItStats and BuildItStats expose the raw numbers for benches and
-// EXPERIMENTS.md generation.
-func GraphItStats(root string) (Stats, error) {
-	return CountComponent(root, "graphit", "internal/graphit")
-}
-
-// BuildItStats counts the buildit framework.
-func BuildItStats(root string) (Stats, error) {
-	return CountComponent(root, "buildit", "internal/buildit")
 }
