@@ -25,9 +25,6 @@ func (b *Builder) Link(filename string, opts d2x.LinkOptions) (*d2x.Build, error
 	if err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		opts.WithoutD2X = true
-	}
 	return d2x.Link(filename, src, ctx, opts)
 }
 

@@ -41,7 +41,7 @@ type Build struct {
 	Source    string // full generated source including the D2X tables
 
 	// Ctx is the D2X compile-time context the build was linked from (nil
-	// for WithoutD2X builds). The verifier uses it to check that the
+	// for a plain build). The verifier uses it to check that the
 	// encoded tables round-trip and that the compiler's scope discipline
 	// was sound.
 	Ctx *d2xc.Context
@@ -60,10 +60,6 @@ type LinkOptions struct {
 	// FileResolver overrides how the D2X runtime reads DSL sources for
 	// xlist (defaults to the filesystem).
 	FileResolver d2xr.FileResolver
-	// WithoutD2X skips table emission and runtime registration, producing
-	// the exact same program a D2X-less compiler would — the baseline of
-	// the overhead experiment.
-	WithoutD2X bool
 	// Optimize runs the mini-C constant folder over the generated code
 	// before compiling it. D2X survives: folding rewrites expressions
 	// within statements and prunes dead branches, but surviving
@@ -72,14 +68,16 @@ type LinkOptions struct {
 }
 
 // Link assembles a debuggable build from generated source and the D2X
-// compile-time context that produced it.
+// compile-time context that produced it. A nil context links the plain
+// program, with no tables and no runtime: the exact program a D2X-less
+// compiler would produce, the baseline of the overhead experiment.
 func Link(filename, genSource string, ctx *d2xc.Context, opts LinkOptions) (*Build, error) {
 	// Natives first: the handler effect analysis below checks the
 	// generated source against the same native registry the final
 	// compile will use.
 	nats := minic.NewNatives()
 	var rt *d2xr.Runtime
-	if !opts.WithoutD2X {
+	if ctx != nil {
 		rt = d2xr.New()
 		rt.Register(nats)
 		if opts.FileResolver != nil {
@@ -91,7 +89,7 @@ func Link(filename, genSource string, ctx *d2xc.Context, opts LinkOptions) (*Bui
 	}
 
 	full := genSource
-	if !opts.WithoutD2X && ctx != nil {
+	if ctx != nil {
 		var tb strings.Builder
 		if err := d2xenc.EmitTablesFX(ctx, handlerEffects(filename, genSource, ctx, nats), &tb); err != nil {
 			return nil, fmt.Errorf("d2x: emitting tables: %w", err)
@@ -118,11 +116,7 @@ func Link(filename, genSource string, ctx *d2xc.Context, opts LinkOptions) (*Bui
 			return nil, err
 		}
 	}
-	b := &Build{Program: prog, DebugBlob: blob, Runtime: rt, Source: full}
-	if !opts.WithoutD2X {
-		b.Ctx = ctx
-	}
-	return b, nil
+	return &Build{Program: prog, DebugBlob: blob, Runtime: rt, Source: full, Ctx: ctx}, nil
 }
 
 // handlerEffects runs the effect-and-termination analysis over the
@@ -231,7 +225,7 @@ func (b *Build) NewSessionSplit(progOut, transcript io.Writer) (*debugger.Debugg
 }
 
 // LiveSessions reports how many debug sessions currently hold per-session
-// state in the build's D2X runtime (0 for WithoutD2X builds).
+// state in the build's D2X runtime (0 for a plain build).
 func (b *Build) LiveSessions() int {
 	if b.Runtime == nil {
 		return 0

@@ -115,7 +115,6 @@ func buildPower(t *testing.T, withD2X bool) *Build {
 
 	files := map[string]string{"power.dsl": powerDSL}
 	build, err := Link("power_gen.c", e.String(), ctx, LinkOptions{
-		WithoutD2X: !withD2X,
 		FileResolver: func(path string) (string, error) {
 			if s, ok := files[path]; ok {
 				return s, nil

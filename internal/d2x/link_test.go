@@ -25,7 +25,6 @@ func TestLinkExtraNatives(t *testing.T) {
 	probe();
 	return 0;
 }`, nil, LinkOptions{
-		WithoutD2X: true,
 		Natives: func(n *minic.Natives) {
 			n.Register(&minic.Native{
 				Name: "probe",
@@ -49,18 +48,18 @@ func TestLinkExtraNatives(t *testing.T) {
 }
 
 func TestWithoutD2XHasNoRuntime(t *testing.T) {
-	build, err := Link("p.c", "func int main() { return 0; }", nil, LinkOptions{WithoutD2X: true})
+	build, err := Link("p.c", "func int main() { return 0; }", nil, LinkOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if build.Runtime != nil {
-		t.Error("runtime attached to a WithoutD2X build")
+		t.Error("runtime attached to a plain build")
 	}
 	if _, _, ok := build.Program.Natives.Lookup("d2x_runtime_command_xbt"); ok {
-		t.Error("D2X natives linked into a WithoutD2X build")
+		t.Error("D2X natives linked into a plain build")
 	}
 	if strings.Contains(build.Source, "__d2x") {
-		t.Error("tables in a WithoutD2X build")
+		t.Error("tables in a plain build")
 	}
 }
 
@@ -98,7 +97,7 @@ func TestRunReportsFault(t *testing.T) {
 	build, err := Link("p.c", `func int main() {
 	int[] a = new int[1];
 	return a[5];
-}`, nil, LinkOptions{WithoutD2X: true})
+}`, nil, LinkOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -451,12 +451,7 @@ func (d *Debugger) cmdCall(rest string) error {
 }
 
 func (d *Debugger) cmdSet(rest string) error {
-	rest = strings.TrimPrefix(rest, "var ")
-	eq := strings.Index(rest, "=")
-	if eq < 0 {
-		return fmt.Errorf("set requires an assignment")
-	}
-	if err := d.SetVariable(strings.TrimSpace(rest[:eq]), strings.TrimSpace(rest[eq+1:])); err != nil {
+	if err := d.assign(strings.TrimPrefix(rest, "var ")); err != nil {
 		return err
 	}
 	// A debugger-applied mutation is not part of the instruction history;
@@ -471,27 +466,7 @@ func (d *Debugger) cmdSet(rest string) error {
 // into the debuggee), then execute the result as commands. D2X's xbreak
 // depends on this to let the debuggee drive breakpoint insertion.
 func (d *Debugger) cmdEval(rest string) error {
-	// Both scratch slices come from the debugger's freelists; evaluating
-	// an argument may itself pop a slice (nested call), which the
-	// freelists handle.
-	format, args, err := appendParseFormatArgs(d.getStrArgs(), rest)
-	if err != nil {
-		d.putStrArgs(args)
-		return err
-	}
-	vals := d.getArgs()
-	for _, a := range args {
-		v, err := d.EvalExpr(a)
-		if err != nil {
-			d.putStrArgs(args)
-			d.putArgs(vals)
-			return err
-		}
-		vals = append(vals, v)
-	}
-	d.putStrArgs(args)
-	expanded, err := minic.FormatPrintf(format, vals)
-	d.putArgs(vals)
+	expanded, err := d.evalFormat(rest)
 	if err != nil {
 		return err
 	}
@@ -513,99 +488,6 @@ func (d *Debugger) cmdEval(rest string) error {
 		}
 	}
 	return nil
-}
-
-// parseFormatArgs splits `"fmt", arg1, arg2` respecting quotes and nested
-// parentheses inside arguments.
-func parseFormatArgs(s string) (string, []string, error) {
-	return appendParseFormatArgs(nil, s)
-}
-
-// appendParseFormatArgs is parseFormatArgs appending onto a (possibly
-// recycled) slice. The input slice is returned even on error, so a
-// pooled caller can always reclaim it.
-func appendParseFormatArgs(args []string, s string) (string, []string, error) {
-	s = strings.TrimSpace(s)
-	if !strings.HasPrefix(s, "\"") {
-		return "", args, fmt.Errorf("eval requires a quoted format string")
-	}
-	format, i, err := scanEvalFormat(s)
-	if err != nil {
-		return "", args, err
-	}
-	rest := strings.TrimSpace(s[i:])
-	if rest == "" {
-		return format, args, nil
-	}
-	if !strings.HasPrefix(rest, ",") {
-		return "", args, fmt.Errorf("expected ',' after format string")
-	}
-	rest = rest[1:]
-	depth := 0
-	start := 0
-	inStr := false
-	for j := 0; j <= len(rest); j++ {
-		if j == len(rest) {
-			if a := strings.TrimSpace(rest[start:]); a != "" {
-				args = append(args, a)
-			}
-			break
-		}
-		switch rest[j] {
-		case '"':
-			inStr = !inStr
-		case '(', '[':
-			if !inStr {
-				depth++
-			}
-		case ')', ']':
-			if !inStr {
-				depth--
-			}
-		case ',':
-			if !inStr && depth == 0 {
-				args = append(args, strings.TrimSpace(rest[start:j]))
-				start = j + 1
-			}
-		}
-	}
-	return format, args, nil
-}
-
-// scanEvalFormat scans the quoted format string starting at s[0] == '"'
-// and returns its unescaped contents plus the index just past the closing
-// quote. A format with no escape sequences — every D2X macro's — is
-// returned as a substring of the input, with no copy.
-func scanEvalFormat(s string) (string, int, error) {
-	i := 1
-	for i < len(s) && s[i] != '"' && s[i] != '\\' {
-		i++
-	}
-	if i < len(s) && s[i] == '"' {
-		return s[1:i], i + 1, nil
-	}
-	var fb strings.Builder
-	fb.WriteString(s[1:i])
-	for i < len(s) && s[i] != '"' {
-		if s[i] == '\\' && i+1 < len(s) {
-			i++
-			switch s[i] {
-			case 'n':
-				fb.WriteByte('\n')
-			case 't':
-				fb.WriteByte('\t')
-			default:
-				fb.WriteByte(s[i])
-			}
-		} else {
-			fb.WriteByte(s[i])
-		}
-		i++
-	}
-	if i >= len(s) {
-		return "", 0, fmt.Errorf("unterminated format string")
-	}
-	return fb.String(), i + 1, nil
 }
 
 func (d *Debugger) cmdThread(rest string) error {

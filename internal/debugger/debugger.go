@@ -141,8 +141,9 @@ type Debugger struct {
 	// cost. Both maps are bounded (cleared wholesale when full — the
 	// real working set is a few entries) and hold immutable values, and
 	// the debugger executes commands one at a time, so no locking.
-	exprCache   map[string][]exprToken
+	exprCache   map[string][]minic.Token
 	mangleCache map[string]string
+	lexBuf      []minic.Token // lexing scratch for exprCache misses
 
 	// argFree recycles the argument slices of debuggee calls (the VM
 	// recycles their native-call frames). Calls nest (f(g(x)) holds two

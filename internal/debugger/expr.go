@@ -2,6 +2,7 @@ package debugger
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -9,146 +10,13 @@ import (
 )
 
 // This file implements the debugger's expression language, used by print,
-// call, set, and eval argument lists. It covers what a debugger needs:
-// literals, locals/globals, field and index access, dereference and
-// address-of, register meta-variables ($rip, $rsp, $pc), and calls into
-// the debuggee.
-
-type exprToken struct {
-	kind string // "ident", "int", "float", "string", "reg", or punctuation
-	text string
-}
-
-// punctBytes lists the single-byte tokens; punctKinds holds their
-// pre-made kind strings, index-aligned, so lexing punctuation never
-// converts (and so never allocates) a one-byte string per token.
-const punctBytes = "()[].,*&-!+/%<>"
-
-var punctKinds = [...]string{"(", ")", "[", "]", ".", ",", "*", "&", "-", "!", "+", "/", "%", "<", ">"}
-
-func lexExpr(src string) ([]exprToken, error) {
-	// A D2X command expression runs 10-20 tokens; starting at capacity
-	// 16 turns the append ladder into one allocation for almost every
-	// expression. Misses of the expr cache lex on the command path, so
-	// the constant matters there.
-	toks := make([]exprToken, 0, 16)
-	i := 0
-	for i < len(src) {
-		c := src[i]
-		switch {
-		case c == ' ' || c == '\t':
-			i++
-		case c == '$':
-			j := i + 1
-			for j < len(src) && (isWordByte(src[j]) || src[j] >= '0' && src[j] <= '9') {
-				j++
-			}
-			if j == i+1 {
-				return nil, fmt.Errorf("lone $ in expression")
-			}
-			toks = append(toks, exprToken{kind: "reg", text: src[i+1 : j]})
-			i = j
-		case isWordByte(c):
-			j := i
-			for j < len(src) && (isWordByte(src[j]) || src[j] >= '0' && src[j] <= '9') {
-				j++
-			}
-			toks = append(toks, exprToken{kind: "ident", text: src[i:j]})
-			i = j
-		case c >= '0' && c <= '9':
-			j := i
-			isFloat := false
-			for j < len(src) && (src[j] >= '0' && src[j] <= '9' || src[j] == '.') {
-				if src[j] == '.' {
-					isFloat = true
-				}
-				j++
-			}
-			kind := "int"
-			if isFloat {
-				kind = "float"
-			}
-			toks = append(toks, exprToken{kind: kind, text: src[i:j]})
-			i = j
-		case c == '"':
-			// Escape-free strings — every string a D2X macro passes
-			// through — are sliced straight out of src; only an escape
-			// forces a rebuilt copy.
-			j := i + 1
-			hasEscape := false
-			for j < len(src) && src[j] != '"' {
-				if src[j] == '\\' && j+1 < len(src) {
-					hasEscape = true
-					j++
-				}
-				j++
-			}
-			if j >= len(src) {
-				return nil, fmt.Errorf("unterminated string in expression")
-			}
-			text := src[i+1 : j]
-			if hasEscape {
-				var b strings.Builder
-				b.Grow(j - i - 1)
-				for k := i + 1; k < j; k++ {
-					if src[k] == '\\' && k+1 < j {
-						k++
-						switch src[k] {
-						case 'n':
-							b.WriteByte('\n')
-						case 't':
-							b.WriteByte('\t')
-						case '"':
-							b.WriteByte('"')
-						case '\\':
-							b.WriteByte('\\')
-						default:
-							b.WriteByte(src[k])
-						}
-					} else {
-						b.WriteByte(src[k])
-					}
-				}
-				text = b.String()
-			}
-			toks = append(toks, exprToken{kind: "string", text: text})
-			i = j + 1
-		case c == '-' && i+1 < len(src) && src[i+1] == '>':
-			toks = append(toks, exprToken{kind: "->"})
-			i += 2
-		case c == '=' && i+1 < len(src) && src[i+1] == '=':
-			toks = append(toks, exprToken{kind: "=="})
-			i += 2
-		case c == '!' && i+1 < len(src) && src[i+1] == '=':
-			toks = append(toks, exprToken{kind: "!="})
-			i += 2
-		case c == '<' && i+1 < len(src) && src[i+1] == '=':
-			toks = append(toks, exprToken{kind: "<="})
-			i += 2
-		case c == '>' && i+1 < len(src) && src[i+1] == '=':
-			toks = append(toks, exprToken{kind: ">="})
-			i += 2
-		case c == '&' && i+1 < len(src) && src[i+1] == '&':
-			toks = append(toks, exprToken{kind: "&&"})
-			i += 2
-		case c == '|' && i+1 < len(src) && src[i+1] == '|':
-			toks = append(toks, exprToken{kind: "||"})
-			i += 2
-		default:
-			k := strings.IndexByte(punctBytes, c)
-			if k < 0 {
-				return nil, fmt.Errorf("unexpected character %q in expression", string(c))
-			}
-			toks = append(toks, exprToken{kind: punctKinds[k]})
-			i++
-		}
-	}
-	return toks, nil
-}
-
-func isWordByte(c byte) bool {
-	return c == '_' || c == ':' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-}
+// call, set and eval, and by breakpoint conditions, watchpoints and
+// displays. An expression is mini-C: minic.Lex reads its tokens, and
+// minic.BinaryPrec and minic.EvalBinary bind and apply its operators, so
+// it means what it means in the program. On top of mini-C it reads the
+// register meta-variables ($rip, $rsp, $pc) and calls into the debuggee.
+// It evaluates as it parses: an AST would cost allocations on every
+// command.
 
 // result pairs an evaluated value with, when the expression designates a
 // storage location, the cell backing it (for & and set).
@@ -159,7 +27,7 @@ type result struct {
 
 type exprEval struct {
 	d    *Debugger
-	toks []exprToken
+	toks []minic.Token // ends in EOF
 	pos  int
 	// skip is set while parsing an operand that the left operand of &&
 	// or || already decided: it is parsed but not evaluated, so it calls,
@@ -182,19 +50,33 @@ func (d *Debugger) EvalExpr(src string) (minic.Value, error) {
 // cleared wholesale rather than evicted piecemeal.
 const exprCacheMax = 256
 
-// lexCached returns the token slice for src, memoised. Token slices are
+// lexBufMax is the most tokens of lexing scratch a debugger keeps.
+const lexBufMax = 256
+
+// lexCached returns the tokens of src, memoised. Token slices are
 // read-only after lexing (the evaluator only indexes into them), so
-// sharing one slice across evaluations is safe.
-func (d *Debugger) lexCached(src string) ([]exprToken, error) {
+// sharing one slice across evaluations is safe. A miss lexes into the
+// debugger's scratch slice and caches an exact copy, one allocation: a
+// slice grown by appends would hold up to twice its tokens' memory for
+// as long as it stays cached, and a stream of xdel commands caches up
+// to exprCacheMax one-off expressions.
+func (d *Debugger) lexCached(src string) ([]minic.Token, error) {
 	if toks, ok := d.exprCache[src]; ok {
 		return toks, nil
 	}
-	toks, err := lexExpr(src)
+	toks, err := minic.Lex(d.lexBuf[:0], "", src)
 	if err != nil {
+		if e, ok := err.(*minic.Error); ok {
+			err = fmt.Errorf("%s in expression", e.Msg)
+		}
 		return nil, err
 	}
+	if cap(toks) <= lexBufMax {
+		d.lexBuf = toks
+	}
+	toks = slices.Clone(toks)
 	if d.exprCache == nil {
-		d.exprCache = make(map[string][]exprToken)
+		d.exprCache = make(map[string][]minic.Token)
 	} else if len(d.exprCache) >= exprCacheMax {
 		clear(d.exprCache)
 	}
@@ -207,80 +89,101 @@ func (d *Debugger) evalResult(src string) (result, error) {
 	if err != nil {
 		return result{}, err
 	}
-	ev := &exprEval{d: d, toks: toks}
+	ev := exprEval{d: d, toks: toks}
 	r, err := ev.expr()
-	if err != nil {
-		return result{}, err
+	if err == nil {
+		err = ev.end()
 	}
-	if ev.pos != len(ev.toks) {
-		return result{}, fmt.Errorf("junk at end of expression")
-	}
-	return r, nil
+	return r, err
 }
 
-// SetVariable evaluates lvalueSrc to a storage location and stores the
-// value of rhsSrc into it (GDB's `set var`).
-func (d *Debugger) SetVariable(lvalueSrc, rhsSrc string) error {
-	lhs, err := d.evalResult(lvalueSrc)
+// assign evaluates `lvalue = expr` and stores the value into the
+// location (GDB's `set var`). No expression holds an Assign token, so
+// the lvalue ends at the first one.
+func (d *Debugger) assign(src string) error {
+	toks, err := d.lexCached(src)
+	if err != nil {
+		return err
+	}
+	if !slices.ContainsFunc(toks, func(t minic.Token) bool { return t.Kind == minic.Assign }) {
+		return fmt.Errorf("set requires an assignment")
+	}
+	ev := exprEval{d: d, toks: toks}
+	lhs, err := ev.expr()
+	if err == nil {
+		err = ev.expect(minic.Assign)
+	}
 	if err != nil {
 		return err
 	}
 	if lhs.cell == nil {
 		return fmt.Errorf("left operand of assignment is not an lvalue")
 	}
-	rhs, err := d.EvalExpr(rhsSrc)
+	rhs, err := ev.expr()
+	if err == nil {
+		err = ev.end()
+	}
 	if err != nil {
 		return err
 	}
-	if misfit(lhs.val.Kind, rhs) {
-		return fmt.Errorf("cannot assign %s to %s", rhs.Kind, lhs.val.Kind)
+	if misfit(lhs.val.Kind, rhs.val) {
+		return fmt.Errorf("cannot assign %s to %s", rhs.val.Kind, lhs.val.Kind)
 	}
-	lhs.cell.V = rhs
+	lhs.cell.V = rhs.val
 	return nil
 }
 
-func (ev *exprEval) peek() exprToken {
-	if ev.pos >= len(ev.toks) {
-		return exprToken{kind: "eof"}
+// evalFormat expands eval's arguments, a format string and then
+// comma-separated expressions, through the program's printf.
+func (d *Debugger) evalFormat(src string) (string, error) {
+	toks, err := d.lexCached(src)
+	if err != nil {
+		return "", err
 	}
-	return ev.toks[ev.pos]
+	if toks[0].Kind != minic.STRINGLIT {
+		return "", fmt.Errorf("eval requires a quoted format string")
+	}
+	ev := exprEval{d: d, toks: toks, pos: 1}
+	vals := d.getArgs()
+	defer func() { d.putArgs(vals) }()
+	for ev.kind() == minic.Comma {
+		ev.pos++
+		r, err := ev.expr()
+		if err != nil {
+			return "", err
+		}
+		vals = append(vals, r.val)
+	}
+	if err := ev.end(); err != nil {
+		return "", err
+	}
+	return minic.FormatPrintf(toks[0].Text, vals)
 }
 
-func (ev *exprEval) next() exprToken {
-	t := ev.peek()
-	if t.kind != "eof" {
+func (ev *exprEval) kind() minic.Kind { return ev.toks[ev.pos].Kind }
+
+func (ev *exprEval) next() minic.Token {
+	t := ev.toks[ev.pos]
+	if t.Kind != minic.EOF {
 		ev.pos++
 	}
 	return t
 }
 
-func (ev *exprEval) expect(kind string) error {
-	if ev.peek().kind != kind {
-		return fmt.Errorf("expected %q in expression", kind)
+func (ev *exprEval) expect(k minic.Kind) error {
+	if ev.kind() != k {
+		return fmt.Errorf("expected %q in expression", k)
 	}
 	ev.pos++
 	return nil
 }
 
-// Binary operator precedence for debugger expressions, matching mini-C.
-func exprBinPrec(kind string) int {
-	switch kind {
-	case "||":
-		return 1
-	case "&&":
-		return 2
-	case "==", "!=":
-		return 3
-	case "<", "<=", ">", ">=":
-		return 4
-	case "+":
-		return 5
-	case "-":
-		return 5
-	case "*", "/", "%":
-		return 6
+// end fails unless the expression used up every token.
+func (ev *exprEval) end() error {
+	if ev.kind() != minic.EOF {
+		return fmt.Errorf("junk at end of expression")
 	}
-	return 0
+	return nil
 }
 
 func (ev *exprEval) expr() (result, error) {
@@ -293,15 +196,15 @@ func (ev *exprEval) binary(minPrec int) (result, error) {
 		return result{}, err
 	}
 	for {
-		op := ev.peek().kind
-		prec := exprBinPrec(op)
+		op := ev.kind()
+		prec := minic.BinaryPrec(op)
 		if prec == 0 || prec < minPrec {
 			return lhs, nil
 		}
 		// '*' and '-' and '&' are also unary; as infix operators they
 		// only appear here, after a complete operand, so no ambiguity.
-		ev.next()
-		decided := !ev.skip && (op == "&&" && !lhs.val.Bool() || op == "||" && lhs.val.Bool())
+		ev.pos++
+		decided := !ev.skip && (op == minic.AndAnd && !lhs.val.Bool() || op == minic.OrOr && lhs.val.Bool())
 		ev.skip = ev.skip || decided
 		rhs, err := ev.binary(prec + 1)
 		if decided {
@@ -314,9 +217,9 @@ func (ev *exprEval) binary(minPrec int) (result, error) {
 		case ev.skip:
 			lhs = result{}
 		case decided:
-			lhs = result{val: minic.BoolVal(op == "||")}
+			lhs = result{val: minic.BoolVal(op == minic.OrOr)}
 		default:
-			v, err := applyBinary(op, lhs.val, rhs.val)
+			v, err := minic.EvalBinary(op, lhs.val, rhs.val)
 			if err != nil {
 				return result{}, err
 			}
@@ -325,47 +228,10 @@ func (ev *exprEval) binary(minPrec int) (result, error) {
 	}
 }
 
-// applyBinary evaluates one binary operation on debugger values, with the
-// same semantics the VM gives the operator.
-func applyBinary(op string, x, y minic.Value) (minic.Value, error) {
-	var k minic.Kind
-	switch op {
-	case "+":
-		k = minic.Plus
-	case "-":
-		k = minic.Minus
-	case "*":
-		k = minic.Star
-	case "/":
-		k = minic.Slash
-	case "%":
-		k = minic.Percent
-	case "==":
-		k = minic.Eq
-	case "!=":
-		k = minic.Neq
-	case "<":
-		k = minic.Lt
-	case "<=":
-		k = minic.Le
-	case ">":
-		k = minic.Gt
-	case ">=":
-		k = minic.Ge
-	case "&&":
-		k = minic.AndAnd
-	case "||":
-		k = minic.OrOr
-	default:
-		return minic.Value{}, fmt.Errorf("unknown operator %q", op)
-	}
-	return minic.EvalBinary(k, x, y)
-}
-
 func (ev *exprEval) unary() (result, error) {
-	switch ev.peek().kind {
-	case "*":
-		ev.next()
+	switch ev.kind() {
+	case minic.Star:
+		ev.pos++
 		r, err := ev.unary()
 		if err != nil || ev.skip {
 			return result{}, err
@@ -375,8 +241,8 @@ func (ev *exprEval) unary() (result, error) {
 			return result{}, fmt.Errorf("attempt to dereference a non-pointer or null value")
 		}
 		return result{val: p.V, cell: p}, nil
-	case "&":
-		ev.next()
+	case minic.Amp:
+		ev.pos++
 		r, err := ev.unary()
 		if err != nil || ev.skip {
 			return result{}, err
@@ -385,8 +251,8 @@ func (ev *exprEval) unary() (result, error) {
 			return result{}, fmt.Errorf("attempt to take address of a value not in memory")
 		}
 		return result{val: minic.PtrVal(r.cell)}, nil
-	case "-":
-		ev.next()
+	case minic.Minus:
+		ev.pos++
 		r, err := ev.unary()
 		if err != nil || ev.skip {
 			return result{}, err
@@ -398,8 +264,8 @@ func (ev *exprEval) unary() (result, error) {
 			return result{val: minic.FloatVal(-r.val.F())}, nil
 		}
 		return result{}, fmt.Errorf("unary - applied to non-numeric value")
-	case "!":
-		ev.next()
+	case minic.Not:
+		ev.pos++
 		r, err := ev.unary()
 		if err != nil {
 			return result{}, err
@@ -415,14 +281,14 @@ func (ev *exprEval) postfix() (result, error) {
 		return result{}, err
 	}
 	for {
-		switch ev.peek().kind {
-		case "[":
-			ev.next()
+		switch ev.kind() {
+		case minic.LBracket:
+			ev.pos++
 			idx, err := ev.expr()
 			if err != nil {
 				return result{}, err
 			}
-			if err := ev.expect("]"); err != nil {
+			if err := ev.expect(minic.RBracket); err != nil {
 				return result{}, err
 			}
 			if ev.skip {
@@ -441,10 +307,10 @@ func (ev *exprEval) postfix() (result, error) {
 			}
 			cell := &arr.Cells[i]
 			r = result{val: cell.V, cell: cell}
-		case ".", "->":
-			op := ev.next().kind
+		case minic.Dot, minic.Arrow:
+			op := ev.next().Kind
 			name := ev.next()
-			if name.kind != "ident" {
+			if name.Kind != minic.IDENT {
 				return result{}, fmt.Errorf("expected field name after %q", op)
 			}
 			if ev.skip {
@@ -454,9 +320,9 @@ func (ev *exprEval) postfix() (result, error) {
 			if err != nil {
 				return result{}, err
 			}
-			fi := obj.Def.FieldIndex(name.text)
+			fi := obj.Def.FieldIndex(name.Text)
 			if fi < 0 {
-				return result{}, fmt.Errorf("struct %s has no member named %q", obj.Def.Name, name.text)
+				return result{}, fmt.Errorf("struct %s has no member named %q", obj.Def.Name, name.Text)
 			}
 			cell := &obj.Fields[fi]
 			r = result{val: cell.V, cell: cell}
@@ -466,7 +332,7 @@ func (ev *exprEval) postfix() (result, error) {
 	}
 }
 
-func structOf(v minic.Value, op string) (*minic.StructObj, error) {
+func structOf(v minic.Value, op minic.Kind) (*minic.StructObj, error) {
 	switch v.Kind {
 	case minic.VStruct:
 		if v.Struct() == nil {
@@ -487,50 +353,47 @@ func structOf(v minic.Value, op string) (*minic.StructObj, error) {
 
 func (ev *exprEval) primary() (result, error) {
 	t := ev.next()
-	switch t.kind {
-	case "int":
-		v, err := strconv.ParseInt(t.text, 10, 64)
+	switch t.Kind {
+	case minic.INTLIT:
+		v, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
-			return result{}, fmt.Errorf("bad integer %q", t.text)
+			return result{}, fmt.Errorf("bad integer %q", t.Text)
 		}
 		return result{val: minic.IntVal(v)}, nil
-	case "float":
-		v, err := strconv.ParseFloat(t.text, 64)
+	case minic.FLOATLIT:
+		v, err := strconv.ParseFloat(t.Text, 64)
 		if err != nil {
-			return result{}, fmt.Errorf("bad float %q", t.text)
+			return result{}, fmt.Errorf("bad float %q", t.Text)
 		}
 		return result{val: minic.FloatVal(v)}, nil
-	case "string":
-		return result{val: minic.StrVal(t.text)}, nil
-	case "reg":
-		if ev.skip {
-			return result{}, nil
-		}
-		return ev.register(t.text)
-	case "(":
+	case minic.STRINGLIT:
+		return result{val: minic.StrVal(t.Text)}, nil
+	case minic.KwTrue, minic.KwFalse:
+		return result{val: minic.BoolVal(t.Kind == minic.KwTrue)}, nil
+	case minic.KwNull:
+		return result{val: minic.NullVal()}, nil
+	case minic.LParen:
 		r, err := ev.expr()
 		if err != nil {
 			return result{}, err
 		}
-		if err := ev.expect(")"); err != nil {
+		if err := ev.expect(minic.RParen); err != nil {
 			return result{}, err
 		}
 		return r, nil
-	case "ident":
-		switch t.text {
-		case "true":
-			return result{val: minic.BoolVal(true)}, nil
-		case "false":
-			return result{val: minic.BoolVal(false)}, nil
-		case "null":
-			return result{val: minic.NullVal()}, nil
+	case minic.IDENT:
+		if t.Text[0] == '$' {
+			if ev.skip {
+				return result{}, nil
+			}
+			return ev.register(t.Text[1:])
 		}
-		if ev.peek().kind == "(" {
-			return ev.call(t.text)
+		if ev.kind() == minic.LParen {
+			return ev.call(t.Text)
 		}
-		return ev.d.lookupSymbol(t.text)
+		return ev.d.lookupSymbol(t.Text)
 	}
-	return result{}, fmt.Errorf("unexpected %q in expression", t.kind)
+	return result{}, fmt.Errorf("unexpected %q in expression", t.Kind)
 }
 
 func (ev *exprEval) register(name string) (result, error) {
@@ -555,24 +418,24 @@ func (ev *exprEval) register(name string) (result, error) {
 // qualified form ns::fn, which maps to ns_fn in the program/native tables
 // (a flat namespace, like a linker's).
 func (ev *exprEval) call(name string) (result, error) {
-	if err := ev.expect("("); err != nil {
+	if err := ev.expect(minic.LParen); err != nil {
 		return result{}, err
 	}
 	args := ev.d.getArgs()
 	defer func() { ev.d.putArgs(args) }()
-	for ev.peek().kind != ")" {
+	for ev.kind() != minic.RParen {
 		a, err := ev.expr()
 		if err != nil {
 			return result{}, err
 		}
 		args = append(args, a.val)
-		if ev.peek().kind == "," {
-			ev.next()
+		if ev.kind() == minic.Comma {
+			ev.pos++
 		} else {
 			break
 		}
 	}
-	if err := ev.expect(")"); err != nil || ev.skip {
+	if err := ev.expect(minic.RParen); err != nil || ev.skip {
 		return result{}, err
 	}
 	v, err := ev.d.CallValue(ev.d.mangled(name), args)

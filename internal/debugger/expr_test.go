@@ -7,9 +7,9 @@ import (
 	"d2x/internal/minic"
 )
 
-func exprFixture(t *testing.T) *Debugger {
-	t.Helper()
-	d, _ := attach(t, `global int g = 10;
+// exprFixtureSrc is the program the expression tests pause in, at line
+// 13.
+const exprFixtureSrc = `global int g = 10;
 global float gf = 2.5;
 struct box { int v; }
 func int main() {
@@ -24,37 +24,108 @@ func int main() {
 	printf("done\n");
 	return 0;
 }
-`)
+`
+
+func exprFixture(t *testing.T) *Debugger {
+	t.Helper()
+	d, _ := attach(t, exprFixtureSrc)
 	mustExec(t, d, "break gen.c:13", "run")
 	return d
 }
 
+// binaryCases hold expressions on exprFixture and what print shows.
+var binaryCases = []struct {
+	expr string
+	want string
+}{
+	{"a + b", "13"},
+	{"a * b", "42"},
+	{"b - a", "1"},
+	{"b / a", "1"},
+	{"b % a", "1"},
+	{"a < b", "true"},
+	{"a >= b", "false"},
+	{"a == 6", "true"},
+	{"a != 6", "false"},
+	{"a + b * 2", "20"},       // precedence
+	{"(a + b) * 2", "26"},     // grouping
+	{"flag && a < b", "true"}, // logical
+	{"flag || a > b", "true"},
+	{"g + a", "16"},         // global + local
+	{"gf * 2", "5"},         // float math
+	{"p->v + arr[1]", "12"}, // postfix mixes
+	{"-a + b", "1"},         // unary in binary
+	{"s + s", `"hihi"`},     // string concat
+	{"a << 2", "24"},        // shift, as in the program
+	{"1e3", "1000"},         // exponent float
+	{"1e3 / 16", "62.5"},
+	{`"x\ry"`, `"x\ry"`}, // escapes the program reads
+	{`"x\0y"`, `"x\x00y"`},
+}
+
+// shortCircuitCases hold expressions on TestShortCircuit's program,
+// whose right operands must not run, and what print shows.
+var shortCircuitCases = []struct{ expr, want string }{
+	{"a || bump()", "true"},
+	{"false && bump()", "false"},
+	{"p != null && *p > 3", "false"},
+	{"p == null || *p > 3", "true"},
+	{"arr != null && arr[2] == 1", "false"},
+	{"false && (bump() || *p > 3)", "false"},
+	{"a && !a && bump()", "false"},
+}
+
+// typeErrorExprs are expressions on exprFixture that the checker would
+// reject in a program, and typeOKCases ones it accepts.
+var (
+	typeErrorExprs = []string{`s + 1`, `s - s`, `gf % 2`, `a % gf`, `s < a`, `min_int(gf, 1)`, `min_int(s, 1)`, `str_len()`, `min_int(1, 2, 3)`}
+	typeOKCases    = []struct{ expr, want string }{
+		{"gf && flag", "false"},
+		{"s || false", "false"},
+		{"!gf", "true"},
+		{"a || gf", "true"},
+	}
+)
+
+// The assignment and the eval arguments the program's tokens split
+// differently from a scan for = and commas.
+const (
+	tokenAssign   = `arr[str_len("a=b")] = 5`
+	tokenEvalArgs = `"echo %s %s", "a\",b", "c"`
+)
+
+// exprSeeds returns the expressions, assignments and eval arguments of
+// this file's tests.
+func exprSeeds() []string {
+	seeds := append([]string{"a = b * 2 + 1", "arr[0] = a + 1", "a = 1.5", tokenAssign, tokenEvalArgs}, badExprs...)
+	seeds = append(seeds, typeErrorExprs...)
+	for _, c := range binaryCases {
+		seeds = append(seeds, c.expr)
+	}
+	for _, c := range shortCircuitCases {
+		seeds = append(seeds, c.expr)
+	}
+	for _, c := range typeOKCases {
+		seeds = append(seeds, c.expr)
+	}
+	return seeds
+}
+
+// badExprs are expressions on exprFixture that must fail.
+var badExprs = []string{
+	"a / 0", // trap semantics preserved
+	"a % 0",
+	"a +",    // incomplete
+	"* a *",  // malformed
+	"a ==",   // incomplete comparison
+	`"a\qb"`, // an escape the program rejects
+	"1.",     // tokens the program rejects
+	"--a",
+}
+
 func TestBinaryExpressions(t *testing.T) {
 	d := exprFixture(t)
-	cases := []struct {
-		expr string
-		want string
-	}{
-		{"a + b", "13"},
-		{"a * b", "42"},
-		{"b - a", "1"},
-		{"b / a", "1"},
-		{"b % a", "1"},
-		{"a < b", "true"},
-		{"a >= b", "false"},
-		{"a == 6", "true"},
-		{"a != 6", "false"},
-		{"a + b * 2", "20"},       // precedence
-		{"(a + b) * 2", "26"},     // grouping
-		{"flag && a < b", "true"}, // logical
-		{"flag || a > b", "true"},
-		{"g + a", "16"},         // global + local
-		{"gf * 2", "5"},         // float math
-		{"p->v + arr[1]", "12"}, // postfix mixes
-		{"-a + b", "1"},         // unary in binary
-		{"s + s", `"hihi"`},     // string concat
-	}
-	for _, tc := range cases {
+	for _, tc := range binaryCases {
 		v, err := d.EvalExpr(tc.expr)
 		if err != nil {
 			t.Errorf("%q: %v", tc.expr, err)
@@ -68,13 +139,7 @@ func TestBinaryExpressions(t *testing.T) {
 
 func TestBinaryExpressionErrors(t *testing.T) {
 	d := exprFixture(t)
-	for _, expr := range []string{
-		"a / 0", // trap semantics preserved
-		"a % 0",
-		"a +",   // incomplete
-		"* a *", // malformed
-		"a ==",  // incomplete comparison
-	} {
+	for _, expr := range badExprs {
 		if _, err := d.EvalExpr(expr); err == nil {
 			t.Errorf("%q accepted", expr)
 		}
@@ -118,6 +183,24 @@ func TestSetWithComputedRHS(t *testing.T) {
 	mustExec(t, d, "set var arr[0] = a + 1")
 	if v, _ := d.EvalExpr("arr[0]"); v.I != 16 {
 		t.Errorf("arr[0] = %d, want 16", v.I)
+	}
+	// The assignment's = is a token: one inside a string is not it.
+	mustExec(t, d, "set var "+tokenAssign)
+	if v, _ := d.EvalExpr("arr[3]"); v.I != 5 {
+		t.Errorf("arr[3] = %d, want 5", v.I)
+	}
+}
+
+// TestEvalArgumentsAreTokens checks that eval reads its format and
+// arguments as mini-C tokens: a comma or an escaped quote inside a
+// string argument splits nothing.
+func TestEvalArgumentsAreTokens(t *testing.T) {
+	d := exprFixture(t)
+	var out strings.Builder
+	d.out = &out
+	mustExec(t, d, "eval "+tokenEvalArgs)
+	if got := out.String(); got != "a\",b c\n" {
+		t.Errorf("eval echoed %q, want %q", got, "a\",b c\n")
 	}
 }
 
@@ -164,15 +247,7 @@ func int main() {
 }
 `)
 	mustExec(t, d, "break gen.c:11", "run")
-	for _, c := range []struct{ expr, want string }{
-		{"a || bump()", "true"},
-		{"false && bump()", "false"},
-		{"p != null && *p > 3", "false"},
-		{"p == null || *p > 3", "true"},
-		{"arr != null && arr[2] == 1", "false"},
-		{"false && (bump() || *p > 3)", "false"},
-		{"a && !a && bump()", "false"},
-	} {
+	for _, c := range shortCircuitCases {
 		v, err := d.EvalExpr(c.expr)
 		if err != nil {
 			t.Errorf("%q: %v", c.expr, err)
@@ -198,17 +273,12 @@ func int main() {
 // program keeps an int, and a native call with the wrong argument count.
 func TestUncheckedOperandsMatchChecker(t *testing.T) {
 	d := exprFixture(t)
-	for _, expr := range []string{`s + 1`, `s - s`, `gf % 2`, `a % gf`, `s < a`, `min_int(gf, 1)`, `min_int(s, 1)`, `str_len()`, `min_int(1, 2, 3)`} {
+	for _, expr := range typeErrorExprs {
 		if v, err := d.EvalExpr(expr); err == nil {
 			t.Errorf("%q = %s, want a type error", expr, minic.FormatValue(v))
 		}
 	}
-	for _, c := range []struct{ expr, want string }{
-		{"gf && flag", "false"},
-		{"s || false", "false"},
-		{"!gf", "true"},
-		{"a || gf", "true"},
-	} {
+	for _, c := range typeOKCases {
 		v, err := d.EvalExpr(c.expr)
 		if err != nil {
 			t.Errorf("%q: %v", c.expr, err)

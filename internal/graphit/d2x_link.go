@@ -20,9 +20,8 @@ func (a *Artifact) Link() (*d2x.Build, error) { return a.LinkOptimizing(false) }
 // over the generated code first.
 func (a *Artifact) LinkOptimizing(optimize bool) (*d2x.Build, error) {
 	build, err := d2x.Link(genFileName(a.GTFile), a.Source, a.Ctx, d2x.LinkOptions{
-		WithoutD2X: a.Ctx == nil,
-		Optimize:   optimize,
-		Natives:    RegisterGraphNatives,
+		Optimize: optimize,
+		Natives:  RegisterGraphNatives,
 		FileResolver: func(path string) (string, error) {
 			if path == a.GTFile {
 				return a.GTSource, nil

@@ -95,12 +95,16 @@ func (lx *lexer) skipSpaceAndComments() error {
 	return nil
 }
 
+// An identifier may start with '$', as GCC allows, and continue with
+// ':'. The debugger's expressions are mini-C, and these two spell its
+// register meta-variables ($rip) and the runtime's qualified entry
+// points (d2x_runtime::command_xbt).
 func isIdentStart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c))
+	return c == '_' || c == '$' || unicode.IsLetter(rune(c))
 }
 
 func isIdentCont(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
+	return c == '_' || c == ':' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
@@ -119,6 +123,7 @@ func (lx *lexer) next() (Token, error) {
 	switch {
 	case isIdentStart(c):
 		start := lx.pos
+		lx.advance()
 		for lx.pos < len(lx.src) && isIdentCont(lx.peek()) {
 			lx.advance()
 		}
@@ -165,6 +170,10 @@ func (lx *lexer) next() (Token, error) {
 
 	case c == '"':
 		lx.advance()
+		// A literal without escapes, every one a D2X macro passes, is
+		// sliced out of the source; only an escape builds a copy.
+		start := lx.pos
+		escaped := false
 		var b strings.Builder
 		for {
 			if lx.pos >= len(lx.src) {
@@ -180,6 +189,10 @@ func (lx *lexer) next() (Token, error) {
 			if ch == '\\' {
 				if lx.pos >= len(lx.src) {
 					return Token{}, errf(lx.file, line, col, "unterminated escape sequence")
+				}
+				if !escaped {
+					escaped = true
+					b.WriteString(lx.src[start : lx.pos-1])
 				}
 				esc := lx.advance()
 				switch esc {
@@ -200,9 +213,15 @@ func (lx *lexer) next() (Token, error) {
 				}
 				continue
 			}
-			b.WriteByte(ch)
+			if escaped {
+				b.WriteByte(ch)
+			}
 		}
-		return Token{Kind: STRINGLIT, Text: b.String(), Line: line, Col: col}, nil
+		text := lx.src[start : lx.pos-1]
+		if escaped {
+			text = b.String()
+		}
+		return Token{Kind: STRINGLIT, Text: text, Line: line, Col: col}, nil
 	}
 
 	// Operators and punctuation.
@@ -300,12 +319,11 @@ func (lx *lexer) next() (Token, error) {
 	return Token{}, errf(lx.file, line, col, "unexpected character %q", string(rune(c)))
 }
 
-// lexAll scans the entire source, returning the token stream ending in EOF.
-func lexAll(file, src string) ([]Token, error) {
+// Lex scans the entire source and appends its tokens, ending in EOF, to
+// toks. The parser reads them, and so does the debugger's expression
+// evaluator.
+func Lex(toks []Token, file, src string) ([]Token, error) {
 	lx := newLexer(file, src)
-	// Generated code, tables included, runs about three bytes a token;
-	// sizing for that spares most of the regrowth of a large slice.
-	toks := make([]Token, 0, len(src)/3)
 	for {
 		t, err := lx.next()
 		if err != nil {

@@ -294,96 +294,26 @@ func (o *optimizer) expr(e Expr) Expr {
 	return e
 }
 
-// foldBinary evaluates constant operands at compile time. Division and
-// modulo by a constant zero are left alone: the fault must happen at run
-// time, where the debugger can catch it.
+// foldBinary evaluates an operator on two literals of one kind at compile
+// time, through the VM's own semantics (EvalBinary). A pair the VM faults
+// on, a division by zero or a shift out of range, is left alone: the
+// fault must happen at run time, where the debugger can catch it. So is
+// a pair of two kinds, which Check, running after the optimiser, rejects.
 func foldBinary(x *BinaryExpr) Expr {
-	li, liOK := x.X.(*IntLit)
-	ri, riOK := x.Y.(*IntLit)
-	if liOK && riOK {
-		a, c := li.Value, ri.Value
-		mk := func(v int64) Expr { return &IntLit{exprBase: exprBase{Line: x.Line}, Value: v} }
-		mkb := func(v bool) Expr { return &BoolLit{exprBase: exprBase{Line: x.Line}, Value: v} }
-		switch x.Op {
-		case Plus:
-			return mk(a + c)
-		case Minus:
-			return mk(a - c)
-		case Star:
-			return mk(a * c)
-		case Slash:
-			if c != 0 {
-				return mk(a / c)
-			}
-		case Percent:
-			if c != 0 {
-				return mk(a % c)
-			}
-		case Shl:
-			if c >= 0 && c <= 63 {
-				return mk(a << uint(c))
-			}
-		case Shr:
-			if c >= 0 && c <= 63 {
-				return mk(a >> uint(c))
-			}
-		case Eq:
-			return mkb(a == c)
-		case Neq:
-			return mkb(a != c)
-		case Lt:
-			return mkb(a < c)
-		case Le:
-			return mkb(a <= c)
-		case Gt:
-			return mkb(a > c)
-		case Ge:
-			return mkb(a >= c)
+	a, aOK := literalOperand(x.X)
+	b, bOK := literalOperand(x.Y)
+	if aOK && bOK && a.Kind == b.Kind {
+		if !folds(a.Kind, x.Op) {
+			return nil
 		}
-		return nil
-	}
-	lf, lfOK := x.X.(*FloatLit)
-	rf, rfOK := x.Y.(*FloatLit)
-	if lfOK && rfOK {
-		a, c := lf.Value, rf.Value
-		mk := func(v float64) Expr { return &FloatLit{exprBase: exprBase{Line: x.Line}, Value: v} }
-		switch x.Op {
-		case Plus:
-			return mk(a + c)
-		case Minus:
-			return mk(a - c)
-		case Star:
-			return mk(a * c)
-		case Slash:
-			if c != 0 {
-				return mk(a / c)
-			}
+		v, err := EvalBinary(x.Op, a, b)
+		if err != nil {
+			return nil
 		}
-		return nil
-	}
-	lb, lbOK := x.X.(*BoolLit)
-	rb, rbOK := x.Y.(*BoolLit)
-	if lbOK && rbOK {
-		mkb := func(v bool) Expr { return &BoolLit{exprBase: exprBase{Line: x.Line}, Value: v} }
-		switch x.Op {
-		case AndAnd:
-			return mkb(lb.Value && rb.Value)
-		case OrOr:
-			return mkb(lb.Value || rb.Value)
-		case Eq:
-			return mkb(lb.Value == rb.Value)
-		case Neq:
-			return mkb(lb.Value != rb.Value)
-		}
-		return nil
-	}
-	ls, lsOK := x.X.(*StringLit)
-	rs, rsOK := x.Y.(*StringLit)
-	if lsOK && rsOK && x.Op == Plus {
-		return &StringLit{exprBase: exprBase{Line: x.Line}, Value: ls.Value + rs.Value}
+		return literalOf(v, x.Line)
 	}
 	// Short-circuit with one constant bool side.
-	if lbOK {
+	if lb, ok := x.X.(*BoolLit); ok {
 		if x.Op == AndAnd {
 			if lb.Value {
 				return x.Y
@@ -398,6 +328,45 @@ func foldBinary(x *BinaryExpr) Expr {
 		}
 	}
 	return nil
+}
+
+// folds reports whether foldBinary folds op on two literals of kind k:
+// every int operator but && and ||, float arithmetic, bool logic and
+// equality, and string concatenation.
+func folds(k ValueKind, op Kind) bool {
+	switch k {
+	case VInt:
+		return op != AndAnd && op != OrOr
+	case VFloat:
+		return op == Plus || op == Minus || op == Star || op == Slash
+	case VBool:
+		return op == AndAnd || op == OrOr || op == Eq || op == Neq
+	}
+	return op == Plus
+}
+
+// literalOperand returns the value of an int, float, bool or string
+// literal.
+func literalOperand(e Expr) (Value, bool) {
+	switch e.(type) {
+	case *IntLit, *FloatLit, *BoolLit, *StringLit:
+		return literalValue(e), true
+	}
+	return Value{}, false
+}
+
+// literalOf is the literal of v, on the given line.
+func literalOf(v Value, line int) Expr {
+	at := exprBase{Line: line}
+	switch v.Kind {
+	case VInt:
+		return &IntLit{exprBase: at, Value: v.I}
+	case VFloat:
+		return &FloatLit{exprBase: at, Value: v.F()}
+	case VBool:
+		return &BoolLit{exprBase: at, Value: v.Bool()}
+	}
+	return &StringLit{exprBase: at, Value: v.S()}
 }
 
 // simplifyAlgebraic applies identity rules: x+0, x-0, x*1, x*0, x/1, 0+x,

@@ -39,6 +39,18 @@ func int main() {
 	}
 }
 
+// TestFoldKeepsFaultsAndMixedKinds checks the literal pairs the folder
+// leaves alone: those the VM faults on, which must fault at run time;
+// those of two kinds, which Check rejects after the optimiser runs; and
+// operators it does not fold on their kind.
+func TestFoldKeepsFaultsAndMixedKinds(t *testing.T) {
+	for _, e := range []string{"1 / 0", "1 % 0", "1 << 64", "1 >> -1", "1.5 / 0.0", "1 + 2.5", `"a" + 1`, "true + 1", "1.5 < 2.5", `"a" == "a"`, "1 && 2", "true < false"} {
+		if out, _ := optimizeSource(t, "func int main() { x = "+e+"; return 0; }"); !strings.Contains(out, "x = "+e+";") {
+			t.Errorf("%s was rewritten:\n%s", e, out)
+		}
+	}
+}
+
 func TestAlgebraicSimplification(t *testing.T) {
 	out, _ := optimizeSource(t, `
 func int f(int x) {

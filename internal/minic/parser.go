@@ -1,6 +1,9 @@
 package minic
 
-import "strconv"
+import (
+	"strconv"
+	"strings"
+)
 
 // parser builds the AST from the token stream. It is a conventional
 // recursive-descent parser with one token of (occasionally multi-token,
@@ -13,7 +16,9 @@ type parser struct {
 
 // Parse parses mini-C source text into an unchecked File.
 func Parse(filename, src string) (*File, error) {
-	toks, err := lexAll(filename, src)
+	// Generated code, tables included, runs 2 to 3 bytes a token; sizing
+	// for two, plus the EOF, spares the regrowth of a large slice.
+	toks, err := Lex(make([]Token, 0, len(src)/2+1), filename, src)
 	if err != nil {
 		return nil, err
 	}
@@ -45,6 +50,17 @@ func (p *parser) expect(k Kind) (Token, error) {
 		return t, errf(p.file, t.Line, t.Col, "expected %s, found %s", k, t)
 	}
 	return p.advance(), nil
+}
+
+// declName reads the name a declaration introduces. The lexer's '$' and
+// ':' spell the debugger's registers and qualified names, and the
+// debugger could not reach a program symbol spelled so.
+func (p *parser) declName() (Token, error) {
+	t, err := p.expect(IDENT)
+	if err == nil && strings.ContainsAny(t.Text, "$:") {
+		return t, errf(p.file, t.Line, t.Col, "identifier %q: '$' and ':' are reserved for the debugger", t.Text)
+	}
+	return t, err
 }
 
 func (p *parser) errHere(format string, args ...any) error {
@@ -83,7 +99,7 @@ func (p *parser) parseFile() (*File, error) {
 
 func (p *parser) parseStruct() (*StructDef, error) {
 	kw, _ := p.expect(KwStruct)
-	name, err := p.expect(IDENT)
+	name, err := p.declName()
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +112,7 @@ func (p *parser) parseStruct() (*StructDef, error) {
 		if err != nil {
 			return nil, err
 		}
-		fn, err := p.expect(IDENT)
+		fn, err := p.declName()
 		if err != nil {
 			return nil, err
 		}
@@ -118,7 +134,7 @@ func (p *parser) parseGlobal() (*GlobalDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-	name, err := p.expect(IDENT)
+	name, err := p.declName()
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +188,7 @@ func (p *parser) parseFunc() (*FuncDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-	name, err := p.expect(IDENT)
+	name, err := p.declName()
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +201,7 @@ func (p *parser) parseFunc() (*FuncDecl, error) {
 		if err != nil {
 			return nil, err
 		}
-		pn, err := p.expect(IDENT)
+		pn, err := p.declName()
 		if err != nil {
 			return nil, err
 		}
@@ -362,7 +378,7 @@ func (p *parser) parseVarDecl() (*VarDeclStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	name, err := p.expect(IDENT)
+	name, err := p.declName()
 	if err != nil {
 		return nil, err
 	}
@@ -518,7 +534,7 @@ func (p *parser) parseParallelFor() (*ParallelForStmt, error) {
 	if _, err := p.expect(KwInt); err != nil {
 		return nil, err
 	}
-	name, err := p.expect(IDENT)
+	name, err := p.declName()
 	if err != nil {
 		return nil, err
 	}
@@ -576,8 +592,9 @@ func (p *parser) parseParallelFor() (*ParallelForStmt, error) {
 
 // ---- Expressions ----
 
-// Binary operator precedence, higher binds tighter.
-func binPrec(k Kind) int {
+// BinaryPrec is a binary operator's precedence, higher binding tighter,
+// and 0 for any other token. The debugger binds its expressions by it.
+func BinaryPrec(k Kind) int {
 	switch k {
 	case OrOr:
 		return 1
@@ -608,7 +625,7 @@ func (p *parser) parseBinary(minPrec int) (Expr, error) {
 	}
 	for {
 		op := p.cur().Kind
-		prec := binPrec(op)
+		prec := BinaryPrec(op)
 		if prec == 0 || prec < minPrec {
 			return lhs, nil
 		}

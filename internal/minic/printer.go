@@ -235,7 +235,7 @@ func exprStringRaw(e Expr) (string, int) {
 	case *Ident:
 		return x.Name, 8
 	case *BinaryExpr:
-		prec := binPrec(x.Op)
+		prec := BinaryPrec(x.Op)
 		// Left-associative: the right child needs strictly higher binding.
 		return fmt.Sprintf("%s %s %s",
 			exprStringPrec(x.X, prec), x.Op, exprStringPrec(x.Y, prec+1)), prec

@@ -159,19 +159,21 @@ func TestPrinterPreservesEvaluation(t *testing.T) {
 }
 
 // TestLexerPropertyIdentifiers checks that any identifier-shaped string
-// round-trips through the lexer as a single IDENT token (or keyword).
+// round-trips through the lexer as a single IDENT token (or keyword),
+// the debugger's $rip and ns::fn spellings included.
 func TestLexerPropertyIdentifiers(t *testing.T) {
-	letters := "abcdefghijklmnopqrstuvwxyz_ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+	letters := "abcdefghijklmnopqrstuvwxyz_ABCDEFGHIJKLMNOPQRSTUVWXYZ$"
+	cont := "abcdefghijklmnopqrstuvwxyz0123456789_:"
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := r.Intn(20) + 1
 		var b strings.Builder
 		b.WriteByte(letters[r.Intn(len(letters))])
 		for i := 1; i < n; i++ {
-			b.WriteByte("abcdefghijklmnopqrstuvwxyz0123456789_"[r.Intn(37)])
+			b.WriteByte(cont[r.Intn(len(cont))])
 		}
 		name := b.String()
-		toks, err := lexAll("t.c", name)
+		toks, err := Lex(nil, "t.c", name)
 		if err != nil {
 			return false
 		}
@@ -198,7 +200,7 @@ func TestStringLiteralRoundTrip(t *testing.T) {
 				return true
 			}
 		}
-		toks, err := lexAll("t.c", quoteMiniC(s))
+		toks, err := Lex(nil, "t.c", quoteMiniC(s))
 		if err != nil {
 			t.Logf("lex error for %q: %v", s, err)
 			return false

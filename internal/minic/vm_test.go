@@ -412,6 +412,9 @@ func TestCompileErrors(t *testing.T) {
 		{"arraylit-wrong-type", `global int[] x = {1, "a"}; func int main() { return 0; }`, "cannot initialise element 1 of int[] global \"x\" with string"},
 		{"arraylit-local", `func int main() { int[] a = {1}; return 0; }`, "expected expression, found {"},
 		{"arraylit-trailing-comma", `global int[] x = {1,}; func int main() { return 0; }`, "expected expression, found }"},
+		{"dollar-ident", `func int main() { int $x = 1; return $x; }`, `identifier "$x": '$' and ':' are reserved for the debugger`},
+		{"colon-ident", `func int a::b() { return 0; } func int main() { return a::b(); }`, `identifier "a::b": '$' and ':' are reserved`},
+		{"colon-field", `struct s { int a:b; } func int main() { return 0; }`, `identifier "a:b": '$' and ':' are reserved`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
