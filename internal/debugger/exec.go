@@ -99,6 +99,11 @@ func (d *Debugger) resume(mode resumeMode) (Stop, error) {
 		return stopped
 	})
 	if stopped {
+		// A reverse command that lands on this stop later restores it
+		// rather than replaying up to it.
+		if j := d.ActiveRecorder(); j != nil {
+			j.CheckpointStop()
+		}
 		return d.lastStop, nil
 	}
 	switch ft := vm.Faulted(); {
@@ -236,8 +241,20 @@ func (d *Debugger) CallValue(name string, args []minic.Value) (minic.Value, erro
 
 // misfit reports whether v may not go where the program keeps a value of
 // kind want, as the checker would reject it: a float or a string where an
-// int or a bool lives. The VM reads ints and bools through Value.I, which
-// holds a float's bits and a string's length.
+// int or a bool lives, which the VM reads through Value.I, holding a
+// float's bits and a string's length; and a pointer, array or struct
+// where any of the four lives, which would also let an array contain
+// itself.
 func misfit(want minic.ValueKind, v minic.Value) bool {
-	return (want == minic.VInt || want == minic.VBool) && (v.Kind == minic.VFloat || v.Kind == minic.VStr)
+	switch want {
+	case minic.VInt, minic.VBool:
+		return v.Kind == minic.VFloat || v.Kind == minic.VStr || isRef(v.Kind)
+	case minic.VFloat, minic.VStr:
+		return isRef(v.Kind)
+	}
+	return false
+}
+
+func isRef(k minic.ValueKind) bool {
+	return k == minic.VPtr || k == minic.VArr || k == minic.VStruct
 }

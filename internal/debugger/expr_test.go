@@ -78,7 +78,7 @@ var shortCircuitCases = []struct{ expr, want string }{
 // typeErrorExprs are expressions on exprFixture that the checker would
 // reject in a program, and typeOKCases ones it accepts.
 var (
-	typeErrorExprs = []string{`s + 1`, `s - s`, `gf % 2`, `a % gf`, `s < a`, `min_int(gf, 1)`, `min_int(s, 1)`, `str_len()`, `min_int(1, 2, 3)`}
+	typeErrorExprs = []string{`s + 1`, `s - s`, `gf % 2`, `a % gf`, `s < a`, `min_int(gf, 1)`, `min_int(s, 1)`, `min_int(&a, 1)`, `str_len(arr)`, `str_len()`, `min_int(1, 2, 3)`}
 	typeOKCases    = []struct{ expr, want string }{
 		{"gf && flag", "false"},
 		{"s || false", "false"},
@@ -86,6 +86,15 @@ var (
 		{"a || gf", "true"},
 	}
 )
+
+// refMisfits are assignments on exprFixture of a pointer, array or
+// struct where an int or a bool lives, and the error set var gives.
+var refMisfits = []struct{ assign, lhs, err string }{
+	{"arr[0] = &a", "arr[0]", "cannot assign pointer to int"},
+	{"a = p", "a", "cannot assign struct to int"},
+	{"flag = &g", "flag", "cannot assign pointer to bool"},
+	{"arr[2] = arr", "arr[2]", "cannot assign array to int"},
+}
 
 // The assignment and the eval arguments the program's tokens split
 // differently from a scan for = and commas.
@@ -99,6 +108,9 @@ const (
 func exprSeeds() []string {
 	seeds := append([]string{"a = b * 2 + 1", "arr[0] = a + 1", "a = 1.5", tokenAssign, tokenEvalArgs}, badExprs...)
 	seeds = append(seeds, typeErrorExprs...)
+	for _, c := range refMisfits {
+		seeds = append(seeds, c.assign)
+	}
 	for _, c := range binaryCases {
 		seeds = append(seeds, c.expr)
 	}
@@ -269,8 +281,9 @@ func int main() {
 
 // TestUncheckedOperandsMatchChecker checks that the debugger rejects, as
 // the checker rejects in a program, operands whose int reading would see
-// a float's bits or a string's length, a float or a string where the
-// program keeps an int, and a native call with the wrong argument count.
+// a float's bits or a string's length, a float, a string, a pointer or an
+// array passed where the program keeps an int or a string, and a native
+// call with the wrong argument count.
 func TestUncheckedOperandsMatchChecker(t *testing.T) {
 	d := exprFixture(t)
 	for _, expr := range typeErrorExprs {
@@ -293,5 +306,25 @@ func TestUncheckedOperandsMatchChecker(t *testing.T) {
 	}
 	if v, _ := d.EvalExpr("a"); v.Kind != minic.VInt || v.I != 6 {
 		t.Errorf("a = %s after the rejected set, want 6", minic.FormatValue(v))
+	}
+}
+
+// TestSetVarRejectsReferences checks that set var, as the checker,
+// rejects a pointer, array or struct stored where an int or a bool
+// lives, and leaves the location as it was.
+func TestSetVarRejectsReferences(t *testing.T) {
+	d := exprFixture(t)
+	for _, c := range refMisfits {
+		before, err := d.EvalExpr(c.lhs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = d.Execute("set var " + c.assign)
+		if err == nil || err.Error() != c.err {
+			t.Errorf("set var %s: error %v, want %q", c.assign, err, c.err)
+		}
+		if v, _ := d.EvalExpr(c.lhs); minic.FormatValue(v) != minic.FormatValue(before) {
+			t.Errorf("set var %s: %s = %s, want %s", c.assign, c.lhs, minic.FormatValue(v), minic.FormatValue(before))
+		}
 	}
 }

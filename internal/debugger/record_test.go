@@ -3,6 +3,8 @@ package debugger
 import (
 	"strings"
 	"testing"
+
+	"d2x/internal/minic/journal"
 )
 
 // recLoopSrc prints each iteration, so forward/replay transcripts can be
@@ -189,4 +191,125 @@ func itoa(n int64) string {
 		n /= 10
 	}
 	return string(b[i:])
+}
+
+// recSpacedSrc stops at line 13 once per outer iteration, each stop
+// over a hundred thousand instructions after the last, so every stop is
+// far enough past the latest snapshot to be checkpointed; `next` in
+// work's loop stops every few instructions.
+const recSpacedSrc = `func int work(int n) {
+	int s = 0;
+	for (int k = 0; k < n; k++) {
+		int r = k % 7;
+		s = s + r;
+	}
+	return s;
+}
+func int main() {
+	int total = 0;
+	for (int i = 0; i < 6; i++) {
+		total = total + work(8000 + i);
+		printf("i=%d total=%d\n", i, total);
+	}
+	printf("final %d\n", total);
+	return 0;
+}
+`
+
+// stopView is what the debugger shows at a stop: the backtrace, the
+// locals, the registers and the threads.
+func stopView(t *testing.T, d *Debugger, out *strings.Builder) string {
+	t.Helper()
+	n := out.Len()
+	mustExec(t, d, "bt", "info locals", "info registers", "info threads")
+	return out.String()[n:]
+}
+
+// TestReverseOpsRestoreRecordedStops: a reverse-continue or record goto
+// that lands on a recorded breakpoint stop restores the snapshot taken
+// there and replays nothing, and the stop shows what it showed forward.
+func TestReverseOpsRestoreRecordedStops(t *testing.T) {
+	d, out := attach(t, recSpacedSrc)
+	mustExec(t, d, "break gen.c:13", "run", "record")
+	rec := d.ActiveRecorder()
+	var pos []int64
+	var banners, views []string
+	for k := 0; k < 3; k++ {
+		n := out.Len()
+		mustExec(t, d, "continue")
+		banners = append(banners, out.String()[n:])
+		pos = append(pos, rec.Step())
+		views = append(views, stopView(t, d, out))
+	}
+	if gap := pos[1] - pos[0]; gap < journal.StopCheckpointGap {
+		t.Fatalf("setup: stops %d instructions apart, want at least %d", gap, journal.StopCheckpointGap)
+	}
+
+	replayed := rec.Stats().ReplaySteps
+	n := out.Len()
+	mustExec(t, d, "reverse-continue")
+	got := out.String()[n:]
+	if rec.Step() != pos[1] {
+		t.Fatalf("reverse-continue landed at %d, want the second stop at %d", rec.Step(), pos[1])
+	}
+	if !strings.Contains(got, "Breakpoint 1,") || !strings.HasSuffix(banners[1], got) {
+		t.Errorf("reverse-continue printed %q, want the forward stop's %q", got, banners[1])
+	}
+	if v := stopView(t, d, out); v != views[1] {
+		t.Errorf("after reverse-continue:\n%s\nforward:\n%s", v, views[1])
+	}
+	if r := rec.Stats().ReplaySteps - replayed; r != 0 {
+		t.Errorf("reverse-continue replayed %d instructions, want 0", r)
+	}
+
+	replayed = rec.Stats().ReplaySteps
+	mustExec(t, d, "record goto "+itoa(pos[0]))
+	if v := stopView(t, d, out); v != views[0] {
+		t.Errorf("after record goto:\n%s\nforward:\n%s", v, views[0])
+	}
+	if r := rec.Stats().ReplaySteps - replayed; r != 0 {
+		t.Errorf("record goto replayed %d instructions, want 0", r)
+	}
+}
+
+// TestSteppingBoundsStopCheckpoints: stepping stops every few
+// instructions, and the journal snapshots at most one of those stops per
+// StopCheckpointGap instructions of history.
+func TestSteppingBoundsStopCheckpoints(t *testing.T) {
+	d, _ := attach(t, recSpacedSrc)
+	mustExec(t, d, "break gen.c:4", "run", "delete 1", "record")
+	rec := d.ActiveRecorder()
+	for k := 0; k < 8000; k++ {
+		mustExec(t, d, "next")
+	}
+	st := rec.Stats()
+	if st.Snapshots < 3 {
+		t.Fatalf("%d snapshots over %d instructions: the stops were never checkpointed", st.Snapshots, st.Steps)
+	}
+	if most := 1 + st.Steps/journal.StopCheckpointGap; int64(st.Snapshots) > most {
+		t.Errorf("%d snapshots over %d instructions, want at most %d", st.Snapshots, st.Steps, most)
+	}
+}
+
+// TestSetVariableReplacesCheckpoint: a set var at a stop that already
+// has a snapshot, a second set var at one stop, and a set var where the
+// recording starts all survive a rewind to that stop.
+func TestSetVariableReplacesCheckpoint(t *testing.T) {
+	d, _ := attach(t, recSpacedSrc)
+	mustExec(t, d, "break gen.c:13", "run", "record", "set var total = 7", "continue", "continue")
+	rec := d.ActiveRecorder()
+	mark := rec.Step()
+	before := rec.Stats().Snapshots
+	mustExec(t, d, "set var total = 500", "set var total = 600")
+	if got := rec.Stats().Snapshots; got != before {
+		t.Fatalf("set var at a checkpointed stop left %d snapshots, want %d", got, before)
+	}
+	mustExec(t, d, "continue", "continue", "record goto "+itoa(mark))
+	if v, _ := d.EvalExpr("total"); v.I != 600 {
+		t.Errorf("rewound to the mutated stop: total = %d, want 600", v.I)
+	}
+	mustExec(t, d, "record goto 0")
+	if v, _ := d.EvalExpr("total"); v.I != 7 {
+		t.Errorf("rewound to the recording's start: total = %d, want 7", v.I)
+	}
 }

@@ -405,50 +405,60 @@ func (c *fnCompiler) castIfNeeded(dst, src *Type) {
 
 func (c *fnCompiler) assign(st *AssignStmt) error {
 	lt := st.LHS.Type()
+	op := Assign // or the operator of a compound assignment
 	switch st.Op {
 	case Assign:
-		// Simple-variable fast paths avoid address materialisation.
-		if id, ok := st.LHS.(*Ident); ok {
-			if err := c.expr(st.RHS); err != nil {
+	case PlusAssign:
+		op = Plus
+	case MinusAssign:
+		op = Minus
+	default:
+		return fmt.Errorf("minic: unknown assignment operator %s", st.Op)
+	}
+	// A plain variable is loaded and stored directly: taking a local's
+	// address would keep its function's frames from being reused.
+	if id, ok := st.LHS.(*Ident); ok {
+		if op != Assign {
+			if err := c.expr(id); err != nil {
 				return err
 			}
-			c.castIfNeeded(lt, st.RHS.Type())
-			if id.IsGlobal {
-				c.emit(OpStoreGlobal, id.GlobalIndex, 0)
-			} else {
-				c.emit(OpStoreLocal, id.Slot, 0)
-			}
-			return nil
 		}
-		if err := c.addr(st.LHS); err != nil {
+		if err := c.assignedValue(op, lt, st.RHS); err != nil {
 			return err
 		}
-		if err := c.expr(st.RHS); err != nil {
-			return err
+		if id.IsGlobal {
+			c.emit(OpStoreGlobal, id.GlobalIndex, 0)
+		} else {
+			c.emit(OpStoreLocal, id.Slot, 0)
 		}
-		c.castIfNeeded(lt, st.RHS.Type())
-		c.emit(OpStoreInd, 0, 0)
-		return nil
-
-	case PlusAssign, MinusAssign:
-		op := Plus
-		if st.Op == MinusAssign {
-			op = Minus
-		}
-		if err := c.addr(st.LHS); err != nil {
-			return err
-		}
-		c.emit(OpDup, 0, 0)
-		c.emit(OpLoadInd, 0, 0)
-		if err := c.expr(st.RHS); err != nil {
-			return err
-		}
-		c.emit(OpBin, int(op), 0)
-		c.castIfNeeded(lt, st.RHS.Type())
-		c.emit(OpStoreInd, 0, 0)
 		return nil
 	}
-	return fmt.Errorf("minic: unknown assignment operator %s", st.Op)
+	if err := c.addr(st.LHS); err != nil {
+		return err
+	}
+	if op != Assign {
+		c.emit(OpDup, 0, 0)
+		c.emit(OpLoadInd, 0, 0)
+	}
+	if err := c.assignedValue(op, lt, st.RHS); err != nil {
+		return err
+	}
+	c.emit(OpStoreInd, 0, 0)
+	return nil
+}
+
+// assignedValue compiles the value an assignment stores into a location of
+// type lt: rhs, applied with op to the location's value already on the
+// stack unless op is Assign, and widened to float where lt is float.
+func (c *fnCompiler) assignedValue(op Kind, lt *Type, rhs Expr) error {
+	if err := c.expr(rhs); err != nil {
+		return err
+	}
+	if op != Assign {
+		c.emit(OpBin, int(op), 0)
+	}
+	c.castIfNeeded(lt, rhs.Type())
+	return nil
 }
 
 // addr compiles the address of an addressable expression onto the stack.

@@ -3,11 +3,12 @@
 // The design is the classic deterministic-replay one (rr, GDB process
 // record): because the VM is single-goroutine, round-robin scheduled and
 // input-free, execution is a pure function of a state snapshot, so the
-// journal only needs periodic full snapshots plus a log of where
-// execution stood. Restoring to position N restores the nearest snapshot
-// at or before N and re-executes the gap with program output suppressed;
-// re-execution is byte-identical to the original run, which the replay
-// differential tests pin.
+// journal only needs snapshots plus a log of where execution stood.
+// Restoring to position N restores the nearest snapshot at or before N
+// and re-executes the gap with program output suppressed; re-execution
+// is byte-identical to the original run, which the replay differential
+// tests pin. Snapshots are taken at a fixed spacing and at the stops the
+// debugger reports (CheckpointStop), where rewinds land.
 //
 // Positions count scheduled instructions, and the VM keeps that count
 // itself (minic.VM.Scheduled), so the log need not hold one record per
@@ -224,9 +225,9 @@ func (j *Journal) grow() {
 }
 
 // checkpoint takes a snapshot at position step unless one is already
-// recorded there (a forced Checkpoint at a stop is followed by the hook
-// at the same position when execution resumes), and schedules the next
-// cadence snapshot for the following multiple of `every`.
+// recorded there (a checkpoint at a stop is followed by the hook at the
+// same position when execution resumes), and schedules the next cadence
+// snapshot for the following multiple of `every`.
 func (j *Journal) checkpoint(step int64) {
 	if j.snaps[len(j.snaps)-1].step < step {
 		j.snaps = append(j.snaps, checkpoint{step: step, snap: j.vm.TakeSnapshot()})
@@ -234,15 +235,44 @@ func (j *Journal) checkpoint(step int64) {
 	j.nextSnap = step - step%j.every + j.every
 }
 
-// Checkpoint forces a full snapshot at the current position. The
-// debugger calls this after mutating the debuggee at a stop (`set var`),
-// so that replays crossing the stop see the mutated state exactly as the
-// forward run did.
+// StopCheckpointGap is the least history, in scheduled instructions,
+// that CheckpointStop wants between the latest snapshot and a stop it
+// snapshots. A snapshot at a stop makes a later rewind to that stop a
+// restore with nothing to replay, but it costs a copy of the arrays
+// changed since the previous snapshot (tens of microseconds on Fig4),
+// and stepping stops every few instructions. The gap bounds both sides:
+// at most one stop snapshot per 16K instructions of history, however
+// the user steps, and a rewind to any stop replays fewer than 16K
+// instructions, since a stop goes unsnapshotted only when a snapshot
+// lies closer behind it.
+const StopCheckpointGap = 1 << 14
+
+// CheckpointStop snapshots the current position, where the debugger has
+// stopped, unless the latest snapshot lies fewer than StopCheckpointGap
+// scheduled instructions back.
+func (j *Journal) CheckpointStop() {
+	if !j.active {
+		return
+	}
+	if step := j.Step(); step-j.snaps[len(j.snaps)-1].step >= StopCheckpointGap {
+		j.checkpoint(step)
+	}
+}
+
+// Checkpoint forces a full snapshot at the current position, replacing
+// one already taken there. The debugger calls this after mutating the
+// debuggee at a stop (`set var`), so that replays crossing the stop see
+// the mutated state exactly as the forward run did.
 func (j *Journal) Checkpoint() {
 	if !j.active {
 		return
 	}
-	j.checkpoint(j.Step())
+	step := j.Step()
+	if last := &j.snaps[len(j.snaps)-1]; last.step == step {
+		last.snap = j.vm.TakeSnapshot()
+		return
+	}
+	j.checkpoint(step)
 }
 
 // records returns the number of statement records logged.

@@ -217,15 +217,6 @@ func (r *stepwiseRun) runRef(budget int64) (int64, bool, error) {
 // compare checks that the two VMs are in the same state and have seen
 // the same stop and hook calls since the last compare.
 func (r *stepwiseRun) compare() error {
-	a, b := r.fast, r.ref
-	if a.Steps != b.Steps || a.Scheduled() != b.Scheduled() || a.SchedCursor() != b.SchedCursor() {
-		return fmt.Errorf("Steps/Scheduled/cursor %d/%d/%d, stepwise %d/%d/%d",
-			a.Steps, a.Scheduled(), a.SchedCursor(), b.Steps, b.Scheduled(), b.SchedCursor())
-	}
-	if a.Done() != b.Done() || threadID(a.Faulted()) != threadID(b.Faulted()) {
-		return fmt.Errorf("done %v faulted %d, stepwise done %v faulted %d",
-			a.Done(), threadID(a.Faulted()), b.Done(), threadID(b.Faulted()))
-	}
 	if err := sameBoundaries("stop", r.fastStops, r.refStops); err != nil {
 		return err
 	}
@@ -234,27 +225,42 @@ func (r *stepwiseRun) compare() error {
 	}
 	r.fastStops, r.refStops = r.fastStops[:0], r.refStops[:0]
 	r.fastHooks, r.refHooks = r.fastHooks[:0], r.refHooks[:0]
+	return sameState(r.fast, r.ref)
+}
+
+// sameState checks that a and b are in the same state: the counts, the
+// cursor, every thread, frame and slot, and the globals. b is the
+// reference.
+func sameState(a, b *minic.VM) error {
+	if a.Steps != b.Steps || a.Scheduled() != b.Scheduled() || a.SchedCursor() != b.SchedCursor() {
+		return fmt.Errorf("Steps/Scheduled/cursor %d/%d/%d, reference %d/%d/%d",
+			a.Steps, a.Scheduled(), a.SchedCursor(), b.Steps, b.Scheduled(), b.SchedCursor())
+	}
+	if a.Done() != b.Done() || threadID(a.Faulted()) != threadID(b.Faulted()) {
+		return fmt.Errorf("done %v faulted %d, reference done %v faulted %d",
+			a.Done(), threadID(a.Faulted()), b.Done(), threadID(b.Faulted()))
+	}
 	ta, tb := a.Threads(), b.Threads()
 	if len(ta) != len(tb) {
-		return fmt.Errorf("%d threads, stepwise %d", len(ta), len(tb))
+		return fmt.Errorf("%d threads, reference %d", len(ta), len(tb))
 	}
 	for i, x := range ta {
 		y := tb[i]
 		if x.ID != y.ID || x.State != y.State || len(x.Frames) != len(y.Frames) {
-			return fmt.Errorf("thread %d %s with %d frames, stepwise thread %d %s with %d frames",
+			return fmt.Errorf("thread %d %s with %d frames, reference thread %d %s with %d frames",
 				x.ID, x.State, len(x.Frames), y.ID, y.State, len(y.Frames))
 		}
 		if (x.Fault == nil) != (y.Fault == nil) || x.Fault != nil && x.Fault.Error() != y.Fault.Error() {
-			return fmt.Errorf("thread %d fault %v, stepwise %v", x.ID, x.Fault, y.Fault)
+			return fmt.Errorf("thread %d fault %v, reference %v", x.ID, x.Fault, y.Fault)
 		}
 		for j, f := range x.Frames {
 			g := y.Frames[j]
 			if f.FuncIndex != g.FuncIndex || f.PC != g.PC || len(f.Slots) != len(g.Slots) {
-				return fmt.Errorf("thread %d frame %d: %s pc %d, stepwise %s pc %d", x.ID, j, f.Fn.Name, f.PC, g.Fn.Name, g.PC)
+				return fmt.Errorf("thread %d frame %d: %s pc %d, reference %s pc %d", x.ID, j, f.Fn.Name, f.PC, g.Fn.Name, g.PC)
 			}
 			for k, c := range f.Slots {
 				if !samePrint(c.V, g.Slots[k].V, 0) {
-					return fmt.Errorf("thread %d frame %d (%s) slot %d = %s, stepwise %s",
+					return fmt.Errorf("thread %d frame %d (%s) slot %d = %s, reference %s",
 						x.ID, j, f.Fn.Name, k, minic.FormatValue(c.V), minic.FormatValue(g.Slots[k].V))
 				}
 			}
@@ -262,7 +268,7 @@ func (r *stepwiseRun) compare() error {
 	}
 	for i := range a.Globals {
 		if x, y := a.Globals[i].V, b.Globals[i].V; !samePrint(x, y, 0) {
-			return fmt.Errorf("global %s = %s, stepwise %s", a.Prog.Globals[i].Name, minic.FormatValue(x), minic.FormatValue(y))
+			return fmt.Errorf("global %s = %s, reference %s", a.Prog.Globals[i].Name, minic.FormatValue(x), minic.FormatValue(y))
 		}
 	}
 	return nil

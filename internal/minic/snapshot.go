@@ -7,8 +7,10 @@ import "fmt"
 // plus the scheduler cursor and the ID counters. Restoring a snapshot
 // and re-running is deterministic (the VM is single-goroutine round-robin
 // with no external input), which is the property the execution journal's
-// reverse execution rests on. A snapshot shares only immutable program
-// metadata (FuncDecl, FuncCode, Type, StructDef) with the live VM. It
+// reverse execution rests on. A snapshot is immutable. It shares only
+// immutable program metadata (FuncDecl, FuncCode, Type, StructDef) with
+// the live VM, and with the snapshot the VM took or restored before it,
+// the copies of arrays that have not changed since (TakeSnapshot). It
 // does not hold VM.Native: a native library's data is not execution
 // state, and a restore keeps it as it is.
 type Snapshot struct {
@@ -29,8 +31,16 @@ func (s *Snapshot) Steps() int64 { return s.steps }
 // TakeSnapshot deep-copies the VM's current execution state. It must not
 // be called from inside instruction execution; the journal calls it from
 // the step hook (before the instruction runs) or at a debugger stop.
+//
+// An array whose cells are bit-identical to its copy in the snapshot the
+// VM last took or restored, and hold no pointer, array or struct, is not
+// copied again: the new snapshot shares that copy. Snapshots are never
+// written, so sharing between them is safe, and a snapshot taken at a
+// stop shortly after another copies only the arrays that changed.
 func (vm *VM) TakeSnapshot() *Snapshot {
 	dst := make([]Cell, len(vm.Globals))
+	threads, arrs := copyVMState(vm.Globals, vm.sched.threads, dst, vm.snapArrs)
+	vm.snapArrs = arrs
 	return &Snapshot{
 		steps:        vm.Steps,
 		sched:        vm.sched.steps,
@@ -39,7 +49,7 @@ func (vm *VM) TakeSnapshot() *Snapshot {
 		nextFrameID:  vm.nextFrameID,
 		started:      vm.started,
 		globals:      dst,
-		threads:      copyVMState(vm.Globals, vm.sched.threads, dst),
+		threads:      threads,
 	}
 }
 
@@ -54,7 +64,14 @@ func (vm *VM) RestoreSnapshot(s *Snapshot) error {
 		return fmt.Errorf("minic: snapshot has %d globals, VM has %d", len(s.globals), len(vm.Globals))
 	}
 	sc := &vm.sched
-	sc.threads = copyVMState(s.globals, s.threads, vm.Globals)
+	threads, arrs := copyVMState(s.globals, s.threads, vm.Globals, nil)
+	sc.threads = threads
+	// The next snapshot may share the copies just restored from.
+	live := make(map[*ArrayObj]*ArrayObj, len(arrs))
+	for old, a := range arrs {
+		live[a] = old
+	}
+	vm.snapArrs = live
 	// The restored frames are new copies that join the free lists as
 	// they return, so drop the frames parked before: repeated restores
 	// must not grow the lists beyond the frames one run keeps live.
@@ -89,40 +106,51 @@ func (vm *VM) RestoreSnapshot(s *Snapshot) error {
 // container rather than to a detached duplicate:
 //
 //  1. register the root cells whose copies have fixed homes (globals);
-//  2. discover the reachable graph: every container, copied the moment
-//     it is first seen, and every cell reachable other than as a
-//     container interior (frame slots, parallel_for captures, pointer
-//     targets);
+//  2. discover the reachable graph: every container, copied (or shared)
+//     the moment it is first seen, and every cell reachable other than
+//     as a container interior (frame slots, parallel_for captures,
+//     pointer targets);
 //  3. map each pointer target that is a container interior to the
 //     copied container's cell — only when a pointer was found, so the
 //     common pointer-free state pays no per-element map entry — and give
 //     every other discovered cell a standalone copy;
-//  4. fill every mapped cell, container interior and non-cell value
-//     (operand stacks, thread results) by translating through the maps.
+//  4. fill the roots, the standalone copies, every copied container's
+//     interior and every non-cell value (operand stacks, thread results)
+//     by translating through the maps.
 //
 // The VM guarantees that a frame slot or global cell is never the
 // interior of an array or struct (slots come from newFrame/parForFrame
 // backing cells, globals from vm.Globals), so root registration in phase
 // 1 cannot conflict with container discovery in phase 2.
+//
+// A shared array is an earlier snapshot's copy, found through prev, of
+// an array that has not changed since and holds no reference. Its cells
+// already hold what phase 4 would write, so they are neither scanned nor
+// filled: a snapshot is never written once taken.
 type stateCopier struct {
 	cells   map[*Cell]*Cell // nil until phase 3 for non-global cells
 	arrs    map[*ArrayObj]*ArrayObj
 	structs map[*StructObj]*StructObj
+	prev    map[*ArrayObj]*ArrayObj // copies that may be shared; nil for none
 	// Discovery order; each is also a worklist whose tail is unscanned.
 	cellQ   []*Cell
 	arrQ    []*ArrayObj
 	structQ []*StructObj
-	ptrs    int // pointer targets first seen as pointers (maybe interiors)
+	shared  []*ArrayObj // arrays whose copy is shared, not in arrQ
+	ptrs    int         // pointer targets first seen as pointers (maybe interiors)
 }
 
 // copyVMState deep-copies (globals, threads) into (dstGlobals, returned
-// threads). dstGlobals must have the same length as globals; its cells
-// are overwritten in place.
-func copyVMState(globals []Cell, threads []*Thread, dstGlobals []Cell) []*Thread {
+// threads), sharing the copies in prev of arrays that have not changed
+// since prev was made. dstGlobals must have the same length as globals;
+// its cells are overwritten in place. It also returns the map from each
+// reachable array to its copy.
+func copyVMState(globals []Cell, threads []*Thread, dstGlobals []Cell, prev map[*ArrayObj]*ArrayObj) ([]*Thread, map[*ArrayObj]*ArrayObj) {
 	c := &stateCopier{
 		cells:   make(map[*Cell]*Cell, len(globals)+64),
-		arrs:    map[*ArrayObj]*ArrayObj{},
+		arrs:    make(map[*ArrayObj]*ArrayObj, len(prev)),
 		structs: map[*StructObj]*StructObj{},
+		prev:    prev,
 	}
 
 	// Phase 1: globals are roots with fixed destinations.
@@ -150,15 +178,21 @@ func copyVMState(globals []Cell, threads []*Thread, dstGlobals []Cell) []*Thread
 	}
 	c.drain()
 
-	// Phase 3: interior pointer targets, then standalone copies.
+	// Phase 3: interior pointer targets, then standalone copies. cellQ
+	// keeps only the roots and the standalone copies, which phase 4
+	// fills; an interior is filled with its container.
 	if c.ptrs > 0 {
 		c.mapInteriors()
 	}
-	for _, old := range c.cellQ {
+	n := len(globals)
+	for _, old := range c.cellQ[n:] {
 		if c.cells[old] == nil {
 			c.cells[old] = &Cell{}
+			c.cellQ[n] = old
+			n++
 		}
 	}
+	c.cellQ = c.cellQ[:n]
 
 	// Phase 4: fill.
 	for _, old := range c.cellQ {
@@ -223,7 +257,7 @@ func copyVMState(globals []Cell, threads []*Thread, dstGlobals []Cell) []*Thread
 			}
 		}
 	}
-	return out
+	return out, c.arrs
 }
 
 // addCell registers a cell reachable other than as a container
@@ -249,6 +283,11 @@ func (c *stateCopier) discover(v Value) {
 	case VArr:
 		a := v.Arr()
 		if a == nil || c.arrs[a] != nil {
+			return
+		}
+		if p := c.prev[a]; p != nil && sameScalars(a.Cells, p.Cells) {
+			c.arrs[a] = p
+			c.shared = append(c.shared, a)
 			return
 		}
 		c.arrs[a] = &ArrayObj{Elem: a.Elem, Cells: make([]Cell, len(a.Cells))}
@@ -292,11 +331,13 @@ func (c *stateCopier) drain() {
 // container at the copy's corresponding cell. A pointer into a
 // container the copy never reached keeps a standalone copy.
 func (c *stateCopier) mapInteriors() {
-	for _, old := range c.arrQ {
-		na := c.arrs[old]
-		for i := range old.Cells {
-			if nc, ok := c.cells[&old.Cells[i]]; ok && nc == nil {
-				c.cells[&old.Cells[i]] = &na.Cells[i]
+	for _, q := range [][]*ArrayObj{c.arrQ, c.shared} {
+		for _, old := range q {
+			na := c.arrs[old]
+			for i := range old.Cells {
+				if nc, ok := c.cells[&old.Cells[i]]; ok && nc == nil {
+					c.cells[&old.Cells[i]] = &na.Cells[i]
+				}
 			}
 		}
 	}
@@ -329,4 +370,20 @@ func (c *stateCopier) translate(v Value) Value {
 		}
 	}
 	return v
+}
+
+// sameScalars reports whether cells and its earlier copy are bit for bit
+// the same and hold no pointer, array or struct, whose copy would have to
+// be translated.
+func sameScalars(cells, copied []Cell) bool {
+	if len(cells) != len(copied) {
+		return false
+	}
+	for i := range cells {
+		v := cells[i].V
+		if v != copied[i].V || v.Kind == VPtr || v.Kind == VArr || v.Kind == VStruct {
+			return false
+		}
+	}
+	return true
 }

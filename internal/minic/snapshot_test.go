@@ -170,6 +170,136 @@ func TestSnapshotPreservesAliasing(t *testing.T) {
 	if got := data.Arr().Cells[3].V.I; got != 991 {
 		t.Errorf("write through restored pointer invisible through array: got %d", got)
 	}
+
+	// A snapshot of the state just restored shares the unchanged array,
+	// and its pointer into the array points into the shared copy.
+	if err := vm.RestoreSnapshot(snap); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	again := vm.TakeSnapshot()
+	shared := snapLocal(again, "data").Arr()
+	if shared != snapLocal(snap, "data").Arr() {
+		t.Fatal("the second snapshot copied the unchanged array instead of sharing it")
+	}
+	if snapLocal(again, "alias").Ptr() != &shared.Cells[3] {
+		t.Fatal("the second snapshot's pointer does not alias the shared array's interior")
+	}
+	want := shared.Cells[3].V.I
+	if err := vm.RestoreSnapshot(again); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	rt = vm.Threads()[0]
+	alias = rt.Frames[0].SlotByName("alias").V
+	data = rt.Frames[0].SlotByName("data").V
+	if data.Arr() == shared || alias.Ptr() != &data.Arr().Cells[3] {
+		t.Fatal("a pointer into a shared array does not alias the restored array's interior")
+	}
+	alias.Ptr().V = IntVal(992)
+	if got := data.Arr().Cells[3].V.I; got != 992 {
+		t.Errorf("write through restored pointer invisible through array: got %d", got)
+	}
+	if got := shared.Cells[3].V.I; got != want {
+		t.Errorf("a write to the restored VM changed the shared copy: %d, want %d", got, want)
+	}
+}
+
+// snapLocal returns the value of a local of the snapshot's first
+// thread's first frame.
+func snapLocal(s *Snapshot, name string) Value {
+	return s.threads[0].Frames[0].SlotByName(name).V
+}
+
+// snapGlobal returns the value of a global in the snapshot.
+func snapGlobal(s *Snapshot, prog *Program, name string) Value {
+	return s.globals[prog.GlobalByName[name]].V
+}
+
+// sharingProgram keeps one array the run never writes, a global table,
+// and one it writes every iteration.
+const sharingProgram = `
+global int[] table = {4, 5, 6};
+func int main() {
+	int[] counts = new int[8];
+	for (int i = 0; i < 100; i++) {
+		counts[i % 8] += table[i % 3];
+	}
+	return counts[0];
+}`
+
+// pausedInLoop starts prog and steps until main's counts array exists
+// and the loop has run a while.
+func pausedInLoop(t *testing.T, prog *Program) *VM {
+	t.Helper()
+	vm := NewVM(prog, nil)
+	if err := vm.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		vm.StepInstr()
+	}
+	if vm.Threads()[0].Frames[0].SlotByName("counts").V.Arr() == nil {
+		t.Fatal("counts not allocated after 200 instructions")
+	}
+	return vm
+}
+
+// TestSnapshotSharesUnchangedArrays: a snapshot shares an array with the
+// previous snapshot only when no cell of it was written in between.
+func TestSnapshotSharesUnchangedArrays(t *testing.T) {
+	prog := compileForTest(t, sharingProgram)
+	vm := pausedInLoop(t, prog)
+	first := vm.TakeSnapshot()
+	was := FormatValue(snapLocal(first, "counts"))
+	for i := 0; i < 40; i++ {
+		vm.StepInstr()
+	}
+	second := vm.TakeSnapshot()
+	if snapGlobal(second, prog, "table").Arr() != snapGlobal(first, prog, "table").Arr() {
+		t.Error("the unchanged table was copied again, not shared")
+	}
+	counts := snapLocal(second, "counts")
+	if counts.Arr() == snapLocal(first, "counts").Arr() {
+		t.Fatal("the written array is shared with the earlier snapshot")
+	}
+	live := vm.Threads()[0].Frames[0].SlotByName("counts").V
+	if FormatValue(counts) != FormatValue(live) {
+		t.Errorf("the new copy holds %s, the VM %s", FormatValue(counts), FormatValue(live))
+	}
+	if got := FormatValue(snapLocal(first, "counts")); got != was || got == FormatValue(live) {
+		t.Errorf("the earlier snapshot's copy holds %s, want %s as taken", got, was)
+	}
+}
+
+// TestSnapshotCopiesArrayHoldingPointer: an int[] that holds a pointer,
+// which the debugger-facing VM does not forbid, is copied afresh each
+// time, and its pointer into a shared array is translated into the
+// shared copy.
+func TestSnapshotCopiesArrayHoldingPointer(t *testing.T) {
+	prog := compileForTest(t, sharingProgram)
+	vm := pausedInLoop(t, prog)
+	table := vm.GlobalCell("table").V.Arr()
+	counts := vm.Threads()[0].Frames[0].SlotByName("counts").V.Arr()
+	counts.Cells[0].V = PtrVal(&table.Cells[1])
+	first := vm.TakeSnapshot()
+	second := vm.TakeSnapshot()
+	if snapLocal(second, "counts").Arr() == snapLocal(first, "counts").Arr() {
+		t.Fatal("an array holding a pointer is shared between snapshots")
+	}
+	shared := snapGlobal(second, prog, "table").Arr()
+	if shared != snapGlobal(first, prog, "table").Arr() {
+		t.Fatal("the unchanged table was copied again, not shared")
+	}
+	if snapLocal(second, "counts").Arr().Cells[0].V.Ptr() != &shared.Cells[1] {
+		t.Fatal("the copied pointer does not point into the shared table")
+	}
+	if err := vm.RestoreSnapshot(second); err != nil {
+		t.Fatal(err)
+	}
+	table = vm.GlobalCell("table").V.Arr()
+	counts = vm.Threads()[0].Frames[0].SlotByName("counts").V.Arr()
+	if table == shared || counts.Cells[0].V.Ptr() != &table.Cells[1] {
+		t.Fatal("after the restore the pointer does not point into the restored table")
+	}
 }
 
 // TestSnapshotDuringParallelFor snapshots while helper threads are live

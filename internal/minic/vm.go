@@ -143,6 +143,10 @@ type VM struct {
 	// slots that newFrame recycles. Only functions whose FuncCode has
 	// reuseFrames set put frames here.
 	frameFree [][]*Frame
+	// snapArrs maps each array reachable when the VM last took or
+	// restored a snapshot to its copy in that snapshot, which the next
+	// TakeSnapshot may share (see snapshot.go).
+	snapArrs map[*ArrayObj]*ArrayObj
 
 	// Native is the per-process data of the host-linked native library,
 	// the static data a linked library keeps in the inferior (D2X-R keeps
@@ -927,12 +931,11 @@ func (vm *VM) execInstr(t *Thread, f *Frame, in *Instr, pc int) error {
 	case OpStoreInd:
 		v := f.pop()
 		p := f.pop().Ptr()
-		// Compound assignment and ++/-- on plain locals also lower to
-		// OpStoreInd, so a guarded call may store to a frame slot of its
-		// own thread. Anything else — global cells, array backing
-		// stores, debuggee frames reached through pointers — is denied.
-		// (Locally-allocated arrays are denied too: allocation
-		// provenance is a static property, proven by
+		// A guarded call may store through a pointer to a local of one
+		// of its own thread's frames. Anything else — global cells,
+		// array backing stores, debuggee frames reached through
+		// pointers — is denied. (Locally-allocated arrays are denied
+		// too: allocation provenance is a static property, proven by
 		// internal/minic/effects, which then runs the handler with no
 		// guard at all.)
 		if t.guard != nil && (p == nil || !frameLocalCell(t, p)) {
