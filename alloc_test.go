@@ -65,9 +65,19 @@ const (
 
 	// vmAddrCallAllocBudget bounds one OpCall of a function that takes
 	// a local's address, whose frames are never recycled: the Frame, its
-	// slot pointers, its slot cells and its operand stack, which is
-	// sized once from FuncCode.MaxStack. Measured: 4.
-	vmAddrCallAllocBudget = 4
+	// slot cells, one array allocated with the frame, and its operand
+	// stack, which is sized once from FuncCode.MaxStack. Measured: 3.
+	vmAddrCallAllocBudget = 3
+
+	// parForAllocBudget bounds one call of a function whose parallel_for
+	// runs on 4 workers, each of which runs every index of its range in
+	// one helper frame. It holds for 64 indices and for 4,096 alike:
+	// a parallel_for allocates per worker, not per index. Measured: 18 —
+	// the call's root thread and frame stack; the called function's
+	// frame, slot cells and operand stack, since it runs a parallel_for;
+	// the capture list; and per worker its thread, range and frame
+	// stack. The helper frames come from the VM's free list.
+	parForAllocBudget = 18
 
 	// sourceLineAllocBudget bounds one Program.SourceLine, which every
 	// breakpoint stop calls to print the stop line. Measured: 0.
@@ -331,6 +341,44 @@ func int viaPtr(int x) {
 	}
 	if avg < 1 {
 		t.Errorf("OpCall = %.2f allocs/call: the frames of a callee that takes a local's address must not be recycled", avg)
+	}
+}
+
+// TestParForAllocs holds parForAllocBudget for a parallel_for over 64
+// and over 4,096 indices, and requires both to allocate the same.
+func TestParForAllocs(t *testing.T) {
+	prog, err := minic.Compile("parfor.c", `
+global int total = 0;
+func int spread(int n) {
+	int sum = 0;
+	parallel_for (int i = 0; i < n; i++) {
+		int sq = i * i;
+		atomic_add(&sum, sq % 7);
+	}
+	total = total + sum;
+	return sum;
+}
+func int main() { return spread(8); }`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := minic.NewVM(prog, nil)
+	if err := vm.Run(); err != nil {
+		t.Fatal(err)
+	}
+	per := map[int64]float64{}
+	for _, n := range []int64{64, 4096} {
+		args := []minic.Value{minic.IntVal(n)}
+		per[n] = measureAllocs(t, 20, func() error {
+			_, err := vm.CallFunction("spread", args)
+			return err
+		})
+		if per[n] > parForAllocBudget {
+			t.Errorf("parallel_for over %d indices = %.1f allocs/call, budget %d", n, per[n], parForAllocBudget)
+		}
+	}
+	if per[64] != per[4096] {
+		t.Errorf("parallel_for = %.1f allocs over 64 indices, %.1f over 4096: it allocates per index", per[64], per[4096])
 	}
 }
 

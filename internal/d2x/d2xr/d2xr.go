@@ -903,10 +903,14 @@ func (r *Runtime) findStackVar(vm *minic.VM, name string) (minic.Value, error) {
 		return minic.NullVal(), fmt.Errorf("d2x: no debug info for function index %d", frame.FuncIndex)
 	}
 	v, ok := fi.VarByName(name)
-	if !ok || v.Slot >= len(frame.Slots) {
+	var cell *minic.Cell
+	if ok {
+		cell = frame.Slot(v.Slot)
+	}
+	if cell == nil {
 		return minic.NullVal(), fmt.Errorf("d2x: no variable %q in %s", name, fi.Name)
 	}
-	return minic.PtrVal(frame.Slots[v.Slot]), nil
+	return minic.PtrVal(cell), nil
 }
 
 //d2x:noalloc

@@ -38,25 +38,33 @@ func int main() {
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
+	// Generated lines 6..9 are main's body (1-based in fixtureGen).
+	return newFixtureFor(t, fixtureGen, 6)
+}
+
+// newFixtureFor builds the fixture from gen, whose two generated lines
+// from first on get D2X entries, and pauses it where a thread is about
+// to run line first+1.
+func newFixtureFor(t *testing.T, gen string, first int) *fixture {
+	t.Helper()
 	ctx := d2xc.NewContext()
-	// Generated lines 5..8 are main's body (1-based in fixtureGen).
-	if err := ctx.BeginSectionAt(6); err != nil {
+	if err := ctx.BeginSectionAt(first); err != nil {
 		t.Fatal(err)
 	}
 	ctx.PushSourceLoc("prog.dsl", 2, "main")
 	ctx.SetVar("note", "decl")
 	ctx.SetVarHandler("vh", d2xc.RTVHandler{FuncName: "__h"})
-	ctx.Nextl() // line 6: int v = 41;
+	ctx.Nextl() // fixtureGen's line 6: int v = 41;
 	ctx.PushSourceLoc("prog.dsl", 3, "main")
 	ctx.SetVar("note", "decl")
 	ctx.SetVarHandler("vh", d2xc.RTVHandler{FuncName: "__h"})
-	ctx.Nextl() // line 7: v = v + 1;
+	ctx.Nextl() // fixtureGen's line 7: v = v + 1;
 	if err := ctx.EndSection(); err != nil {
 		t.Fatal(err)
 	}
 
 	var src strings.Builder
-	src.WriteString(fixtureGen)
+	src.WriteString(gen)
 	if err := d2xenc.EmitTables(ctx, &src); err != nil {
 		t.Fatal(err)
 	}
@@ -84,16 +92,16 @@ func newFixture(t *testing.T) *fixture {
 	if err := vm.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Step until main's second statement (line 7) is about to execute, so
-	// v is live with value 41.
+	// Step until the statement on line first+1 is about to execute: in
+	// fixtureGen main's second, so v is live with value 41.
 	for {
 		th := vm.NextThread()
 		if th == nil {
-			t.Fatal("program finished before reaching line 7")
+			t.Fatalf("program finished before reaching line %d", first+1)
 		}
 		top := th.Top()
 		in := top.Code.Instrs[top.PC]
-		if in.StmtStart && in.Line == 7 {
+		if in.StmtStart && in.Line == first+1 {
 			f := &fixture{rt: rt, vm: vm, out: &out, prog: prog}
 			f.rip = dwarfish.EncodeAddr(dwarfish.Addr{FuncIndex: top.FuncIndex, PC: top.PC})
 			f.rsp = int64(top.ID)
@@ -165,6 +173,38 @@ func TestXVarsAndHandler(t *testing.T) {
 	f.callCmd(t, "d2x_runtime_command_xvars", minic.IntVal(f.rip), minic.IntVal(f.rsp), minic.StrVal("vh"))
 	if !strings.Contains(f.out.String(), "vh = vh=41") {
 		t.Errorf("handler var:\n%s", f.out.String())
+	}
+}
+
+// TestFindStackVarCaptured checks d2x_find_stack_var on a variable a
+// parallel_for helper captured from its spawner: the handler runs on
+// the worker's helper frame, and the pointer it gets is the spawner's
+// cell, not a slot of the helper frame's own.
+func TestFindStackVarCaptured(t *testing.T) {
+	f := newFixtureFor(t, `func string __h(string key) {
+	int* p = d2x_find_stack_var("v");
+	return key + "=" + to_str(*p);
+}
+func int main() {
+	int v = 41;
+	parallel_for (int i = 0; i < 1; i++) {
+		v = v + 1;
+		printf("%d\n", v);
+	}
+	return v;
+}
+`, 7)
+	helper := f.vm.FrameByID(int(f.rsp))
+	if helper == nil || helper.Fn.Name != "main$par0" {
+		t.Fatalf("paused in %v, want the parallel_for helper", helper)
+	}
+	for _, want := range []int64{41, 77} {
+		f.vm.Threads()[0].Top().SlotByName("v").V = minic.IntVal(want)
+		f.out.Reset()
+		f.callCmd(t, "d2x_runtime_command_xvars", minic.IntVal(f.rip), minic.IntVal(f.rsp), minic.StrVal("vh"))
+		if !strings.Contains(f.out.String(), fmt.Sprintf("vh = vh=%d", want)) {
+			t.Errorf("handler var with main's v = %d:\n%s", want, f.out.String())
+		}
 	}
 }
 

@@ -84,3 +84,20 @@ func TestByName(t *testing.T) {
 		t.Errorf("All() has %d analyzers, want 6", len(All()))
 	}
 }
+
+// TestLoadDirExportTest checks that an external test package sees what
+// the package's export_test.go exports, as go vet and go test check it:
+// exporttest_test reads a constant only export_test.go declares.
+func TestLoadDirExportTest(t *testing.T) {
+	l, err := NewLoader(moduleRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.LoadDir(filepath.Join("testdata", "src", "exporttest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 2 || pkgs[1].ImportPath != pkgs[0].ImportPath+"_test" {
+		t.Fatalf("loaded %d units, want the package and its external test package", len(pkgs))
+	}
+}

@@ -41,6 +41,13 @@ type Loader struct {
 	std      types.Importer
 	imported map[string]*types.Package // memoized import-mode repo packages
 	loading  map[string]bool           // import cycle guard
+
+	// base and under are set on the loader of one external test package:
+	// there under resolves to the unit checked with its in-package test
+	// files, and a package importing under is checked again against it,
+	// while every other import comes from base.
+	base  *Loader
+	under string
 }
 
 // NewLoader returns a loader for the module rooted at root (resolved
@@ -123,6 +130,11 @@ func (l *Loader) importLocal(path string) (*types.Package, error) {
 	if pkg, ok := l.imported[path]; ok {
 		return pkg, nil
 	}
+	if l.base != nil {
+		if pkg, err := l.base.importLocal(path); err != nil || !imports(pkg, l.under, map[*types.Package]bool{}) {
+			return pkg, err
+		}
+	}
 	if l.loading[path] {
 		return nil, fmt.Errorf("d2xvet: import cycle through %s", path)
 	}
@@ -143,6 +155,34 @@ func (l *Loader) importLocal(path string) (*types.Package, error) {
 	}
 	l.imported[path] = pkg
 	return pkg, nil
+}
+
+// imports reports whether pkg imports path, directly or not.
+func imports(pkg *types.Package, path string, seen map[*types.Package]bool) bool {
+	for _, dep := range pkg.Imports() {
+		if dep.Path() == path {
+			return true
+		}
+		if !seen[dep] {
+			seen[dep] = true
+			if imports(dep, path, seen) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// testLoader returns the loader an external test package of path is
+// checked with: path resolves to pkg, the package checked with its
+// in-package test files, as go vet and go test build it, so that the
+// export_test.go idiom type-checks.
+func (l *Loader) testLoader(path string, pkg *types.Package) *Loader {
+	v := *l
+	v.imported = map[string]*types.Package{path: pkg}
+	v.loading = map[string]bool{}
+	v.base, v.under = l, path
+	return &v
 }
 
 // matchFile applies the build context's file filtering (build tags,
@@ -220,7 +260,8 @@ func sortFiles(fset *token.FileSet, files []*ast.File) {
 	})
 }
 
-// check type-checks one file group under the given import path.
+// check type-checks one file group under the given import path, resolving
+// its imports through l.
 func (l *Loader) check(path string, files []*ast.File, info *types.Info) (*types.Package, *types.Info, error) {
 	if info == nil {
 		info = newInfo()
@@ -250,7 +291,7 @@ func newInfo() *types.Info {
 
 // LoadDir loads the analysis units of one directory: the package with
 // its in-package test files, plus the external _test package when one
-// exists.
+// exists, which imports the first unit.
 func (l *Loader) LoadDir(dir string) ([]*Package, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {
@@ -269,15 +310,17 @@ func (l *Loader) LoadDir(dir string) ([]*Package, error) {
 		return nil, err
 	}
 	var out []*Package
+	tl := l
 	if len(primary) > 0 {
 		pkg, info, err := l.check(path, primary, nil)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, &Package{ImportPath: path, Dir: dir, Fset: l.fset, Files: primary, Types: pkg, Info: info})
+		tl = l.testLoader(path, pkg)
 	}
 	if len(external) > 0 {
-		pkg, info, err := l.check(path+"_test", external, nil)
+		pkg, info, err := tl.check(path+"_test", external, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -610,10 +610,11 @@ func (d *Debugger) infoVars(params bool) error {
 	}
 	printed := 0
 	for _, v := range fi.Vars {
-		if v.Param != params || v.Slot >= len(f.Slots) {
+		cell := f.Slot(v.Slot)
+		if v.Param != params || cell == nil {
 			continue
 		}
-		d.printf("%s = %s\n", v.Name, minic.FormatValue(f.Slots[v.Slot].V))
+		d.printf("%s = %s\n", v.Name, minic.FormatValue(cell.V))
 		printed++
 	}
 	if printed == 0 {
@@ -657,8 +658,8 @@ func (d *Debugger) frameArgs(f *minic.Frame) string {
 	}
 	var parts []string
 	for _, v := range fi.Vars {
-		if v.Param && v.Slot < len(f.Slots) {
-			parts = append(parts, fmt.Sprintf("%s=%s", v.Name, minic.FormatValue(f.Slots[v.Slot].V)))
+		if cell := f.Slot(v.Slot); v.Param && cell != nil {
+			parts = append(parts, fmt.Sprintf("%s=%s", v.Name, minic.FormatValue(cell.V)))
 		}
 	}
 	return strings.Join(parts, ", ")

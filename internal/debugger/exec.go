@@ -219,9 +219,14 @@ func (d *Debugger) CallValue(name string, args []minic.Value) (minic.Value, erro
 	vm := d.proc.VM
 	if fi := vm.Prog.FuncIndex(name); fi >= 0 {
 		for i, p := range vm.Prog.Funcs[fi].Params {
-			if i < len(args) && misfit(minic.ZeroValue(p.Type).Kind, args[i]) {
+			if i >= len(args) {
+				break
+			}
+			v, ok := minic.StoreValue(p.Type, args[i])
+			if !ok {
 				return minic.NullVal(), fmt.Errorf("argument %d of %s: cannot use %s as %s", i+1, name, args[i].Kind, p.Type)
 			}
+			args[i] = v
 		}
 		return vm.CallFunctionGuarded(name, args, d.evalGuard)
 	}
@@ -230,9 +235,11 @@ func (d *Debugger) CallValue(name string, args []minic.Value) (minic.Value, erro
 			return minic.NullVal(), fmt.Errorf("%s requires %d arguments, have %d", name, n, len(args))
 		}
 		for i, p := range nat.Sig.Params {
-			if misfit(minic.ZeroValue(p).Kind, args[i]) {
+			v, ok := minic.StoreValue(p, args[i])
+			if !ok {
 				return minic.NullVal(), fmt.Errorf("argument %d of %s: cannot use %s as %s", i+1, name, args[i].Kind, p)
 			}
+			args[i] = v
 		}
 		return vm.CallNative(nat, d.SelectedThread(), args)
 	}
@@ -240,11 +247,12 @@ func (d *Debugger) CallValue(name string, args []minic.Value) (minic.Value, erro
 }
 
 // misfit reports whether v may not go where the program keeps a value of
-// kind want, as the checker would reject it: a float or a string where an
-// int or a bool lives, which the VM reads through Value.I, holding a
-// float's bits and a string's length; and a pointer, array or struct
-// where any of the four lives, which would also let an array contain
-// itself.
+// kind want, for set var on a location whose declared type the evaluator
+// does not know (StoreValue checks the others), as the checker would
+// reject it: a float or a string where an int or a bool lives, which the
+// VM reads through Value.I, holding a float's bits and a string's
+// length; and a pointer, array or struct where any of the four lives,
+// which would also let an array contain itself.
 func misfit(want minic.ValueKind, v minic.Value) bool {
 	switch want {
 	case minic.VInt, minic.VBool:

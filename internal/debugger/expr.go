@@ -29,6 +29,11 @@ type exprEval struct {
 	d    *Debugger
 	toks []minic.Token // ends in EOF
 	pos  int
+	// typ is the declared type of the location the last lvalue evaluated
+	// names, or nil where the evaluator does not know it, for set var to
+	// store as the program would. It is not part of result, which every
+	// level of the descent copies.
+	typ *minic.Type
 	// skip is set while parsing an operand that the left operand of &&
 	// or || already decided: it is parsed but not evaluated, so it calls,
 	// dereferences and indexes nothing, as in the program.
@@ -119,6 +124,7 @@ func (d *Debugger) assign(src string) error {
 	if lhs.cell == nil {
 		return fmt.Errorf("left operand of assignment is not an lvalue")
 	}
+	lt := ev.typ
 	rhs, err := ev.expr()
 	if err == nil {
 		err = ev.end()
@@ -126,10 +132,19 @@ func (d *Debugger) assign(src string) error {
 	if err != nil {
 		return err
 	}
-	if misfit(lhs.val.Kind, rhs.val) {
-		return fmt.Errorf("cannot assign %s to %s", rhs.val.Kind, lhs.val.Kind)
+	if lt == nil {
+		// A location reached through a pointer of unknown type.
+		if misfit(lhs.val.Kind, rhs.val) {
+			return fmt.Errorf("cannot assign %s to %s", rhs.val.Kind, lhs.val.Kind)
+		}
+		lhs.cell.V = rhs.val
+		return nil
 	}
-	lhs.cell.V = rhs.val
+	v, ok := minic.StoreValue(lt, rhs.val)
+	if !ok {
+		return fmt.Errorf("cannot assign %s to %s", rhs.val.Kind, lt)
+	}
+	lhs.cell.V = v
 	return nil
 }
 
@@ -240,6 +255,11 @@ func (ev *exprEval) unary() (result, error) {
 		if p == nil {
 			return result{}, fmt.Errorf("attempt to dereference a non-pointer or null value")
 		}
+		if r.cell != nil && ev.typ != nil && ev.typ.Kind == minic.TPointer {
+			ev.typ = ev.typ.Elem
+		} else {
+			ev.typ = nil
+		}
 		return result{val: p.V, cell: p}, nil
 	case minic.Amp:
 		ev.pos++
@@ -307,6 +327,7 @@ func (ev *exprEval) postfix() (result, error) {
 			}
 			cell := &arr.Cells[i]
 			r = result{val: cell.V, cell: cell}
+			ev.typ = arr.Elem
 		case minic.Dot, minic.Arrow:
 			op := ev.next().Kind
 			name := ev.next()
@@ -326,6 +347,7 @@ func (ev *exprEval) postfix() (result, error) {
 			}
 			cell := &obj.Fields[fi]
 			r = result{val: cell.V, cell: cell}
+			ev.typ = obj.Def.Fields[fi].Type
 		default:
 			return r, nil
 		}
@@ -391,7 +413,7 @@ func (ev *exprEval) primary() (result, error) {
 		if ev.kind() == minic.LParen {
 			return ev.call(t.Text)
 		}
-		return ev.d.lookupSymbol(t.Text)
+		return ev.lookupSymbol(t.Text)
 	}
 	return result{}, fmt.Errorf("unexpected %q in expression", t.Kind)
 }
@@ -488,17 +510,23 @@ func (d *Debugger) mangled(name string) string {
 
 // lookupSymbol resolves a bare identifier: selected-frame locals through
 // the debug info first, then globals.
-func (d *Debugger) lookupSymbol(name string) (result, error) {
+func (ev *exprEval) lookupSymbol(name string) (result, error) {
+	d := ev.d
 	f := d.SelectedFrame()
 	if f != nil {
 		if fi := d.proc.Info.FuncByIndex(f.FuncIndex); fi != nil {
-			if v, ok := fi.VarByName(name); ok && v.Slot < len(f.Slots) {
-				cell := f.Slots[v.Slot]
-				return result{val: cell.V, cell: cell}, nil
+			if v, ok := fi.VarByName(name); ok {
+				if cell := f.Slot(v.Slot); cell != nil {
+					ev.typ = f.Fn.SlotTypes[v.Slot]
+					return result{val: cell.V, cell: cell}, nil
+				}
 			}
 		}
 	}
-	if cell := d.proc.VM.GlobalCell(name); cell != nil {
+	prog := d.proc.VM.Prog
+	if i, ok := prog.GlobalByName[name]; ok {
+		cell := &d.proc.VM.Globals[i]
+		ev.typ = prog.Globals[i].Type
 		return result{val: cell.V, cell: cell}, nil
 	}
 	return result{}, fmt.Errorf("no symbol %q in current context", name)

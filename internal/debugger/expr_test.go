@@ -96,6 +96,14 @@ var refMisfits = []struct{ assign, lhs, err string }{
 	{"arr[2] = arr", "arr[2]", "cannot assign array to int"},
 }
 
+// typeMisfits are assignments on exprFixture of a scalar the checker
+// rejects for the location's declared type, and the error set var gives.
+var typeMisfits = []struct{ assign, lhs, err string }{
+	{"s = 5", "s", "cannot assign int to string"},
+	{"flag = 2", "flag", "cannot assign int to bool"},
+	{"p = 5", "p", "cannot assign int to box*"},
+}
+
 // The assignment and the eval arguments the program's tokens split
 // differently from a scan for = and commas.
 const (
@@ -108,9 +116,10 @@ const (
 func exprSeeds() []string {
 	seeds := append([]string{"a = b * 2 + 1", "arr[0] = a + 1", "a = 1.5", tokenAssign, tokenEvalArgs}, badExprs...)
 	seeds = append(seeds, typeErrorExprs...)
-	for _, c := range refMisfits {
+	for _, c := range append(refMisfits, typeMisfits...) {
 		seeds = append(seeds, c.assign)
 	}
+	seeds = append(seeds, "gf = 3", "gf / 2")
 	for _, c := range binaryCases {
 		seeds = append(seeds, c.expr)
 	}
@@ -313,8 +322,26 @@ func TestUncheckedOperandsMatchChecker(t *testing.T) {
 // rejects a pointer, array or struct stored where an int or a bool
 // lives, and leaves the location as it was.
 func TestSetVarRejectsReferences(t *testing.T) {
+	testSetVarRejects(t, refMisfits)
+}
+
+// TestSetVarStoresAsProgram checks that set var stores what the
+// program's own store would: an int into a float global becomes a float,
+// so that / divides as floats, and a scalar of another type than the
+// location's declared one is rejected, as the checker rejects it.
+func TestSetVarStoresAsProgram(t *testing.T) {
 	d := exprFixture(t)
-	for _, c := range refMisfits {
+	mustExec(t, d, "set var gf = 3")
+	if v, err := d.EvalExpr("gf / 2"); err != nil || minic.FormatValue(v) != "1.5" {
+		t.Errorf("gf / 2 after set var gf = 3: %s, %v, want 1.5", minic.FormatValue(v), err)
+	}
+	testSetVarRejects(t, typeMisfits)
+}
+
+func testSetVarRejects(t *testing.T, misfits []struct{ assign, lhs, err string }) {
+	t.Helper()
+	d := exprFixture(t)
+	for _, c := range misfits {
 		before, err := d.EvalExpr(c.lhs)
 		if err != nil {
 			t.Fatal(err)

@@ -37,6 +37,9 @@ type FuncDecl struct {
 	NumSlots  int      // total local slots including params
 	SlotNames []string // slot -> variable name (debug info)
 	SlotTypes []*Type  // slot -> declared type
+	// Captured counts a parallel_for helper's by-reference params, slots
+	// 1 to Captured, which a worker shares with the spawning frame.
+	Captured int
 }
 
 // Param is one function parameter.

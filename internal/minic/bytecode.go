@@ -40,6 +40,10 @@ const (
 	OpCastFloat          // pop; push float conversion
 	OpCastBool           // pop; push bool conversion
 	OpParFor             // pop hi, lo; run ParFors[A] across logical threads
+	OpLoadCap            // push captured slot A of a parallel_for helper
+	OpStoreCap           // pop -> captured slot A
+	OpAddrCap            // push pointer to captured slot A
+	numOps
 )
 
 var opNames = [...]string{
@@ -52,7 +56,8 @@ var opNames = [...]string{
 	OpCallNative: "callnat", OpRet: "ret", OpRetVal: "retval", OpPop: "pop",
 	OpDup: "dup", OpNewArr: "newarr", OpNewStruct: "newstruct",
 	OpCastInt: "casti", OpCastFloat: "castf", OpCastBool: "castb",
-	OpParFor: "parfor",
+	OpParFor: "parfor", OpLoadCap: "loadc", OpStoreCap: "storec",
+	OpAddrCap: "addrc",
 }
 
 func (o OpCode) String() string {
@@ -63,36 +68,35 @@ func (o OpCode) String() string {
 }
 
 // opPops is the number of operands each opcode pops; OpCall and
-// OpCallNative pop their argument count B instead. The VM checks it once
-// per instruction before touching the stack, and the compiler's
-// stack-depth analysis reads it with opPushes.
-var opPops = [OpParFor + 1]int{
+// OpCallNative pop their argument count B instead. The compiler records
+// it in each instruction (popsOf), which the VM checks before touching
+// the stack and the compiler's stack-depth analysis reads with opPushes.
+var opPops = [numOps]int{
 	OpStoreLocal: 1, OpStoreGlobal: 1, OpLoadInd: 1, OpStoreInd: 2,
 	OpIndexLoad: 2, OpIndexAddr: 2, OpFieldLoad: 1, OpFieldAddr: 1,
 	OpBin: 2, OpUn: 1, OpJmpFalse: 1, OpJmpTrue: 1, OpRetVal: 1, OpPop: 1,
 	OpDup: 1, OpNewArr: 1, OpCastInt: 1, OpCastFloat: 1, OpCastBool: 1,
-	OpParFor: 2,
+	OpParFor: 2, OpStoreCap: 1,
 }
 
 // opPushes is the number of values each opcode pushes; calls push one
 // only when the callee returns a value (see maxStack).
-var opPushes = [OpParFor + 1]int{
+var opPushes = [numOps]int{
 	OpConst: 1, OpLoadLocal: 1, OpAddrLocal: 1, OpLoadGlobal: 1,
 	OpAddrGlobal: 1, OpLoadInd: 1, OpIndexLoad: 1, OpIndexAddr: 1,
 	OpFieldLoad: 1, OpFieldAddr: 1, OpBin: 1, OpUn: 1, OpDup: 2,
 	OpNewArr: 1, OpNewStruct: 1, OpCastInt: 1, OpCastFloat: 1,
-	OpCastBool: 1,
+	OpCastBool: 1, OpLoadCap: 1, OpAddrCap: 1,
 }
 
-// pops returns how many operands in takes off the stack.
-//
-//d2x:noalloc
-func (in Instr) pops() int {
-	if in.Op == OpCall || in.Op == OpCallNative {
-		return in.B
+// popsOf returns how many operands an instruction with opcode op and
+// operand b takes off the stack.
+func popsOf(op OpCode, b int) int {
+	if op == OpCall || op == OpCallNative {
+		return b
 	}
-	if int(in.Op) < len(opPops) {
-		return opPops[in.Op]
+	if uint(op) < uint(len(opPops)) {
+		return opPops[op]
 	}
 	return 0
 }
@@ -103,6 +107,9 @@ type Instr struct {
 	A, B      int
 	Line      int  // 1-based line in the generated source file
 	StmtStart bool // true when this instruction begins a source statement
+	// pops is popsOf(Op, B), which the compiler fills so that the run
+	// loop's operand-depth check is one load.
+	pops int32
 }
 
 func (in Instr) String() string {
@@ -130,13 +137,18 @@ type FuncCode struct {
 	ParFors    []ParForInfo
 	NumSlots   int
 	NumParams  int
+	// Base is the program-wide index of the function's first instruction:
+	// instruction pc of the function is instruction Base+pc of the
+	// program (see Program.FuncAt).
+	Base int
 	// MaxStack is the deepest the operand stack gets on any path through
 	// the function, computed at compile time. Each frame's stack is
 	// allocated once at this capacity, so pushes never grow it.
 	MaxStack int
 	// reuseFrames marks a function whose slots nothing can reach once a
-	// frame returns: no OpAddrLocal, no OpParFor, and not a parallel_for
-	// helper. The VM recycles such a function's returned frames.
+	// frame returns: no OpAddrLocal and no OpParFor. The VM recycles such
+	// a function's returned frames; a parallel_for worker whose helper
+	// has it set runs each next index of its range in the same frame.
 	reuseFrames bool
 }
 

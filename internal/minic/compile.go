@@ -6,25 +6,23 @@ import "fmt"
 // prog.Code. Check must have run first.
 func CompileCode(prog *Program) error {
 	prog.Code = make([]*FuncCode, len(prog.Funcs))
+	base := 0
 	for i, fd := range prog.Funcs {
 		fc, err := compileFunc(prog, fd)
 		if err != nil {
 			return err
 		}
+		fc.Base = base
+		base += len(fc.Instrs)
 		prog.Code[i] = fc
-	}
-	// A parallel_for helper's slots alias its spawner's captured cells.
-	for _, fc := range prog.Code {
-		for _, pf := range fc.ParFors {
-			prog.Code[pf.Helper].reuseFrames = false
-		}
 	}
 	return nil
 }
 
 // slotsPrivate reports whether nothing can reach a frame's slots of fc
 // once the frame returns: the code takes no local's address and runs no
-// parallel_for, whose workers capture slots by reference.
+// parallel_for, whose workers capture slots by reference. A helper's
+// addrc takes the address of its spawner's cell, not of its own slot.
 func slotsPrivate(fc *FuncCode) bool {
 	for _, in := range fc.Instrs {
 		if in.Op == OpAddrLocal || in.Op == OpParFor {
@@ -97,7 +95,7 @@ func maxStack(prog *Program, fc *FuncCode) int {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
 		in := fc.Instrs[pc]
-		d := depth[pc] - in.pops()
+		d := depth[pc] - int(in.pops)
 		switch {
 		case in.Op == OpCall:
 			if prog.Funcs[in.A].Result.Kind != TVoid {
@@ -143,12 +141,31 @@ func (c *fnCompiler) emit(op OpCode, a, b int) int {
 	pc := len(c.fc.Instrs)
 	c.fc.Instrs = append(c.fc.Instrs, Instr{
 		Op: op, A: a, B: b, Line: c.line, StmtStart: c.stmtStart,
+		pops: int32(popsOf(op, b)),
 	})
 	c.stmtStart = false
 	return pc
 }
 
 func (c *fnCompiler) patch(pc, target int) { c.fc.Instrs[pc].A = target }
+
+// emitLocal emits op, one of loadl, storel and addrl, on a local slot, or
+// its capture twin (loadc, storec, addrc) when the slot is one of a
+// parallel_for helper's by-reference params, which a worker's frame
+// reaches through its capture list.
+func (c *fnCompiler) emitLocal(op OpCode, slot int) {
+	if slot >= 1 && slot <= c.fn.Captured {
+		switch op {
+		case OpLoadLocal:
+			op = OpLoadCap
+		case OpStoreLocal:
+			op = OpStoreCap
+		case OpAddrLocal:
+			op = OpAddrCap
+		}
+	}
+	c.emit(op, slot, 0)
+}
 
 func (c *fnCompiler) here() int { return len(c.fc.Instrs) }
 
@@ -232,7 +249,7 @@ func (c *fnCompiler) stmtNoMark(s Stmt) error {
 		} else {
 			c.emit(OpConst, c.constIdx(ZeroValue(st.Type)), 0)
 		}
-		c.emit(OpStoreLocal, st.Slot, 0)
+		c.emitLocal(OpStoreLocal, st.Slot)
 		return nil
 
 	case *AssignStmt:
@@ -429,7 +446,7 @@ func (c *fnCompiler) assign(st *AssignStmt) error {
 		if id.IsGlobal {
 			c.emit(OpStoreGlobal, id.GlobalIndex, 0)
 		} else {
-			c.emit(OpStoreLocal, id.Slot, 0)
+			c.emitLocal(OpStoreLocal, id.Slot)
 		}
 		return nil
 	}
@@ -468,7 +485,7 @@ func (c *fnCompiler) addr(e Expr) error {
 		if x.IsGlobal {
 			c.emit(OpAddrGlobal, x.GlobalIndex, 0)
 		} else {
-			c.emit(OpAddrLocal, x.Slot, 0)
+			c.emitLocal(OpAddrLocal, x.Slot)
 		}
 		return nil
 	case *IndexExpr:
@@ -514,7 +531,7 @@ func (c *fnCompiler) expr(e Expr) error {
 		if x.IsGlobal {
 			c.emit(OpLoadGlobal, x.GlobalIndex, 0)
 		} else {
-			c.emit(OpLoadLocal, x.Slot, 0)
+			c.emitLocal(OpLoadLocal, x.Slot)
 		}
 
 	case *BinaryExpr:

@@ -58,7 +58,7 @@ func (d *Disassembler) operands(fc *FuncCode, in Instr) string {
 		if in.A < len(fc.Consts) {
 			return FormatValue(fc.Consts[in.A])
 		}
-	case OpLoadLocal, OpStoreLocal, OpAddrLocal:
+	case OpLoadLocal, OpStoreLocal, OpAddrLocal, OpLoadCap, OpStoreCap, OpAddrCap:
 		return fmt.Sprintf("slot %d", in.A)
 	case OpLoadGlobal, OpStoreGlobal, OpAddrGlobal:
 		if in.A < len(d.prog.Globals) {

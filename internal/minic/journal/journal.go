@@ -41,7 +41,7 @@ import (
 	"d2x/internal/minic"
 )
 
-// chunkShift sizes the record chunks: 1<<12 records x 24 bytes = 96 KiB
+// chunkShift sizes the record chunks: 1<<12 records x 16 bytes = 64 KiB
 // per chunk, about 40K instructions of history on the Fig4 run.
 const (
 	chunkShift = 12
@@ -50,15 +50,26 @@ const (
 )
 
 // rec is one statement boundary: where execution stood just before the
-// statement-start instruction at position step ran. 24 bytes, fixed
-// size, no pointers.
+// statement-start instruction at a position ran. 16 bytes, fixed size,
+// no pointers. The bytes each record writes are most of what recording
+// costs (EXPERIMENTS.md), so the position shares a word with the frame
+// depth, which the VM holds to 10,000 frames, and the function and pc are
+// one program-wide instruction index (minic.FuncCode.Base).
 type rec struct {
-	step   int64
+	at     uint64 // position<<depthBits | depth
 	thread int32
-	fnIdx  int32
-	pc     int32
-	depth  int32
+	ip     uint32
 }
+
+// depthBits is the share of rec.at that holds the depth. It leaves 48
+// bits for positions: recording ends (as Stop ends it) after maxStep
+// scheduled instructions, weeks of execution at the VM's speed.
+const (
+	depthBits = 16
+	maxStep   = 1<<(64-depthBits) - 1
+)
+
+func (r *rec) step() int64 { return int64(r.at >> depthBits) }
 
 type chunk [chunkSize]rec
 
@@ -121,7 +132,8 @@ type Journal struct {
 	// offset of the next record within it, so the append is one pointer
 	// indexing instead of two bounds-checked slice lookups; pos ==
 	// chunkSize forces grow. nextSnap is the position from which the
-	// next cadence snapshot is due.
+	// next cadence snapshot is due; once recording has ended it is 0, so
+	// that a hook call still under way only returns.
 	cur      *chunk
 	pos      int
 	nextSnap int64
@@ -183,6 +195,7 @@ func (j *Journal) Stop() {
 	}
 	j.end = j.Step()
 	j.active = false
+	j.nextSnap = 0
 	j.vm.SetStepHook(nil)
 	for _, c := range j.chunks {
 		chunkPool.Put(c)
@@ -192,29 +205,39 @@ func (j *Journal) Stop() {
 
 // record is the hot path, installed as the VM's statement-boundary
 // hook. It runs once per scheduled statement-start instruction while
-// recording is on.
+// recording is on, with the thread about to run it, its top frame and
+// the VM's position.
 //
 //d2x:hotpath
 //d2x:noalloc
-func (j *Journal) record(t *minic.Thread) {
+func (j *Journal) record(t *minic.Thread, f *minic.Frame, pos int64) {
 	// The hook fires before the instruction at position step executes,
 	// so right now the VM state IS position step — the only moment a
 	// cadence snapshot for it can be taken.
-	step := j.Step()
-	if step >= j.nextSnap {
-		j.checkpoint(step) //d2xvet:ignore noalloc cadence snapshots are off the per-statement path
+	step := pos - j.base
+	if step >= j.nextSnap && !j.due(step) { //d2xvet:ignore noalloc cadence snapshots are off the per-statement path
+		return
 	}
 	if j.pos == chunkSize {
 		j.grow() //d2xvet:ignore noalloc chunk growth is pooled and amortized over 4096 records
 	}
-	r := &j.cur[j.pos]
-	f := t.Top() // never nil: the hook fires only at a statement start
-	r.step = step
-	r.thread = int32(t.ID)
-	r.fnIdx = int32(f.FuncIndex)
-	r.pc = int32(f.PC)
-	r.depth = int32(len(t.Frames))
+	j.cur[j.pos] = rec{at: uint64(step)<<depthBits | uint64(len(t.Frames)), thread: int32(t.ID), ip: uint32(f.Code.Base + f.PC)}
 	j.pos++
+}
+
+// due takes the cadence snapshot due at position step and reports
+// whether recording goes on. It ends, as Stop ends it, at a position
+// too large for a record.
+func (j *Journal) due(step int64) bool {
+	if !j.active {
+		return false
+	}
+	if step > maxStep {
+		j.Stop()
+		return false
+	}
+	j.checkpoint(step)
+	return true
 }
 
 // grow opens the chunk holding the next record.
@@ -232,7 +255,7 @@ func (j *Journal) checkpoint(step int64) {
 	if j.snaps[len(j.snaps)-1].step < step {
 		j.snaps = append(j.snaps, checkpoint{step: step, snap: j.vm.TakeSnapshot()})
 	}
-	j.nextSnap = step - step%j.every + j.every
+	j.nextSnap = min(step-step%j.every+j.every, maxStep+1)
 }
 
 // StopCheckpointGap is the least history, in scheduled instructions,
@@ -283,7 +306,7 @@ func (j *Journal) at(k int) *rec { return &j.chunks[k>>chunkShift][k&chunkMask] 
 
 // before returns the number of records logged before position pos.
 func (j *Journal) before(pos int64) int {
-	return sort.Search(j.records(), func(k int) bool { return j.at(k).step >= pos })
+	return sort.Search(j.records(), func(k int) bool { return j.at(k).step() >= pos })
 }
 
 // RestoreTo rewinds (or fast-forwards within history) the VM to its
@@ -312,7 +335,7 @@ func (j *Journal) RestoreTo(target int64) error {
 	}
 	cp := j.snaps[ci]
 	j.snaps = j.snaps[:ci+1]
-	j.nextSnap = cp.step - cp.step%j.every + j.every
+	j.nextSnap = min(cp.step-cp.step%j.every+j.every, maxStep+1)
 
 	// Truncate the log to the records before target, recycling whole
 	// chunks, and point the append cursor at the first free slot (pos
@@ -357,7 +380,8 @@ func (j *Journal) RestoreTo(target int64) error {
 func (j *Journal) SeekBack(from int64, pred func(Rec) bool) (r Rec, ok bool) {
 	for k := j.before(from) - 1; k >= 0; k-- {
 		x := j.at(k)
-		r = Rec{Step: x.step, Thread: int(x.thread), FuncIndex: int(x.fnIdx), PC: int(x.pc), Depth: int(x.depth)}
+		fn, pc := j.vm.Prog.FuncAt(int(x.ip))
+		r = Rec{Step: x.step(), Thread: int(x.thread), FuncIndex: fn, PC: pc, Depth: int(x.at & (1<<depthBits - 1))}
 		if pred(r) {
 			return r, true
 		}

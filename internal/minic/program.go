@@ -32,6 +32,17 @@ func (p *Program) FuncIndex(name string) int {
 	return -1
 }
 
+// FuncAt returns the function holding the program-wide instruction
+// index ip (FuncCode.Base plus a pc) and that pc, or -1 and 0 when no
+// function does.
+func (p *Program) FuncAt(ip int) (fnIdx, pc int) {
+	i := sort.Search(len(p.Code), func(i int) bool { return p.Code[i].Base > ip }) - 1
+	if i < 0 || ip-p.Code[i].Base >= len(p.Code[i].Instrs) {
+		return -1, 0
+	}
+	return i, ip - p.Code[i].Base
+}
+
 // SourceLines returns the program text split into lines (1-based access via
 // SourceLine).
 func (p *Program) SourceLines() []string {

@@ -159,8 +159,12 @@ func newStepwiseRun(prog *minic.Program, script stepwiseScript) (*stepwiseRun, e
 	if err := r.ref.Start(); err != nil {
 		return nil, err
 	}
-	r.fast.SetStepHook(func(t *minic.Thread) {
-		r.fastHooks = append(r.fastHooks, boundaryOf(r.fast, t))
+	r.fast.SetStepHook(func(t *minic.Thread, f *minic.Frame, pos int64) {
+		b := boundaryOf(r.fast, t)
+		if f != t.Top() || pos != b.pos {
+			b.thread = -1 // the hook was not handed t's top frame and the VM's position
+		}
+		r.fastHooks = append(r.fastHooks, b)
 	})
 	return r, nil
 }
@@ -255,13 +259,17 @@ func sameState(a, b *minic.VM) error {
 		}
 		for j, f := range x.Frames {
 			g := y.Frames[j]
-			if f.FuncIndex != g.FuncIndex || f.PC != g.PC || len(f.Slots) != len(g.Slots) {
+			if f.FuncIndex != g.FuncIndex || f.PC != g.PC {
 				return fmt.Errorf("thread %d frame %d: %s pc %d, reference %s pc %d", x.ID, j, f.Fn.Name, f.PC, g.Fn.Name, g.PC)
 			}
-			for k, c := range f.Slots {
-				if !samePrint(c.V, g.Slots[k].V, 0) {
+			for k := range f.Code.NumSlots {
+				c, d := f.Slot(k), g.Slot(k)
+				if c == nil || d == nil {
+					return fmt.Errorf("thread %d frame %d (%s) slot %d missing", x.ID, j, f.Fn.Name, k)
+				}
+				if !samePrint(c.V, d.V, 0) {
 					return fmt.Errorf("thread %d frame %d (%s) slot %d = %s, reference %s",
-						x.ID, j, f.Fn.Name, k, minic.FormatValue(c.V), minic.FormatValue(g.Slots[k].V))
+						x.ID, j, f.Fn.Name, k, minic.FormatValue(c.V), minic.FormatValue(d.V))
 				}
 			}
 		}

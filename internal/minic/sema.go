@@ -174,6 +174,43 @@ func assignable(to, from *Type) bool {
 	return false
 }
 
+// StoreValue returns v as the program's own store of it into a location
+// of declared type t leaves it, and whether the checker would allow that
+// store (assignable): an int stored into a float becomes a float, as
+// castIfNeeded compiles it. A value carries no static type, so v's is
+// rebuilt from what it holds. A pointer does not record its target's
+// type: it fits any pointer type but a struct pointer, which holds the
+// struct itself.
+func StoreValue(t *Type, v Value) (Value, bool) {
+	var from *Type
+	switch v.Kind {
+	case VInt:
+		from = IntType
+	case VFloat:
+		from = FloatType
+	case VBool:
+		from = BoolType
+	case VStr:
+		from = StringType
+	case VPtr:
+		return v, t.Kind == TAny || t.Kind == TPointer && t.Elem != nil && t.Elem.Kind != TStruct
+	default:
+		from = nullType
+	}
+	if a := v.Arr(); a != nil {
+		from = ArrayOf(a.Elem)
+	} else if s := v.Struct(); s != nil {
+		from = PointerTo(StructType(s.Def.Name))
+	}
+	if !assignable(t, from) {
+		return v, false
+	}
+	if t.Kind == TFloat && v.Kind == VInt {
+		return FloatVal(float64(v.I)), true
+	}
+	return v, true
+}
+
 // nullType is the type given to the `null` literal: a pointer with nil
 // element, assignable to every reference type.
 var nullType = &Type{Kind: TPointer}
@@ -445,6 +482,7 @@ func (c *checker) checkParallelFor(st *ParallelForStmt) error {
 	}
 	st.CapturedVars = captured
 	st.Slot = 0
+	helper.Captured = len(captured)
 
 	helper.Index = len(c.prog.Funcs)
 	c.prog.FuncByName[helper.Name] = helper.Index

@@ -101,15 +101,17 @@ func (vm *VM) RestoreSnapshot(s *Snapshot) error {
 
 // stateCopier performs one aliasing-preserving deep copy of a VM object
 // graph. The copy runs in phases so that pointers into the interior of a
-// container (a VPtr to &ArrayObj.Cells[i], a struct field cell, a global)
-// are translated to the corresponding interior cell of the copied
-// container rather than to a detached duplicate:
+// container (a VPtr to &ArrayObj.Cells[i], a struct field cell, a global,
+// a frame slot) are translated to the corresponding interior cell of the
+// copied container rather than to a detached duplicate:
 //
-//  1. register the root cells whose copies have fixed homes (globals);
+//  1. register the root cells whose copies have fixed homes: the globals,
+//     and the slots of every live frame, whose copy gets one slot array
+//     of its own;
 //  2. discover the reachable graph: every container, copied (or shared)
 //     the moment it is first seen, and every cell reachable other than
-//     as a container interior (frame slots, parallel_for captures,
-//     pointer targets);
+//     as a container interior or a root (parallel_for captures of a
+//     frame the copy does not hold, pointer targets);
 //  3. map each pointer target that is a container interior to the
 //     copied container's cell — only when a pointer was found, so the
 //     common pointer-free state pays no per-element map entry — and give
@@ -119,16 +121,18 @@ func (vm *VM) RestoreSnapshot(s *Snapshot) error {
 //     by translating through the maps.
 //
 // The VM guarantees that a frame slot or global cell is never the
-// interior of an array or struct (slots come from newFrame/parForFrame
-// backing cells, globals from vm.Globals), so root registration in phase
-// 1 cannot conflict with container discovery in phase 2.
+// interior of an array or struct (slots live in their frame's own slot
+// array, globals in vm.Globals), so root registration in phase 1 cannot
+// conflict with container discovery in phase 2. A worker's captured
+// slots are its spawner's cells, which the spawner's frame registers
+// while the worker runs; a finished worker keeps no capture list.
 //
 // A shared array is an earlier snapshot's copy, found through prev, of
 // an array that has not changed since and holds no reference. Its cells
 // already hold what phase 4 would write, so they are neither scanned nor
 // filled: a snapshot is never written once taken.
 type stateCopier struct {
-	cells   map[*Cell]*Cell // nil until phase 3 for non-global cells
+	cells   map[*Cell]*Cell // nil until phase 3 for non-root cells
 	arrs    map[*ArrayObj]*ArrayObj
 	structs map[*StructObj]*StructObj
 	prev    map[*ArrayObj]*ArrayObj // copies that may be shared; nil for none
@@ -153,18 +157,44 @@ func copyVMState(globals []Cell, threads []*Thread, dstGlobals []Cell, prev map[
 		prev:    prev,
 	}
 
-	// Phase 1: globals are roots with fixed destinations.
-	for i := range globals {
-		c.cells[&globals[i]] = &dstGlobals[i]
-		c.cellQ = append(c.cellQ, &globals[i])
+	// Phase 1: globals and frame slots are roots with fixed destinations.
+	root := func(old, home *Cell) {
+		c.cells[old] = home
+		c.cellQ = append(c.cellQ, old)
 	}
+	for i := range globals {
+		root(&globals[i], &dstGlobals[i])
+	}
+	tmap := make(map[*Thread]*Thread, len(threads))
+	out := make([]*Thread, len(threads))
+	for i, t := range threads {
+		nt := &Thread{ID: t.ID, State: t.State, Fault: t.Fault, children: t.children, idx: t.idx}
+		tmap[t] = nt
+		out[i] = nt
+		if len(t.Frames) == 0 {
+			continue
+		}
+		nt.Frames = make([]*Frame, len(t.Frames))
+		for j, f := range t.Frames {
+			nf := &Frame{
+				ID:        f.ID,
+				FuncIndex: f.FuncIndex,
+				Fn:        f.Fn,
+				Code:      f.Code,
+				PC:        f.PC,
+				slots:     make([]Cell, len(f.slots)),
+			}
+			for k := range f.slots {
+				root(&f.slots[k], &nf.slots[k])
+			}
+			nt.Frames[j] = nf
+		}
+	}
+	n := len(c.cellQ)
 
 	// Phase 2: discover everything reachable from threads.
 	for _, t := range threads {
 		for _, f := range t.Frames {
-			for _, slot := range f.Slots {
-				c.addCell(slot)
-			}
 			for _, v := range f.stack {
 				c.discover(v)
 			}
@@ -184,7 +214,6 @@ func copyVMState(globals []Cell, threads []*Thread, dstGlobals []Cell, prev map[
 	if c.ptrs > 0 {
 		c.mapInteriors()
 	}
-	n := len(globals)
 	for _, old := range c.cellQ[n:] {
 		if c.cells[old] == nil {
 			c.cells[old] = &Cell{}
@@ -210,21 +239,10 @@ func copyVMState(globals []Cell, threads []*Thread, dstGlobals []Cell, prev map[
 			ns.Fields[i].V = c.translate(old.Fields[i].V)
 		}
 	}
-	tmap := make(map[*Thread]*Thread, len(threads))
-	out := make([]*Thread, len(threads))
-	for i, t := range threads {
-		tmap[t] = &Thread{}
-		out[i] = tmap[t]
-	}
 	for i, t := range threads {
 		nt := out[i]
-		nt.ID = t.ID
-		nt.State = t.State
-		nt.Fault = t.Fault
 		nt.Result = c.translate(t.Result)
 		nt.parent = tmap[t.parent] // nil maps to nil
-		nt.children = t.children
-		nt.idx = t.idx
 		if t.par != nil {
 			pr := &parRange{next: t.par.next, end: t.par.end, helper: t.par.helper}
 			pr.captured = make([]*Cell, len(t.par.captured))
@@ -233,27 +251,18 @@ func copyVMState(globals []Cell, threads []*Thread, dstGlobals []Cell, prev map[
 			}
 			nt.par = pr
 		}
-		if len(t.Frames) > 0 {
-			nt.Frames = make([]*Frame, len(t.Frames))
-			for j, f := range t.Frames {
-				nf := &Frame{
-					ID:        f.ID,
-					FuncIndex: f.FuncIndex,
-					Fn:        f.Fn,
-					Code:      f.Code,
-					PC:        f.PC,
+		for j, f := range t.Frames {
+			nf := nt.Frames[j]
+			if f.captured != nil {
+				// Only a worker's helper frame has a capture list, its
+				// range's.
+				nf.captured = nt.par.captured
+			}
+			if len(f.stack) > 0 {
+				nf.stack = make([]Value, len(f.stack))
+				for k, v := range f.stack {
+					nf.stack[k] = c.translate(v)
 				}
-				nf.Slots = make([]*Cell, len(f.Slots))
-				for k, slot := range f.Slots {
-					nf.Slots[k] = c.cells[slot]
-				}
-				if len(f.stack) > 0 {
-					nf.stack = make([]Value, len(f.stack))
-					for k, v := range f.stack {
-						nf.stack[k] = c.translate(v)
-					}
-				}
-				nt.Frames[j] = nf
 			}
 		}
 	}

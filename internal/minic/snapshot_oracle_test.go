@@ -130,8 +130,8 @@ func sameArrays(a, b *minic.VM) error {
 	tb := b.Threads()
 	for i, t := range a.Threads() {
 		for j, f := range t.Frames {
-			for k, c := range f.Slots {
-				if err := w.cell(c, tb[i].Frames[j].Slots[k]); err != nil {
+			for k := range f.Code.NumSlots {
+				if err := w.cell(f.Slot(k), tb[i].Frames[j].Slot(k)); err != nil {
 					return fmt.Errorf("thread %d frame %d (%s) slot %d: %v", t.ID, j, f.Fn.Name, k, err)
 				}
 			}

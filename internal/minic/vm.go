@@ -32,39 +32,63 @@ func (s ThreadState) String() string {
 	return fmt.Sprintf("ThreadState(%d)", int(s))
 }
 
-// Frame is one function activation. Slots are individually heap-allocated
-// cells so that pointers into frames (and parallel_for's by-reference
-// captures) stay valid for the frame's lifetime. After the frame returns,
-// the VM may recycle it, cells included, for a later call of the same
-// function (see FuncCode.reuseFrames), like a reused stack slot.
+// Frame is one function activation. Its slots are one array of cells,
+// allocated with the frame, so a pointer into a frame is an ordinary
+// *Cell, valid for the frame's lifetime. A parallel_for worker's helper
+// frame is the one exception: its by-reference params, slots 1 to
+// len(captured), are the spawning frame's cells, which the helper's code
+// reaches through the capture opcodes (loadc, storec, addrc). Slot
+// resolves every slot either way. After the frame returns, the VM may
+// recycle it for a later call of the same function (see
+// FuncCode.reuseFrames), like a reused stack slot.
 type Frame struct {
 	ID        int
 	FuncIndex int
 	Fn        *FuncDecl
 	Code      *FuncCode
 	PC        int
-	Slots     []*Cell
-	stack     []Value
+	slots     []Cell
+	// captured is the capture list of the parallel_for worker running
+	// this helper frame, and nil in every other frame: a helper called
+	// directly keeps its by-reference params in slots of its own.
+	captured []*Cell
+	stack    []Value
 }
 
 // Line returns the source line of the instruction the frame is about to
 // execute (for the top frame) or is executing a call from (inner frames).
 func (f *Frame) Line() int { return f.Code.LineOf(f.PC) }
 
+// Slot returns the cell of slot i, or nil when the frame has no slot i.
+// It is the one way to a slot: a worker's captured slot is the spawning
+// frame's cell, every other slot a cell of the frame's own.
+//
+//d2x:noalloc
+func (f *Frame) Slot(i int) *Cell {
+	if k := i - 1; uint(k) < uint(len(f.captured)) {
+		return f.captured[k]
+	}
+	if uint(i) < uint(len(f.slots)) {
+		return &f.slots[i]
+	}
+	return nil
+}
+
 // SlotByName returns the cell for the named local, or nil. This is a
 // convenience used by tests; the debugger goes through the debug info
 // instead, as a real debugger would.
 func (f *Frame) SlotByName(name string) *Cell {
 	for i, n := range f.Fn.SlotNames {
-		if n == name && i < len(f.Slots) {
-			return f.Slots[i]
+		if n == name {
+			return f.Slot(i)
 		}
 	}
 	return nil
 }
 
 // parRange drives one logical thread's share of a parallel_for: the thread
-// repeatedly pushes helper frames until the index range is exhausted.
+// runs the helper for each index of the range in turn, in one frame when
+// the helper's frames are reusable.
 type parRange struct {
 	next, end int64
 	helper    int
@@ -176,7 +200,7 @@ type scheduler struct {
 	// invisible to it. The hook runs before the cursor and steps
 	// advance, so a snapshot taken inside it captures a state from which
 	// the same thread is deterministically re-selected on replay.
-	hook func(*Thread)
+	hook func(t *Thread, f *Frame, pos int64)
 	// turns is the rotation runTurns works through between picks.
 	turns []turn
 }
@@ -304,15 +328,24 @@ func (vm *VM) FrameByID(id int) *Frame {
 	return nil
 }
 
-// newFrame activates function funcIndex with args in its first slots. It
-// recycles a returned frame of the function when one is free, which
-// returnFrame left with re-zeroed slots and an empty operand stack.
+// newFrame activates function funcIndex with args in its first slots.
 func (vm *VM) newFrame(funcIndex int, args []Value) (*Frame, error) {
 	fd := vm.Prog.Funcs[funcIndex]
-	fc := vm.Prog.Code[funcIndex]
 	if len(args) != len(fd.Params) {
 		return nil, fmt.Errorf("call to %s with %d args, want %d", fd.Name, len(args), len(fd.Params))
 	}
+	f := vm.frame(funcIndex)
+	for i, a := range args {
+		f.slots[i].V = a
+	}
+	return f, nil
+}
+
+// frame returns a frame of function funcIndex at PC 0, with zeroed slots
+// and a new ID. It recycles a returned frame of the function when one is
+// free, which returnFrame left with re-zeroed slots, an empty operand
+// stack and no capture list.
+func (vm *VM) frame(funcIndex int) *Frame {
 	var f *Frame
 	if free := vm.frameFree[funcIndex]; len(free) > 0 {
 		f = free[len(free)-1]
@@ -320,35 +353,29 @@ func (vm *VM) newFrame(funcIndex int, args []Value) (*Frame, error) {
 		vm.frameFree[funcIndex] = free[:len(free)-1]
 		f.PC = 0
 	} else {
+		fc := vm.Prog.Code[funcIndex]
 		f = &Frame{
 			FuncIndex: funcIndex,
-			Fn:        fd,
+			Fn:        vm.Prog.Funcs[funcIndex],
 			Code:      fc,
-			Slots:     make([]*Cell, fc.NumSlots),
+			slots:     make([]Cell, fc.NumSlots),
 			stack:     make([]Value, 0, fc.MaxStack),
-		}
-		backing := make([]Cell, fc.NumSlots)
-		for i := range f.Slots {
-			f.Slots[i] = &backing[i]
 		}
 		zeroSlots(f)
 	}
 	f.ID = vm.nextFrameID
 	vm.nextFrameID++
-	for i, a := range args {
-		f.Slots[i].V = a
-	}
-	return f, nil
+	return f
 }
 
 // zeroSlots gives every slot of f the zero value of its declared type.
 func zeroSlots(f *Frame) {
 	types := f.Fn.SlotTypes
-	for i, c := range f.Slots {
+	for i := range f.slots {
 		if i < len(types) {
-			c.V = ZeroValue(types[i])
+			f.slots[i].V = ZeroValue(types[i])
 		} else {
-			c.V = Value{}
+			f.slots[i].V = Value{}
 		}
 	}
 }
@@ -394,10 +421,13 @@ func (vm *VM) Started() bool { return vm.started }
 
 // SetStepHook installs (or, with nil, removes) the statement-boundary
 // observer: it fires before every scheduled instruction that starts a
-// source statement. At most one hook is supported; installing a new one
-// replaces the old. The hook must not run or mutate the VM — taking a
-// snapshot is the intended use.
-func (vm *VM) SetStepHook(fn func(*Thread)) { vm.sched.hook = fn }
+// source statement, with the thread about to run it, that thread's top
+// frame (whose PC is the instruction's) and the position: the number of
+// scheduled instructions run before it (Scheduled). At most one hook is
+// supported; installing a new one replaces the old, and a run already
+// under way keeps calling the hook it started with. The hook must not
+// run or mutate the VM — taking a snapshot is the intended use.
+func (vm *VM) SetStepHook(fn func(t *Thread, f *Frame, pos int64)) { vm.sched.hook = fn }
 
 // Done reports whether every scheduled thread has finished.
 func (vm *VM) Done() bool { return len(vm.sched.runq) == 0 }
@@ -490,10 +520,12 @@ func (vm *VM) run(s *scheduler, budget int64, stop func(*Thread) bool) int64 {
 	return s.steps - start
 }
 
-// turn is one entry of a scheduler's rotation: a ready thread, its
-// run-queue position and the cursor it leaves behind when it runs.
+// turn is one entry of a scheduler's rotation: a ready thread, its top
+// frame, its run-queue position and the cursor it leaves behind when it
+// runs.
 type turn struct {
 	t        *Thread
+	f        *Frame
 	at, next int
 }
 
@@ -514,7 +546,7 @@ func (s *scheduler) rotation(at int) []turn {
 			if next == len(s.threads) {
 				next = 0
 			}
-			ts = append(ts, turn{t: t, at: j, next: next})
+			ts = append(ts, turn{t: t, f: t.Top(), at: j, next: next})
 		}
 	}
 	s.turns = ts
@@ -525,134 +557,149 @@ func (s *scheduler) rotation(at int) []turn {
 // one instruction per turn, in pick's round-robin order, a lone thread
 // every turn, until the steps count of s reaches end, stop returns true
 // (runTurns then returns false), or a thread finishes, blocks, spawns or
-// faults: from then on pick may choose differently. The cursor and both
-// step counts advance with every instruction, so they are exact whenever
-// stop, the hook or a native runs, and when runTurns returns.
+// faults: from then on pick may choose differently.
 //
-// The common opcodes run here; execInstr runs the rest.
+// The common opcodes run here; execInstr runs the rest. Only execInstr
+// can finish, block or spawn a thread or change its top frame, so that
+// is tested after execInstr alone. The step counts and the cursor advance
+// in locals, which runTurns writes back before stop, the hook or
+// execInstr runs and when it returns: they are exact whenever stop, the
+// hook or a native sees them.
 //
 //d2x:hotpath
 //d2x:noalloc amortized
 func (vm *VM) runTurns(s *scheduler, at int, end int64, stop func(*Thread) bool) bool {
 	turns := s.rotation(at)
+	hook := s.hook
 	k := 0
-	t := turns[0].t
-	f := t.Top()
-	for s.steps < end {
-		var err error
-		switch {
-		case f == nil:
+	t, f, next := turns[0].t, turns[0].f, turns[0].next
+	steps, vmSteps, cursor := s.steps, vm.Steps, s.cursor
+	var err error
+	for steps < end {
+		if f == nil {
 			t.State = ThreadDone
-		case uint(f.PC) >= uint(len(f.Code.Instrs)):
-			err = vm.faultf(f, f.PC, "program counter out of range (%d)", f.PC) //d2xvet:ignore noalloc fault path
-		default:
-			pc := f.PC
-			in := &f.Code.Instrs[pc]
-			if in.StmtStart {
-				if stop != nil && stop(t) {
-					return false
-				}
-				if s.hook != nil {
-					s.hook(t)
-				}
+			goto settle
+		}
+		pc := f.PC
+		if uint(pc) >= uint(len(f.Code.Instrs)) {
+			err = vm.faultf(f, pc, "program counter out of range (%d)", pc) //d2xvet:ignore noalloc fault path
+			goto settle
+		}
+		in := &f.Code.Instrs[pc]
+		if in.StmtStart && (stop != nil || hook != nil) {
+			s.steps, vm.Steps, s.cursor = steps, vmSteps, cursor
+			if stop != nil && stop(t) {
+				return false
 			}
-			f.PC = pc + 1
-			if len(f.stack) < in.pops() {
-				err = vm.faultf(f, pc, "operand stack underflow at %s", in.Op) //d2xvet:ignore noalloc fault path
-				break
+			if hook != nil {
+				hook(t, f, steps)
 			}
-			switch in.Op {
-			case OpConst:
-				f.stack = append(f.stack, f.Code.Consts[in.A])
+			vmSteps = vm.Steps // synthetic calls from stop count here
+		}
+		f.PC = pc + 1
+		if len(f.stack) < int(in.pops) {
+			err = vm.faultf(f, pc, "operand stack underflow at %s", in.Op) //d2xvet:ignore noalloc fault path
+			goto settle
+		}
+		switch in.Op {
+		case OpConst:
+			f.stack = append(f.stack, f.Code.Consts[in.A])
 
-			case OpLoadLocal:
-				f.stack = append(f.stack, f.Slots[in.A].V)
+		case OpLoadLocal:
+			f.stack = append(f.stack, f.slots[in.A].V)
 
-			case OpStoreLocal:
-				n := len(f.stack) - 1
-				f.Slots[in.A].V = f.stack[n]
-				f.stack = f.stack[:n]
+		case OpStoreLocal:
+			n := len(f.stack) - 1
+			f.slots[in.A].V = f.stack[n]
+			f.stack = f.stack[:n]
 
-			case OpLoadGlobal:
-				f.stack = append(f.stack, vm.Globals[in.A].V)
+		case OpLoadGlobal:
+			f.stack = append(f.stack, vm.Globals[in.A].V)
 
-			case OpJmp:
+		case OpJmp:
+			f.PC = in.A
+
+		case OpJmpFalse:
+			n := len(f.stack) - 1
+			if !f.stack[n].Bool() {
 				f.PC = in.A
-
-			case OpJmpFalse:
-				n := len(f.stack) - 1
-				if !f.stack[n].Bool() {
-					f.PC = in.A
-				}
-				f.stack = f.stack[:n]
-
-			case OpBin:
-				n := len(f.stack) - 2
-				x, y := f.stack[n], f.stack[n+1]
-				f.stack = f.stack[:n]
-				op := Kind(in.A)
-				var v Value
-				if op == Plus && x.Kind == VInt && y.Kind == VInt {
-					v = IntVal(x.I + y.I)
-				} else if op == Lt && x.Kind == VInt && y.Kind == VInt {
-					v = BoolVal(x.I < y.I)
-				} else if v, err = evalBin(op, x, y); err != nil { //d2xvet:ignore noalloc a string + allocates its result, a fault its error
-					err = vm.faultf(f, pc, "%s", err)
-					break
-				}
-				f.stack = append(f.stack, v)
-
-			case OpIndexLoad, OpIndexAddr:
-				n := len(f.stack) - 2
-				arr, i := f.stack[n].Arr(), f.stack[n+1].I
-				f.stack = f.stack[:n]
-				if arr == nil || uint64(i) >= uint64(len(arr.Cells)) {
-					err = vm.indexFault(f, pc, arr, i) //d2xvet:ignore noalloc fault path
-					break
-				}
-				if in.Op == OpIndexLoad {
-					f.stack = append(f.stack, arr.Cells[i].V)
-				} else {
-					f.stack = append(f.stack, PtrVal(&arr.Cells[i]))
-				}
-
-			case OpFieldLoad, OpFieldAddr:
-				n := len(f.stack) - 1
-				obj := f.stack[n].Struct()
-				if p := f.stack[n].Ptr(); p != nil {
-					obj = p.V.Struct()
-				}
-				f.stack = f.stack[:n]
-				if obj == nil {
-					err = vm.faultf(f, pc, "field access on null struct") //d2xvet:ignore noalloc fault path
-					break
-				}
-				if in.Op == OpFieldLoad {
-					f.stack = append(f.stack, obj.Fields[in.A].V)
-				} else {
-					f.stack = append(f.stack, PtrVal(&obj.Fields[in.A]))
-				}
-
-			default:
-				err = vm.execInstr(t, f, in, pc) //d2xvet:ignore noalloc calls allocate the callee frame, parallel_for its workers, natives what they build
-				f = t.Top()
 			}
+			f.stack = f.stack[:n]
+
+		case OpBin:
+			n := len(f.stack) - 2
+			x, y := f.stack[n], f.stack[n+1]
+			f.stack = f.stack[:n]
+			op := Kind(in.A)
+			var v Value
+			if op == Plus && x.Kind == VInt && y.Kind == VInt {
+				v = IntVal(x.I + y.I)
+			} else if op == Lt && x.Kind == VInt && y.Kind == VInt {
+				v = BoolVal(x.I < y.I)
+			} else if v, err = evalBin(op, x, y); err != nil { //d2xvet:ignore noalloc a string + allocates its result, a fault its error
+				err = vm.faultf(f, pc, "%s", err)
+				goto settle
+			}
+			f.stack = append(f.stack, v)
+
+		case OpIndexLoad, OpIndexAddr:
+			n := len(f.stack) - 2
+			arr, i := f.stack[n].Arr(), f.stack[n+1].I
+			f.stack = f.stack[:n]
+			if arr == nil || uint64(i) >= uint64(len(arr.Cells)) {
+				err = vm.indexFault(f, pc, arr, i) //d2xvet:ignore noalloc fault path
+				goto settle
+			}
+			if in.Op == OpIndexLoad {
+				f.stack = append(f.stack, arr.Cells[i].V)
+			} else {
+				f.stack = append(f.stack, PtrVal(&arr.Cells[i]))
+			}
+
+		case OpFieldLoad, OpFieldAddr:
+			n := len(f.stack) - 1
+			obj := f.stack[n].Struct()
+			if p := f.stack[n].Ptr(); p != nil {
+				obj = p.V.Struct()
+			}
+			f.stack = f.stack[:n]
+			if obj == nil {
+				err = vm.faultf(f, pc, "field access on null struct") //d2xvet:ignore noalloc fault path
+				goto settle
+			}
+			if in.Op == OpFieldLoad {
+				f.stack = append(f.stack, obj.Fields[in.A].V)
+			} else {
+				f.stack = append(f.stack, PtrVal(&obj.Fields[in.A]))
+			}
+
+		default:
+			s.steps, vm.Steps, s.cursor = steps, vmSteps, cursor
+			err = vm.execInstr(t, f, in, pc) //d2xvet:ignore noalloc calls allocate the callee frame, parallel_for its workers, natives what they build
+			vmSteps = vm.Steps
+			if err != nil || t.State != ThreadReady || len(vm.spawned) > 0 {
+				goto settle
+			}
+			f = t.Top()
+			turns[k].f = f
 		}
-		s.cursor = turns[k].next
-		s.steps++
-		vm.Steps++
-		if err != nil || t.State != ThreadReady || len(vm.spawned) > 0 {
-			vm.settle(s, turns[k].at, err)
-			return true
-		}
+		cursor = next
+		steps++
+		vmSteps++
 		if len(turns) > 1 {
 			if k++; k == len(turns) {
 				k = 0
 			}
-			t = turns[k].t
-			f = t.Top()
+			t, f, next = turns[k].t, turns[k].f, turns[k].next
 		}
 	}
+	s.steps, vm.Steps, s.cursor = steps, vmSteps, cursor
+	return true
+
+settle:
+	// The instruction just run faulted, or finished, blocked or spawned.
+	s.steps, vm.Steps, s.cursor = steps+1, vmSteps+1, next
+	vm.settle(s, turns[k].at, err)
 	return true
 }
 
@@ -858,13 +905,14 @@ func (vm *VM) putScheduler(s *scheduler) {
 	vm.schedFree = append(vm.schedFree, s)
 }
 
-// frameLocalCell reports whether cell is a local slot of one of t's own
-// frames — memory private to the guarded call, invisible to the
-// debuggee once the call returns.
+// frameLocalCell reports whether cell is a slot of one of t's own frames
+// — memory private to the guarded call, invisible to the debuggee once
+// the call returns. A worker's captured slots count: they are its
+// spawner's, a frame of the same call.
 func frameLocalCell(t *Thread, cell *Cell) bool {
 	for _, fr := range t.Frames {
-		for _, s := range fr.Slots {
-			if s == cell {
+		for i := range fr.slots {
+			if fr.Slot(i) == cell {
 				return true
 			}
 		}
@@ -910,7 +958,16 @@ func (vm *VM) execInstr(t *Thread, f *Frame, in *Instr, pc int) error {
 	case OpNop:
 
 	case OpAddrLocal:
-		f.push(PtrVal(f.Slots[in.A]))
+		f.push(PtrVal(&f.slots[in.A]))
+
+	case OpLoadCap:
+		f.push(f.Slot(in.A).V)
+
+	case OpStoreCap:
+		f.Slot(in.A).V = f.pop()
+
+	case OpAddrCap:
+		f.push(PtrVal(f.Slot(in.A)))
 
 	case OpStoreGlobal:
 		if t.guard != nil {
@@ -1078,70 +1135,56 @@ func (vm *VM) CallNative(nat *Native, t *Thread, args []Value) (Value, error) {
 // finishes the thread (continuing its parallel_for range, if any). A
 // frame whose slots nothing can reach any more goes to the free list,
 // its slots and operand stack cleared now so that it keeps nothing they
-// held alive.
+// held alive. The thread keeps its frame stack's backing array.
 func (vm *VM) returnFrame(t *Thread, v Value, hasValue bool) {
-	top := t.Top()
-	t.Frames = t.Frames[:len(t.Frames)-1]
+	n := len(t.Frames) - 1
+	top := t.Frames[n]
+	t.Frames[n] = nil
+	t.Frames = t.Frames[:n]
 	if top.Code.reuseFrames {
 		zeroSlots(top)
 		clear(top.stack[:cap(top.stack)])
 		top.stack = top.stack[:0]
+		top.captured = nil
 		vm.frameFree[top.FuncIndex] = append(vm.frameFree[top.FuncIndex], top)
 	}
-	if len(t.Frames) > 0 {
+	if n > 0 {
 		if hasValue {
 			t.Top().push(v)
 		}
 		return
 	}
 	// Root frame returned.
-	if t.par != nil && t.par.next < t.par.end {
-		frame := vm.parForFrame(t.par)
-		t.Frames = []*Frame{frame}
-		t.par.next++
+	if pr := t.par; pr != nil && pr.next < pr.end {
+		t.Frames = append(t.Frames, vm.parForFrame(pr))
 		return
 	}
 	if hasValue {
 		t.Result = v
 	}
 	t.State = ThreadDone
-	if t.parent != nil {
-		t.parent.children--
-		if t.parent.children == 0 && t.parent.State == ThreadWaiting {
-			t.parent.State = ThreadReady
+	// Nothing reads a finished thread's range or parent, so a snapshot
+	// need not copy the captured cells they hold.
+	t.par = nil
+	if p := t.parent; p != nil {
+		t.parent = nil
+		p.children--
+		if p.children == 0 && p.State == ThreadWaiting {
+			p.State = ThreadReady
 		}
 	}
 }
 
-// parForFrame builds a helper frame for the next index of a parallel range:
-// slot 0 holds the index; the following slots alias the captured cells of
-// the spawning frame.
+// parForFrame builds the helper frame for the next index of a parallel
+// range and advances the range: slot 0 holds the index, and the frame
+// reaches the spawning frame's captured cells through the range's capture
+// list. The frame is the one the worker's previous index ran in when the
+// helper's frames are reusable.
 func (vm *VM) parForFrame(pr *parRange) *Frame {
-	fd := vm.Prog.Funcs[pr.helper]
-	fc := vm.Prog.Code[pr.helper]
-	f := &Frame{
-		ID:        vm.nextFrameID,
-		FuncIndex: pr.helper,
-		Fn:        fd,
-		Code:      fc,
-		Slots:     make([]*Cell, fc.NumSlots),
-		stack:     make([]Value, 0, fc.MaxStack),
-	}
-	vm.nextFrameID++
-	// The index and the helper's own locals share one backing array;
-	// the captured slots alias the spawning frame's cells.
-	own := make([]Cell, fc.NumSlots-len(pr.captured))
-	own[0].V = IntVal(pr.next)
-	f.Slots[0] = &own[0]
-	for i, cell := range pr.captured {
-		f.Slots[1+i] = cell
-	}
-	for i, k := 1+len(pr.captured), 1; i < fc.NumSlots; i, k = i+1, k+1 {
-		f.Slots[i] = &own[k]
-		if i < len(fd.SlotTypes) {
-			own[k].V = ZeroValue(fd.SlotTypes[i])
-		}
-	}
+	f := vm.frame(pr.helper)
+	f.slots[0].V = IntVal(pr.next)
+	f.captured = pr.captured
+	pr.next++
 	return f
 }
 
@@ -1154,7 +1197,7 @@ func (vm *VM) spawnParFor(t *Thread, f *Frame, info ParForInfo, lo, hi int64) {
 	}
 	captured := make([]*Cell, len(info.Captured))
 	for i, slot := range info.Captured {
-		captured[i] = f.Slots[slot]
+		captured[i] = f.Slot(slot)
 	}
 	workers := int64(vm.NumWorkers)
 	if workers < 1 {
@@ -1179,7 +1222,6 @@ func (vm *VM) spawnParFor(t *Thread, f *Frame, info ParForInfo, lo, hi int64) {
 		child.guard = t.guard
 		child.par = &parRange{next: start, end: end, helper: info.Helper, captured: captured}
 		child.Frames = []*Frame{vm.parForFrame(child.par)}
-		child.par.next++
 		vm.spawned = append(vm.spawned, child)
 		spawned++
 	}

@@ -241,3 +241,28 @@ func int main() { return 0; }`)
 		t.Errorf("fuel stats = %+v", st)
 	}
 }
+
+// TestGuardAllowsStoreToCapturedLocal checks the write barrier against a
+// parallel_for's captures: a guarded call's workers may store through a
+// pointer to a local of the call's own frame that they captured, which
+// is memory private to the call, like a store to their own locals.
+func TestGuardAllowsStoreToCapturedLocal(t *testing.T) {
+	vm := startProgram(t, `
+func int count() {
+	int x = 0;
+	parallel_for (int i = 0; i < 3; i++) {
+		int* p = &x;
+		*p = *p + 1;
+	}
+	return x;
+}
+func int main() { return 0; }`)
+	vm.NumWorkers = 1
+	res, err := vm.CallFunctionGuarded("count", nil, &Guard{BlockWrites: true})
+	if err != nil {
+		t.Fatalf("guarded call: %v", err)
+	}
+	if res.Kind != VInt || res.I != 3 {
+		t.Errorf("count() = %s, want 3", FormatValue(res))
+	}
+}

@@ -617,6 +617,100 @@ func int main() {
 	}
 }
 
+// TestCallHelperDirectly checks that a parallel_for helper called
+// directly, as a debugger `call` may, gets cells of its own for its
+// by-reference params: its capture opcodes then read and write the
+// frame's slots, and the caller's arguments stay as they were.
+func TestCallHelperDirectly(t *testing.T) {
+	prog, err := Compile("test.c", `
+global int out = 0;
+func int main() {
+	int k = 5;
+	parallel_for (int i = 0; i < 4; i++) {
+		k = k + i;
+		out = k;
+	}
+	return k;
+}`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := NewVM(prog, nil)
+	if err := vm.Start(); err != nil {
+		t.Fatal(err)
+	}
+	helper := prog.Funcs[prog.FuncIndex("main$par0")]
+	if helper.Captured != 1 {
+		t.Fatalf("main$par0 captures %d params, want 1", helper.Captured)
+	}
+	args := []Value{IntVal(3), IntVal(10)}
+	if _, err := vm.CallFunction("main$par0", args); err != nil {
+		t.Fatal(err)
+	}
+	if got := vm.GlobalCell("out").V.I; got != 13 {
+		t.Errorf("out = %d after main$par0(3, 10), want 13", got)
+	}
+	if args[1].I != 10 {
+		t.Errorf("the call's argument became %d", args[1].I)
+	}
+	ref := NewVM(prog, nil)
+	for _, v := range []*VM{vm, ref} {
+		if err := v.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := vm.Threads()[0].Result.I, ref.Threads()[0].Result.I; got != want {
+		t.Errorf("main() = %d after the direct call, want %d", got, want)
+	}
+}
+
+// TestFinishedWorkersKeepNothing checks that a finished parallel_for
+// worker holds neither its range, with the capture list, nor its
+// parent, so a snapshot copies none of the cells they would reach.
+func TestFinishedWorkersKeepNothing(t *testing.T) {
+	prog, err := Compile("test.c", `
+global int total = 0;
+func int main() {
+	int bias = 2;
+	for (int r = 0; r < 3; r++) {
+		parallel_for (int i = 0; i < 40; i++) {
+			atomic_add(&total, i + bias);
+		}
+	}
+	return total;
+}`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := NewVM(prog, nil)
+	if err := vm.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for len(vm.Threads()) < 9 {
+		if vm.StepInstr() == nil {
+			t.Fatal("program finished before the second parallel_for")
+		}
+	}
+	done := 0
+	for _, th := range vm.Threads() {
+		if th.State != ThreadDone {
+			continue
+		}
+		done++
+		if th.par != nil || th.parent != nil {
+			t.Errorf("finished thread %d keeps its range or parent", th.ID)
+		}
+	}
+	if done < 4 {
+		t.Fatalf("%d finished workers, want the first parallel_for's 4", done)
+	}
+	for _, th := range vm.TakeSnapshot().threads {
+		if th.State == ThreadDone && (th.par != nil || th.parent != nil || len(th.Frames) > 0) {
+			t.Errorf("snapshot of finished thread %d holds a range, parent or frame", th.ID)
+		}
+	}
+}
+
 func TestCallFunctionBudget(t *testing.T) {
 	prog, err := Compile("test.c", `
 func int spin() {
@@ -705,5 +799,33 @@ func TestValueLayout(t *testing.T) {
 	}
 	if got, err := FormatPrintf("%d %d %d|%s|", []Value{f, str, IntVal(3), IntVal(4)}); err != nil || got != "0 0 3||" {
 		t.Errorf("printf of mismatched kinds = %q, %v; want %q", got, err, "0 0 3||")
+	}
+}
+
+// TestFuncAt checks that every instruction's program-wide index maps
+// back to its function and pc, and that an index past the last maps to
+// none.
+func TestFuncAt(t *testing.T) {
+	prog, err := Compile("test.c", `
+func int sq(int v) { return v * v; }
+func int main() {
+	int s = 0;
+	parallel_for (int i = 0; i < 4; i++) { s = s + sq(i); }
+	return s;
+}`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for fi, fc := range prog.Code {
+		for pc := range fc.Instrs {
+			if gf, gpc := prog.FuncAt(fc.Base + pc); gf != fi || gpc != pc {
+				t.Errorf("FuncAt(%d) = %d, %d, want %d, %d", fc.Base+pc, gf, gpc, fi, pc)
+			}
+			n++
+		}
+	}
+	if fi, _ := prog.FuncAt(n); fi != -1 {
+		t.Errorf("FuncAt(%d) = function %d past the last instruction", n, fi)
 	}
 }
